@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import costs
-from .container import read_tensor, write_tensor
+from .container import read_finite_tensor, write_tensor
 from .convref import ConvSpec, conv_nd_direct
 from .errors import ContainerError, DimensionError, RankError
 from .pipeline import (
@@ -69,7 +69,7 @@ def _cmd_decompose(args) -> int:
     if not ranks:
         raise RankError("--rank must supply at least one integer")
     stride, padding = _parse_stride_padding(args)
-    kernel = read_tensor(args.input)
+    kernel = read_finite_tensor(args.input)
     result = compress(
         kernel,
         args.scheme,
@@ -98,7 +98,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_conv(args) -> int:
     stride, padding = _parse_stride_padding(args)
-    x = read_tensor(args.input)
+    x = read_finite_tensor(args.input)
     if args.plan:
         plan = load_plan(args.plan)
         if stride is not None or padding is not None:
@@ -111,7 +111,7 @@ def _cmd_conv(args) -> int:
     else:
         if not args.kernel:
             raise _UsageError("conv requires --kernel (direct) or --plan (factorized)")
-        w = read_tensor(args.kernel)
+        w = read_finite_tensor(args.kernel)
         spec = ConvSpec.from_kernel(
             w, 1 if stride is None else stride, 0 if padding is None else padding
         )
@@ -253,7 +253,7 @@ def _cmd_verify(args) -> int:
             plan.spec.strides if stride is None else stride,
             plan.spec.paddings if padding is None else padding,
         )
-    kernel = read_tensor(args.kernel)
+    kernel = read_finite_tensor(args.kernel)
     report = verify_equivalence(
         plan,
         kernel,

@@ -8,13 +8,14 @@ bytes. Round-trips are bitwise exact for f64.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContainerError
 
-__all__ = ["read_tensor", "write_tensor"]
+__all__ = ["read_tensor", "read_finite_tensor", "write_tensor"]
 
 _DTYPES = {"f64": np.dtype("<f8"), "f32": np.dtype("<f4")}
 
@@ -34,7 +35,13 @@ def write_tensor(path, array: np.ndarray, dtype: str = "f64") -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a container file; returns float64 data regardless of stored dtype."""
+    """Read a container file; returns float64 data regardless of stored dtype.
+
+    An f64 payload is returned as a read-only view of the file bytes, without
+    a copy; an f32 payload is converted into a new array. Raises
+    :class:`ContainerError` for a malformed header or a payload whose length
+    does not match the header's shape.
+    """
     raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
     if newline < 0:
@@ -59,10 +66,24 @@ def read_tensor(path) -> np.ndarray:
         raise ContainerError(f"{path}: invalid shape {shape!r}")
 
     payload = raw[newline + 1 :]
-    expected = _DTYPES[dtype].itemsize * int(np.prod(shape))
+    expected = _DTYPES[dtype].itemsize * math.prod(shape)
     if len(payload) != expected:
         raise ContainerError(
             f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
         )
     data = np.frombuffer(payload, dtype=_DTYPES[dtype]).reshape(shape)
     return np.ascontiguousarray(data, dtype=np.float64)
+
+
+def read_finite_tensor(path) -> np.ndarray:
+    """:func:`read_tensor`, raising :class:`ContainerError` if the payload holds
+    NaN or infinite values.
+
+    The format itself round-trips any f64 value bitwise; kernels, activations
+    and plan factors are read with this check.
+    """
+    data = read_tensor(path)
+    # min and max propagate NaN and expose +-inf without a full-size mask.
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        raise ContainerError(f"{path}: payload holds NaN or infinite values")
+    return data

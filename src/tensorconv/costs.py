@@ -5,8 +5,15 @@ terms do not exist in this package; activation and batch-norm stages carry
 zero parameters and are excluded from FLOP totals (they appear as
 zero-cost stage lines so breakdowns stay aligned with execution plans).
 
-All counts are exact integers; the formulas are validated elsewhere against
-instrumented naive-loop multiply-add tallies.
+A factorized layer's report is a fold over its stage list
+(``layer.stages``, see :mod:`tensorconv.layers`): one :func:`stage_cost`
+line per stage, evaluated at the extents that stage produces. The
+per-scheme ``report_*`` functions are wrappers that cost the stage list a
+layer of the given geometry and ranks would have, built from shape-only
+factors.
+
+All counts are exact integers; they are validated against the multiply-adds
+tallied by the layers' naive stage loops.
 """
 
 from __future__ import annotations
@@ -17,8 +24,11 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .convref import ConvSpec
 from .errors import RankError
+from .layers import CpConvLayer, MobileNetV1Block, MobileNetV2Block, ReLU, TuckerConvLayer
 
 __all__ = [
     "FLOP_CONVENTION",
@@ -28,6 +38,8 @@ __all__ = [
     "params_hocp",
     "flops_regular",
     "flops_hocp",
+    "stage_cost",
+    "report",
     "report_regular",
     "report_hocp",
     "report_tucker",
@@ -98,52 +110,47 @@ def params_hocp(spec: ConvSpec, rank: int) -> int:
     return rank * (spec.in_channels + spec.out_channels + sum(spec.kernel_sizes))
 
 
-def flops_regular(spec: ConvSpec, input_extents: Sequence[int]) -> int:
-    """2 * C * prod(K) multiply-adds per output element, times T and the output volume."""
-    out_vol = prod(spec.output_extents(input_extents))
-    return 2 * spec.in_channels * prod(spec.kernel_sizes) * spec.out_channels * out_vol
+def stage_cost(label: str, params: int, out_extents: Sequence[int]) -> StageCost:
+    """Cost of one stage with ``params`` weights and output extents ``out_extents``.
+
+    The one formula for every stage type: a contraction, a depthwise or dense
+    convolution and a skip each use every weight in exactly one multiply-add
+    per output position, so FLOPs = 2 * params * prod(out_extents).
+    Activations have no weights and cost nothing.
+    """
+    return StageCost(label, params, 2 * params * prod(out_extents))
 
 
-def _hocp_stages(spec: ConvSpec, rank: int, input_extents: Sequence[int]) -> list[StageCost]:
-    rank = _check_rank(rank)
-    extents = [int(d) for d in input_extents]
-    out_extents = spec.output_extents(extents)
-    stages = [
-        StageCost(
-            "contract_in",
-            rank * spec.in_channels,
-            2 * spec.in_channels * rank * prod(extents),
-        )
-    ]
-    running = list(extents)
-    for i, k in enumerate(spec.kernel_sizes):
-        running[i] = out_extents[i]
-        stages.append(
-            StageCost(
-                f"conv_mode_{i}",
-                rank * k,
-                2 * k * rank * prod(running),
-            )
-        )
-    stages.append(
-        StageCost(
-            "contract_out",
-            spec.out_channels * rank,
-            2 * rank * spec.out_channels * prod(out_extents),
-        )
-    )
-    return stages
+def report(stages: Iterable, input_extents: Sequence[int]) -> CostReport:
+    """Fold :func:`stage_cost` over a layer's stage list, starting at ``input_extents``.
 
-
-def flops_hocp(spec: ConvSpec, rank: int, input_extents: Sequence[int]) -> int:
-    """Per-stage sum: channel contraction + N grouped 1-D convolutions + output contraction."""
-    return sum(s.flops for s in _hocp_stages(spec, rank, input_extents))
+    A stage's parameters are the entries of its operand (``stage.params``).
+    """
+    extents = tuple(int(d) for d in input_extents)
+    lines = []
+    for stage in stages:
+        extents = stage.out_extents(extents)
+        lines.append(stage_cost(stage.label, stage.params, extents))
+    return CostReport.from_stages(lines)
 
 
 def report_regular(spec: ConvSpec, input_extents: Sequence[int]) -> CostReport:
     return CostReport.from_stages(
-        [StageCost("dense_conv", params_regular(spec), flops_regular(spec, input_extents))]
+        [stage_cost("dense_conv", params_regular(spec), spec.output_extents(input_extents))]
     )
+
+
+def flops_regular(spec: ConvSpec, input_extents: Sequence[int]) -> int:
+    """2 * C * prod(K) multiply-adds per output element, times T and the output volume."""
+    return report_regular(spec, input_extents).flops
+
+
+# The per-scheme reports below cost the stage list a layer of the given
+# geometry and ranks would have. Costs depend on factor shapes only, so the
+# factors are broadcast zeros, which allocate nothing.
+
+def _zeros(*shape) -> np.ndarray:
+    return np.broadcast_to(0.0, shape)
 
 
 def report_hocp(
@@ -161,71 +168,46 @@ def report_hocp(
     own line when present, since architecture-level totals may or may not
     include it.
     """
-    stages = _hocp_stages(spec, rank, input_extents)
+    rank = _check_rank(rank)
+    t, c = spec.out_channels, spec.in_channels
+    factors = [_zeros(e, rank) for e in (t, c) + spec.kernel_sizes]
+    acts = None
     if activation_stages is not None:
-        if len(activation_stages) != spec.n_spatial:
-            raise ValueError(
-                f"expected one activation flag per spatial mode ({spec.n_spatial}), "
-                f"got {len(activation_stages)}"
-            )
-        # interleave in execution order: activation_i follows conv_mode_i
-        for i in reversed(range(spec.n_spatial)):
-            if activation_stages[i]:
-                stages.insert(2 + i, StageCost(f"activation_{i}", 0, 0))
-    if include_skip:
-        out_vol = prod(spec.output_extents(input_extents))
-        stages.append(
-            StageCost(
-                "skip",
-                spec.in_channels * spec.out_channels,
-                2 * spec.in_channels * spec.out_channels * out_vol,
-            )
-        )
-    return CostReport.from_stages(stages)
+        acts = [ReLU() if flag else None for flag in activation_stages]
+    skip = _zeros(t, c) if include_skip else None
+    return report(CpConvLayer.stages_for(factors, spec, acts, skip), input_extents)
+
+
+def flops_hocp(spec: ConvSpec, rank: int, input_extents: Sequence[int]) -> int:
+    """Per-stage sum: channel contraction + N depthwise 1-D convolutions + output contraction."""
+    return report_hocp(spec, rank, input_extents).flops
 
 
 def report_tucker(spec: ConvSpec, ranks: tuple[int, int], input_extents: Sequence[int]) -> CostReport:
     """Bottleneck accounting: 1x1 down, dense core conv, 1x1 up."""
     r_out, r_in = (_check_rank(r) for r in ranks)
-    in_vol = prod(int(d) for d in input_extents)
-    out_vol = prod(spec.output_extents(input_extents))
-    kernel_vol = prod(spec.kernel_sizes)
-    return CostReport.from_stages(
-        [
-            StageCost("contract_in", r_in * spec.in_channels, 2 * spec.in_channels * r_in * in_vol),
-            StageCost("core_conv", r_out * r_in * kernel_vol, 2 * r_in * kernel_vol * r_out * out_vol),
-            StageCost("contract_out", spec.out_channels * r_out, 2 * r_out * spec.out_channels * out_vol),
-        ]
+    c, t = spec.in_channels, spec.out_channels
+    stages = TuckerConvLayer.stages_for(
+        _zeros(r_in, c), _zeros(r_out, r_in, *spec.kernel_sizes), _zeros(t, r_out), spec
     )
+    return report(stages, input_extents)
 
 
 def report_mobilenet_v1(spec: ConvSpec, input_extents: Sequence[int]) -> CostReport:
     """Depthwise (merged spatial kernel) + pointwise accounting; R == C."""
-    out_vol = prod(spec.output_extents(input_extents))
-    kernel_vol = prod(spec.kernel_sizes)
     c, t = spec.in_channels, spec.out_channels
-    return CostReport.from_stages(
-        [
-            StageCost("depthwise", kernel_vol * c, 2 * kernel_vol * c * out_vol),
-            StageCost("pointwise", t * c, 2 * c * t * out_vol),
-        ]
-    )
+    stages = MobileNetV1Block.stages_for(_zeros(*spec.kernel_sizes, c), _zeros(t, c), spec)
+    return report(stages, input_extents)
 
 
 def report_mobilenet_v2(spec: ConvSpec, rank: int, input_extents: Sequence[int]) -> CostReport:
     """Inverted bottleneck accounting: 1x1 down, depthwise, 1x1 up."""
     rank = _check_rank(rank)
-    in_vol = prod(int(d) for d in input_extents)
-    out_vol = prod(spec.output_extents(input_extents))
-    kernel_vol = prod(spec.kernel_sizes)
     c, t = spec.in_channels, spec.out_channels
-    return CostReport.from_stages(
-        [
-            StageCost("contract_in", rank * c, 2 * c * rank * in_vol),
-            StageCost("depthwise", kernel_vol * rank, 2 * kernel_vol * rank * out_vol),
-            StageCost("contract_out", t * rank, 2 * rank * t * out_vol),
-        ]
+    stages = MobileNetV2Block.stages_for(
+        _zeros(rank, c), _zeros(*spec.kernel_sizes, rank), _zeros(t, rank), spec
     )
+    return report(stages, input_extents)
 
 
 # ---------------------------------------------------------------------------

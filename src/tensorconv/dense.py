@@ -29,6 +29,7 @@ __all__ = [
     "as_matrix",
     "n_mode_product",
     "mode_conv_1d",
+    "depthwise_conv",
     "conv_output_extent",
     "unfold",
     "fold",
@@ -105,7 +106,8 @@ def mode_conv_1d(
     """Cross-correlate ``t`` with vector ``v`` along ``mode``.
 
     ``out[..., i, ...] = sum_k v[k] * t_padded[..., i*stride + k, ...]``
-    with zero padding. Accumulation over k is in fixed ascending order.
+    with zero padding: :func:`depthwise_conv` with one channel and taps of
+    extent 1 on every other mode.
     """
     t = as_tensor(t)
     v = as_tensor(v)
@@ -113,18 +115,38 @@ def mode_conv_1d(
         raise DimensionError(f"1-D kernel expected, got order {v.ndim}")
     if not 0 <= mode < t.ndim:
         raise DimensionError(f"mode {mode} out of range for order-{t.ndim} tensor")
-    k = v.shape[0]
-    out_len = conv_output_extent(t.shape[mode], k, stride, padding)
+    taps = v.reshape((1,) * mode + v.shape + (1,) * (t.ndim - mode - 1) + (1,))
+    strides = tuple(stride if i == mode else 1 for i in range(t.ndim))
+    paddings = tuple(padding if i == mode else 0 for i in range(t.ndim))
+    return depthwise_conv(t[None], taps, strides, paddings)[0]
 
-    work = np.moveaxis(t, mode, -1)
-    if padding:
-        pad = [(0, 0)] * work.ndim
-        pad[-1] = (padding, padding)
-        work = np.pad(work, pad)
-    out = np.zeros(work.shape[:-1] + (out_len,))
-    for j in range(k):
-        out += v[j] * work[..., j : j + stride * (out_len - 1) + 1 : stride]
-    return np.ascontiguousarray(np.moveaxis(out, -1, mode))
+
+def depthwise_conv(
+    z: np.ndarray,
+    taps: np.ndarray,
+    strides: Sequence[int],
+    paddings: Sequence[int],
+) -> np.ndarray:
+    """Per-channel N-D cross-correlation with zero padding.
+
+    ``z`` is (R x D_0 x ... x D_{N-1}) and ``taps`` is (K_0 x ... x K_{N-1} x R):
+    channel r is filtered with ``taps[..., r]``. The output accumulates one
+    shifted window per kernel offset, in row-major offset order, so results
+    are bit-reproducible.
+    """
+    kernel_sizes = taps.shape[:-1]
+    out_extents = tuple(map(conv_output_extent, z.shape[1:], kernel_sizes, strides, paddings))
+    if any(paddings):
+        z = np.pad(z, [(0, 0)] + [(p, p) for p in paddings])
+    out = np.zeros((taps.shape[-1],) + out_extents)
+    gain_shape = (taps.shape[-1],) + (1,) * len(kernel_sizes)
+    for offs in np.ndindex(*kernel_sizes):
+        window = z[
+            (slice(None),)
+            + tuple(slice(o, o + s * (n - 1) + 1, s) for o, s, n in zip(offs, strides, out_extents))
+        ]
+        out += taps[offs].reshape(gain_shape) * window
+    return out
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:

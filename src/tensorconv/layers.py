@@ -1,32 +1,34 @@
-"""Executable factorized convolution layers.
+"""Executable factorized convolution layers, each a short tuple of typed stages.
 
-Every layer here is an immutable value built from decomposition factors plus a
-:class:`~tensorconv.convref.ConvSpec`, with a pure forward function and a
-``dense_kernel()`` method returning the dense kernel the layer implements.
-This keeps the universal oracle check one line: a factorized forward must
-match ``conv_nd_direct(x, layer.dense_kernel(), layer.spec)``.
+A layer's ``stages`` run in order on a (channels x spatial...) array:
+:class:`Contract` (1x1 convolution), :class:`Depthwise` (per-channel N-D
+convolution; a CP ``conv_mode_i`` stage has taps of extent K on mode i and 1
+elsewhere, a MobileNet ``depthwise`` stage the merged spatial kernel),
+:class:`DenseConv` (the Tucker core), :class:`Activate` and :class:`Skip`.
+Each stage has a vectorized ``apply``, a loop-nest ``naive`` that can tally
+multiply-adds into an :class:`~tensorconv.convref.OpCounter`, its
+``out_extents`` and its weight count ``params``. :func:`forward`,
+:func:`forward_naive` and the cost reports are folds over the stage list.
 
-The separable (CP) chain is the execution spine: contract the input channels,
-run one grouped per-rank 1-D convolution per spatial mode in increasing mode
-order, contract to the output channels. ``cp_conv_forward`` and
-``ho_cp_conv_forward`` share that spine, so with no activations and no skip
-the two are bitwise identical.
-
-``ho_cp_forward_naive`` re-executes the chain as plain Python loops and can
-tally multiply-adds; it is the independent route used to validate both the
-vectorized chain and the analytic FLOP formulas.
+Each layer class holds what is particular to its scheme: validation, its
+stage list (``stages_for``, which the cost model also calls on shape-only
+factors), its named factors for a plan manifest (``factors``, inverted by
+``from_factors``) and ``dense_kernel()``, so every forward is checkable
+against ``conv_nd_direct(x, layer.dense_kernel(), layer.spec)``. CP and HO-CP
+share one stage builder, so with no activations and no skip the two are
+bitwise identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .convref import ConvSpec, OpCounter, conv_1x1, conv_nd_direct
+from .convref import ConvSpec, OpCounter, conv_1x1, conv_nd_direct, conv_nd_naive
 from .decomp import KruskalTensor, TuckerTensor, kruskal_to_dense, merge_spatial_factors
-from .dense import as_matrix, as_tensor, conv_output_extent, n_mode_product
+from .dense import as_matrix, as_tensor, conv_output_extent, depthwise_conv, n_mode_product
 from .errors import DimensionError, RankError
 
 __all__ = [
@@ -34,11 +36,18 @@ __all__ = [
     "ReLU",
     "PReLU",
     "FrozenBatchNorm",
+    "Contract",
+    "Depthwise",
+    "DenseConv",
+    "Activate",
+    "Skip",
     "CpConvLayer",
     "TuckerConvLayer",
     "HoCpConvLayer",
     "MobileNetV1Block",
     "MobileNetV2Block",
+    "forward",
+    "forward_naive",
     "cp_conv_forward",
     "tucker_conv_forward",
     "ho_cp_conv_forward",
@@ -118,11 +127,194 @@ def _normalize_activations(
 
 
 # ---------------------------------------------------------------------------
+# Stage types
+# ---------------------------------------------------------------------------
+
+class _Stage:
+    """Defaults for a stage that keeps the spatial extents and has no weights."""
+
+    params = 0
+
+    def out_extents(self, extents) -> tuple[int, ...]:
+        return tuple(extents)
+
+
+@dataclass(frozen=True, eq=False)
+class Contract(_Stage):
+    """1x1 convolution: ``out[t] = sum_c matrix[t, c] * z[c]`` at every position."""
+
+    label: str
+    matrix: np.ndarray  # (out_channels x in_channels)
+
+    @property
+    def params(self) -> int:
+        return self.matrix.size
+
+    def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return conv_1x1(z, self.matrix)
+
+    def naive(self, z: np.ndarray, x: np.ndarray, counter: Optional[OpCounter]) -> np.ndarray:
+        out = np.zeros((self.matrix.shape[0],) + z.shape[1:])
+        for idx in np.ndindex(*out.shape):
+            acc = 0.0
+            for c in range(self.matrix.shape[1]):
+                acc += self.matrix[idx[0], c] * z[(c,) + idx[1:]]
+                if counter is not None:
+                    counter.madds += 1
+            out[idx] = acc
+        return out
+
+
+class Skip(Contract):
+    """Adds the block input contracted with ``matrix`` (T x C); needs preserved extents."""
+
+    def _check(self, z: np.ndarray, x: np.ndarray) -> None:
+        if z.shape[1:] != x.shape[1:]:
+            raise DimensionError(
+                f"skip connection requires preserved spatial extents, got "
+                f"{x.shape[1:]} in and {z.shape[1:]} out"
+            )
+
+    def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        self._check(z, x)
+        return z + super().apply(x, x)
+
+    def naive(self, z: np.ndarray, x: np.ndarray, counter: Optional[OpCounter]) -> np.ndarray:
+        self._check(z, x)
+        return z + super().naive(x, x, counter)
+
+
+@dataclass(frozen=True, eq=False)
+class Depthwise(_Stage):
+    """Per-channel N-D convolution: channel r filtered with ``taps[..., r]``.
+
+    ``taps`` is (K_0 x ... x K_{N-1} x R), channels last.
+    """
+
+    label: str
+    taps: np.ndarray
+    strides: tuple[int, ...]
+    paddings: tuple[int, ...]
+
+    @property
+    def params(self) -> int:
+        return self.taps.size
+
+    def out_extents(self, extents) -> tuple[int, ...]:
+        kernel_sizes = self.taps.shape[:-1]
+        return tuple(map(conv_output_extent, extents, kernel_sizes, self.strides, self.paddings))
+
+    def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return depthwise_conv(z, self.taps, self.strides, self.paddings)
+
+    def naive(self, z: np.ndarray, x: np.ndarray, counter: Optional[OpCounter]) -> np.ndarray:
+        zp = np.pad(z, [(0, 0)] + [(p, p) for p in self.paddings])
+        out = np.zeros(z.shape[:1] + self.out_extents(z.shape[1:]))
+        for idx in np.ndindex(*out.shape):
+            acc = 0.0
+            for offs in np.ndindex(*self.taps.shape[:-1]):
+                src = tuple(y * s + o for y, s, o in zip(idx[1:], self.strides, offs))
+                acc += self.taps[offs + idx[:1]] * zp[idx[:1] + src]
+                if counter is not None:
+                    counter.madds += 1
+            out[idx] = acc
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class DenseConv(_Stage):
+    """Dense convolution with ``core`` (R_out x R_in x K_0 x ...): the Tucker core."""
+
+    label: str
+    core: np.ndarray
+    strides: tuple[int, ...]
+    paddings: tuple[int, ...]
+
+    @property
+    def params(self) -> int:
+        return self.core.size
+
+    def out_extents(self, extents) -> tuple[int, ...]:
+        kernel_sizes = self.core.shape[2:]
+        return tuple(map(conv_output_extent, extents, kernel_sizes, self.strides, self.paddings))
+
+    def _spec(self) -> ConvSpec:
+        return ConvSpec.from_kernel(self.core, self.strides, self.paddings)
+
+    def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return conv_nd_direct(z, self.core, self._spec())
+
+    def naive(self, z: np.ndarray, x: np.ndarray, counter: Optional[OpCounter]) -> np.ndarray:
+        return conv_nd_naive(z, self.core, self._spec(), counter)
+
+
+@dataclass(frozen=True, eq=False)
+class Activate(_Stage):
+    """A fixed activation after spatial stage ``mode``; no weights, no counted FLOPs."""
+
+    mode: int
+    activation: Activation
+
+    @property
+    def label(self) -> str:
+        return f"activation_{self.mode}"
+
+    def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.activation.apply(z)
+
+    def naive(self, z: np.ndarray, x: np.ndarray, counter: Optional[OpCounter]) -> np.ndarray:
+        return self.activation.apply(z)
+
+
+def _merged_spatial(spatial, spec: ConvSpec) -> np.ndarray:
+    """Validate a MobileNet merged spatial factor (K_h, K_w, R)."""
+    spatial = as_tensor(spatial)
+    if spatial.ndim != 3:
+        raise DimensionError(
+            f"merged spatial factor must be 3-D (K_h, K_w, R), got order {spatial.ndim}"
+        )
+    if spec.n_spatial != 2:
+        raise DimensionError("MobileNet blocks are defined for 2 spatial modes")
+    if spatial.shape[:2] != spec.kernel_sizes:
+        raise DimensionError(
+            f"spatial factor extents {spatial.shape[:2]} do not match "
+            f"kernel sizes {spec.kernel_sizes}"
+        )
+    return spatial
+
+
+# ---------------------------------------------------------------------------
 # Layer types
 # ---------------------------------------------------------------------------
 
+class _Layer:
+    """Defaults for a layer whose factor fields are named by their manifest roles:
+    its stage list is its class's ``stages_for`` applied to those factors in
+    role order."""
+
+    _ROLES: tuple[str, ...] = ()
+
+    @property
+    def stages(self) -> tuple:
+        return self.stages_for(*(f for _, f in self.factors), self.spec)
+
+    @property
+    def factors(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """(role, factor) pairs in plan-manifest order."""
+        return tuple((role, getattr(self, role)) for role in self._ROLES)
+
+    @classmethod
+    def from_factors(cls, get, spec: ConvSpec):
+        """The layer whose factor of each role in ``factors`` is ``get(role)``."""
+        return cls(*map(get, cls._ROLES), spec)
+
+    def with_spec(self, spec: ConvSpec):
+        """The same factors under another geometry (stride, padding)."""
+        return replace(self, spec=spec)
+
+
 @dataclass(frozen=True)
-class CpConvLayer:
+class CpConvLayer(_Layer):
     """Separable convolution defined by a Kruskal kernel.
 
     Factor order is (U_out, U_in, U_k0, ..., U_k{N-1}) matching the kernel
@@ -144,12 +336,58 @@ class CpConvLayer:
     def rank(self) -> int:
         return self.kruskal.rank
 
+    @staticmethod
+    def stages_for(
+        factors: Sequence[np.ndarray],
+        spec: ConvSpec,
+        activations: Optional[Sequence[Optional[Activation]]] = None,
+        skip: Optional[np.ndarray] = None,
+    ) -> tuple:
+        """Contract the input channels, one depthwise stage per spatial mode in
+        increasing mode order (each optionally followed by its activation),
+        contract to the output channels, then the optional skip."""
+        u_out, u_in, *u_spatial = factors
+        n = spec.n_spatial
+        activations = _normalize_activations(activations, n)
+        stages = [Contract("contract_in", u_in.T)]
+        for i, u in enumerate(u_spatial):
+            stages.append(
+                Depthwise(
+                    f"conv_mode_{i}",
+                    u.reshape((1,) * i + u.shape[:1] + (1,) * (n - 1 - i) + u.shape[1:]),
+                    tuple(s if j == i else 1 for j, s in enumerate(spec.strides)),
+                    tuple(p if j == i else 0 for j, p in enumerate(spec.paddings)),
+                )
+            )
+            if activations is not None and activations[i] is not None:
+                stages.append(Activate(i, activations[i]))
+        stages.append(Contract("contract_out", u_out))
+        if skip is not None:
+            stages.append(Skip("skip", skip))
+        return tuple(stages)
+
+    @property
+    def stages(self) -> tuple:
+        return self.stages_for(self.kruskal.factors, self.spec)
+
+    @staticmethod
+    def _roles(n: int) -> tuple[str, ...]:
+        return ("output_channels", "input_channels") + tuple(f"spatial_mode_{i}" for i in range(n))
+
+    @property
+    def factors(self) -> tuple[tuple[str, np.ndarray], ...]:
+        return tuple(zip(self._roles(self.spec.n_spatial), self.kruskal.factors))
+
+    @classmethod
+    def from_factors(cls, get, spec: ConvSpec) -> "CpConvLayer":
+        return cls(KruskalTensor(tuple(map(get, cls._roles(spec.n_spatial)))), spec)
+
     def dense_kernel(self) -> np.ndarray:
         return kruskal_to_dense(self.kruskal)
 
 
 @dataclass(frozen=True)
-class TuckerConvLayer:
+class TuckerConvLayer(_Layer):
     """Bottleneck convolution: 1x1 reduce, small dense conv with the absorbed
     core, 1x1 expand.
 
@@ -161,6 +399,8 @@ class TuckerConvLayer:
     core: np.ndarray
     up: np.ndarray
     spec: ConvSpec
+
+    _ROLES = ("down", "core", "up")
 
     def __post_init__(self):
         down = as_matrix(self.down)
@@ -207,18 +447,26 @@ class TuckerConvLayer:
         absorbed = absorb_spatial(t, tuple(range(2, t.core.ndim)))
         return cls(absorbed.factors[1].T, absorbed.core, absorbed.factors[0], spec)
 
+    @staticmethod
+    def stages_for(down: np.ndarray, core: np.ndarray, up: np.ndarray, spec: ConvSpec) -> tuple:
+        return (
+            Contract("contract_in", down),
+            DenseConv("core_conv", core, spec.strides, spec.paddings),
+            Contract("contract_out", up),
+        )
+
     def dense_kernel(self) -> np.ndarray:
         w = n_mode_product(self.core, self.up, 0)
         return n_mode_product(w, self.down.T, 1)
 
 
 @dataclass(frozen=True)
-class HoCpConvLayer:
-    """Higher-order CP convolution: the separable chain plus optional per-stage
+class HoCpConvLayer(_Layer):
+    """Higher-order CP convolution: the CP stages plus optional per-stage
     activations and an optional skip factor.
 
     ``activations`` holds one optional activation per spatial stage (applied
-    after that stage's grouped 1-D convolution). ``skip`` is a (T x C) matrix;
+    after that stage's depthwise 1-D convolution). ``skip`` is a (T x C) matrix;
     when present the forward adds the channel-contracted input, which requires
     the convolution to preserve the spatial extents.
     """
@@ -251,12 +499,28 @@ class HoCpConvLayer:
     def rank(self) -> int:
         return self.cp.rank
 
+    @property
+    def stages(self) -> tuple:
+        return CpConvLayer.stages_for(self.cp.kruskal.factors, self.spec, self.activations, self.skip)
+
+    @property
+    def factors(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """The Kruskal factors; a manifest stores ``activations`` and ``skip`` apart."""
+        return self.cp.factors
+
+    @classmethod
+    def from_factors(cls, get, spec: ConvSpec, activations=None, skip=None) -> "HoCpConvLayer":
+        return cls(CpConvLayer.from_factors(get, spec), activations, skip)
+
+    def with_spec(self, spec: ConvSpec) -> "HoCpConvLayer":
+        return replace(self, cp=self.cp.with_spec(spec))
+
     def dense_kernel(self) -> np.ndarray:
         return self.cp.dense_kernel()
 
 
 @dataclass(frozen=True)
-class MobileNetV1Block:
+class MobileNetV1Block(_Layer):
     """Depthwise conv with one merged 2-D spatial kernel per channel, then a
     pointwise conv. Channel count equals the depthwise multiplicity (R == C).
     """
@@ -265,20 +529,11 @@ class MobileNetV1Block:
     pointwise: np.ndarray  # (T, C)
     spec: ConvSpec
 
+    _ROLES = ("spatial", "pointwise")
+
     def __post_init__(self):
-        spatial = as_tensor(self.spatial)
+        spatial = _merged_spatial(self.spatial, self.spec)
         pointwise = as_matrix(self.pointwise)
-        if spatial.ndim != 3:
-            raise DimensionError(
-                f"merged spatial factor must be 3-D (K_h, K_w, R), got order {spatial.ndim}"
-            )
-        if self.spec.n_spatial != 2:
-            raise DimensionError("MobileNet blocks are defined for 2 spatial modes")
-        if spatial.shape[:2] != self.spec.kernel_sizes:
-            raise DimensionError(
-                f"spatial factor extents {spatial.shape[:2]} do not match "
-                f"kernel sizes {self.spec.kernel_sizes}"
-            )
         if spatial.shape[2] != self.spec.in_channels:
             raise RankError(
                 f"depthwise block needs rank == input channels, got rank "
@@ -296,12 +551,19 @@ class MobileNetV1Block:
     def rank(self) -> int:
         return self.spatial.shape[2]
 
+    @staticmethod
+    def stages_for(spatial: np.ndarray, pointwise: np.ndarray, spec: ConvSpec) -> tuple:
+        return (
+            Depthwise("depthwise", spatial, spec.strides, spec.paddings),
+            Contract("pointwise", pointwise),
+        )
+
     def dense_kernel(self) -> np.ndarray:
         return np.einsum("tc,jic->tcji", self.pointwise, self.spatial)
 
 
 @dataclass(frozen=True)
-class MobileNetV2Block:
+class MobileNetV2Block(_Layer):
     """Inverted bottleneck: 1x1 down to the rank, depthwise conv with the
     merged spatial factor, 1x1 up to the output channels.
     """
@@ -311,21 +573,12 @@ class MobileNetV2Block:
     up: np.ndarray  # (T, R)
     spec: ConvSpec
 
+    _ROLES = ("down", "spatial", "up")
+
     def __post_init__(self):
         down = as_matrix(self.down)
-        spatial = as_tensor(self.spatial)
+        spatial = _merged_spatial(self.spatial, self.spec)
         up = as_matrix(self.up)
-        if spatial.ndim != 3:
-            raise DimensionError(
-                f"merged spatial factor must be 3-D (K_h, K_w, R), got order {spatial.ndim}"
-            )
-        if self.spec.n_spatial != 2:
-            raise DimensionError("MobileNet blocks are defined for 2 spatial modes")
-        if spatial.shape[:2] != self.spec.kernel_sizes:
-            raise DimensionError(
-                f"spatial factor extents {spatial.shape[:2]} do not match "
-                f"kernel sizes {self.spec.kernel_sizes}"
-            )
         r = spatial.shape[2]
         if down.shape != (r, self.spec.in_channels):
             raise DimensionError(
@@ -343,213 +596,18 @@ class MobileNetV2Block:
     def rank(self) -> int:
         return self.spatial.shape[2]
 
+    @staticmethod
+    def stages_for(
+        down: np.ndarray, spatial: np.ndarray, up: np.ndarray, spec: ConvSpec
+    ) -> tuple:
+        return (
+            Contract("contract_in", down),
+            Depthwise("depthwise", spatial, spec.strides, spec.paddings),
+            Contract("contract_out", up),
+        )
+
     def dense_kernel(self) -> np.ndarray:
         return np.einsum("tr,rc,jir->tcji", self.up, self.down, self.spatial)
-
-
-# ---------------------------------------------------------------------------
-# Execution primitives
-# ---------------------------------------------------------------------------
-
-def _grouped_conv_1d(
-    z: np.ndarray, kernels: np.ndarray, mode: int, stride: int, padding: int
-) -> np.ndarray:
-    """Per-channel 1-D convolution along ``mode``: channel r uses kernels[:, r].
-
-    ``z`` is (R x spatial...), ``kernels`` is (K x R).
-    """
-    k, r = kernels.shape
-    out_len = conv_output_extent(z.shape[mode], k, stride, padding)
-    work = np.moveaxis(z, mode, -1)
-    if padding:
-        pad = [(0, 0)] * work.ndim
-        pad[-1] = (padding, padding)
-        work = np.pad(work, pad)
-    shape = (r,) + (1,) * (work.ndim - 1)
-    out = np.zeros(work.shape[:-1] + (out_len,))
-    for j in range(k):
-        out += kernels[j].reshape(shape) * work[..., j : j + stride * (out_len - 1) + 1 : stride]
-    return np.ascontiguousarray(np.moveaxis(out, -1, mode))
-
-
-def _check_activation(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    x = as_tensor(x)
-    if x.ndim != 1 + spec.n_spatial:
-        raise DimensionError(
-            f"activation order {x.ndim} does not match {spec.n_spatial} spatial modes"
-        )
-    if x.shape[0] != spec.in_channels:
-        raise DimensionError(
-            f"channel mismatch: activation has {x.shape[0]} channels, "
-            f"layer expects {spec.in_channels}"
-        )
-    return x
-
-
-def _separable_chain(
-    x: np.ndarray,
-    kruskal: KruskalTensor,
-    spec: ConvSpec,
-    activations: Optional[tuple[Optional[Activation], ...]] = None,
-    mode_order: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Channel contraction, grouped per-rank 1-D convolutions, output contraction.
-
-    ``mode_order`` exists to check that separable spatial stages commute;
-    the default (and the documented behaviour) is increasing mode order.
-    """
-    u_out, u_in, *u_spatial = kruskal.factors
-    z = n_mode_product(x, u_in.T, 0)
-    order = range(spec.n_spatial) if mode_order is None else mode_order
-    for i in order:
-        z = _grouped_conv_1d(z, u_spatial[i], i + 1, spec.strides[i], spec.paddings[i])
-        if activations is not None and activations[i] is not None:
-            z = activations[i].apply(z)
-    return n_mode_product(z, u_out, 0)
-
-
-def _depthwise_conv_2d(x: np.ndarray, spatial: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Depthwise 2-D convolution: channel r filtered with spatial[:, :, r]."""
-    r = spatial.shape[2]
-    if x.shape[0] != r:
-        raise DimensionError(
-            f"depthwise input has {x.shape[0]} channels but {r} spatial kernels"
-        )
-    out_spatial = spec.output_extents(x.shape[1:])
-    xp = x
-    if any(spec.paddings):
-        xp = np.pad(x, [(0, 0)] + [(p, p) for p in spec.paddings])
-    out = np.zeros((r,) + out_spatial)
-    for j in range(spatial.shape[0]):
-        for i in range(spatial.shape[1]):
-            window = xp[
-                :,
-                j : j + spec.strides[0] * (out_spatial[0] - 1) + 1 : spec.strides[0],
-                i : i + spec.strides[1] * (out_spatial[1] - 1) + 1 : spec.strides[1],
-            ]
-            out += spatial[j, i, :].reshape(r, 1, 1) * window
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Forward passes
-# ---------------------------------------------------------------------------
-
-def cp_conv_forward(layer: CpConvLayer, x: np.ndarray) -> np.ndarray:
-    """Separable-chain execution of the Kruskal kernel; equals
-    ``conv_nd_direct(x, layer.dense_kernel(), layer.spec)``.
-    """
-    x = _check_activation(x, layer.spec)
-    return _separable_chain(x, layer.kruskal, layer.spec)
-
-
-def tucker_conv_forward(layer: TuckerConvLayer, x: np.ndarray) -> np.ndarray:
-    """1x1 reduce, dense small conv with the absorbed core, 1x1 expand."""
-    x = _check_activation(x, layer.spec)
-    z = conv_1x1(x, layer.down)
-    core_spec = ConvSpec(
-        layer.core.shape[1],
-        layer.core.shape[0],
-        layer.spec.kernel_sizes,
-        layer.spec.strides,
-        layer.spec.paddings,
-    )
-    z = conv_nd_direct(z, layer.core, core_spec)
-    return conv_1x1(z, layer.up)
-
-
-def ho_cp_conv_forward(layer: HoCpConvLayer, x: np.ndarray) -> np.ndarray:
-    """Separable chain with optional per-stage activations and skip factor.
-
-    With all activations absent and no skip this is bitwise identical to
-    :func:`cp_conv_forward`.
-    """
-    x = _check_activation(x, layer.spec)
-    out = _separable_chain(x, layer.cp.kruskal, layer.spec, layer.activations)
-    if layer.skip is not None:
-        if out.shape[1:] != x.shape[1:]:
-            raise DimensionError(
-                f"skip connection requires preserved spatial extents, got "
-                f"{x.shape[1:]} in and {out.shape[1:]} out"
-            )
-        out = out + n_mode_product(x, layer.skip, 0)
-    return out
-
-
-def ho_cp_forward_naive(
-    layer: HoCpConvLayer, x: np.ndarray, counter: Optional[OpCounter] = None
-) -> np.ndarray:
-    """Loop-nest re-execution of :func:`ho_cp_conv_forward`.
-
-    Independent of the vectorized chain; optionally tallies one multiply-add
-    per executed multiply-accumulate (activations are not counted).
-    """
-    x = _check_activation(x, layer.spec)
-    spec = layer.spec
-    u_out, u_in, *u_spatial = layer.cp.kruskal.factors
-    rank = layer.cp.rank
-
-    z = np.zeros((rank,) + x.shape[1:])
-    for r in range(rank):
-        for pos in np.ndindex(*x.shape[1:]):
-            acc = 0.0
-            for c in range(spec.in_channels):
-                acc += u_in[c, r] * x[(c,) + pos]
-                if counter is not None:
-                    counter.madds += 1
-            z[(r,) + pos] = acc
-
-    for i in range(spec.n_spatial):
-        kern = u_spatial[i]
-        k = kern.shape[0]
-        stride, padding = spec.strides[i], spec.paddings[i]
-        out_len = conv_output_extent(z.shape[i + 1], k, stride, padding)
-        if padding:
-            pad = [(0, 0)] * z.ndim
-            pad[i + 1] = (padding, padding)
-            zp = np.pad(z, pad)
-        else:
-            zp = z
-        nxt = np.zeros(z.shape[: i + 1] + (out_len,) + z.shape[i + 2 :])
-        for idx in np.ndindex(*nxt.shape):
-            r = idx[0]
-            acc = 0.0
-            for j in range(k):
-                src = list(idx)
-                src[i + 1] = idx[i + 1] * stride + j
-                acc += kern[j, r] * zp[tuple(src)]
-                if counter is not None:
-                    counter.madds += 1
-            nxt[idx] = acc
-        z = nxt
-        if layer.activations is not None and layer.activations[i] is not None:
-            z = layer.activations[i].apply(z)
-
-    out = np.zeros((spec.out_channels,) + z.shape[1:])
-    for t in range(spec.out_channels):
-        for pos in np.ndindex(*z.shape[1:]):
-            acc = 0.0
-            for r in range(rank):
-                acc += u_out[t, r] * z[(r,) + pos]
-                if counter is not None:
-                    counter.madds += 1
-            out[(t,) + pos] = acc
-
-    if layer.skip is not None:
-        if out.shape[1:] != x.shape[1:]:
-            raise DimensionError(
-                f"skip connection requires preserved spatial extents, got "
-                f"{x.shape[1:]} in and {out.shape[1:]} out"
-            )
-        for t in range(spec.out_channels):
-            for pos in np.ndindex(*x.shape[1:]):
-                acc = 0.0
-                for c in range(spec.in_channels):
-                    acc += layer.skip[t, c] * x[(c,) + pos]
-                    if counter is not None:
-                        counter.madds += 1
-                out[(t,) + pos] += acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +645,53 @@ def build_mobilenet_v2(k: KruskalTensor, stride=1, padding=0) -> MobileNetV2Bloc
     return MobileNetV2Block(u_c.T, spatial, u_t, spec)
 
 
-def mobilenet_v1_forward(block: MobileNetV1Block, x: np.ndarray) -> np.ndarray:
-    """Depthwise conv with the merged spatial kernel, then the pointwise conv."""
-    x = _check_activation(x, block.spec)
-    z = _depthwise_conv_2d(x, block.spatial, block.spec)
-    return conv_1x1(z, block.pointwise)
+# ---------------------------------------------------------------------------
+# Forward passes: folds over the stage list
+# ---------------------------------------------------------------------------
+
+def _check_activation(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    x = as_tensor(x)
+    if x.ndim != 1 + spec.n_spatial:
+        raise DimensionError(
+            f"activation order {x.ndim} does not match {spec.n_spatial} spatial modes"
+        )
+    if x.shape[0] != spec.in_channels:
+        raise DimensionError(
+            f"channel mismatch: activation has {x.shape[0]} channels, "
+            f"layer expects {spec.in_channels}"
+        )
+    return x
 
 
-def mobilenet_v2_forward(block: MobileNetV2Block, x: np.ndarray) -> np.ndarray:
-    """1x1 down, depthwise conv with the merged spatial kernel, 1x1 up."""
-    x = _check_activation(x, block.spec)
-    z = conv_1x1(x, block.down)
-    z = _depthwise_conv_2d(z, block.spatial, block.spec)
-    return conv_1x1(z, block.up)
+def forward(layer, x: np.ndarray) -> np.ndarray:
+    """Run ``layer.stages`` in order on ``x`` (C x D_0 x ...).
+
+    Equals ``conv_nd_direct(x, layer.dense_kernel(), layer.spec)``.
+    """
+    x = _check_activation(x, layer.spec)
+    z = x
+    for stage in layer.stages:
+        z = stage.apply(z, x)
+    return z
+
+
+def forward_naive(layer, x: np.ndarray, counter: Optional[OpCounter] = None) -> np.ndarray:
+    """Loop-nest re-execution of :func:`forward`, independent of the vectorized stages.
+
+    Optionally tallies one multiply-add per executed multiply-accumulate
+    (activations are not counted), so the tally checks the cost model.
+    """
+    x = _check_activation(x, layer.spec)
+    z = x
+    for stage in layer.stages:
+        z = stage.naive(z, x, counter)
+    return z
+
+
+# Per-scheme names of the one fold, kept for callers that name the scheme.
+cp_conv_forward = forward
+ho_cp_conv_forward = forward
+tucker_conv_forward = forward
+mobilenet_v1_forward = forward
+mobilenet_v2_forward = forward
+ho_cp_forward_naive = forward_naive

@@ -5,9 +5,10 @@ executable factorized layer, measures both the kernel approximation error and
 the forward-output deviation on seeded random probes, and packages everything
 as a :class:`FactorizedPlan` with per-stage cost annotations.
 
-Plans serialize to a directory of tensor containers (one per factor, each
-with a named role) plus a JSON manifest; ``load_plan`` restores an executable
-plan from the manifest alone.
+Execution and a plan's cost are folds over ``layer.stages``. Plans serialize
+to a directory of tensor containers (one per named factor, ``layer.factors``)
+plus a JSON manifest; ``load_plan`` restores an executable plan from the
+manifest alone.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import costs
-from .container import read_tensor, write_tensor
+from .container import read_finite_tensor, write_tensor
 from .convref import ConvSpec, conv_nd_direct
-from .decomp import KruskalTensor, cp_als, tucker_hooi
+from .decomp import cp_als, tucker_hooi
 from .dense import as_tensor
 from .errors import ContainerError, DimensionError, RankError
 from .layers import (
@@ -37,11 +38,7 @@ from .layers import (
     TuckerConvLayer,
     build_mobilenet_v1,
     build_mobilenet_v2,
-    cp_conv_forward,
-    ho_cp_conv_forward,
-    mobilenet_v1_forward,
-    mobilenet_v2_forward,
-    tucker_conv_forward,
+    forward,
 )
 
 __all__ = [
@@ -57,7 +54,15 @@ __all__ = [
     "with_conv_params",
 ]
 
-SCHEMES = ("cp", "tucker", "mobilenet-v1", "mobilenet-v2", "hocp")
+# Layer type of each scheme; a plan manifest names the scheme.
+_LAYER_TYPES = {
+    "cp": CpConvLayer,
+    "tucker": TuckerConvLayer,
+    "mobilenet-v1": MobileNetV1Block,
+    "mobilenet-v2": MobileNetV2Block,
+    "hocp": HoCpConvLayer,
+}
+SCHEMES = tuple(_LAYER_TYPES)
 
 AnyLayer = Union[CpConvLayer, TuckerConvLayer, HoCpConvLayer, MobileNetV1Block, MobileNetV2Block]
 
@@ -69,9 +74,10 @@ _MANIFEST_FORMAT = "tensorconv-plan"
 class FactorizedPlan:
     """An executable factorized layer plus its staged cost annotations.
 
-    ``cost.stages`` is the ordered stage list (channel contractions, per-mode
-    1-D convolutions, dense core conv, depthwise, activations, skip), each
-    with its parameter and FLOP count for ``reference_input_extents``.
+    ``cost.stages`` has one line per stage of ``layer.stages`` (channel
+    contractions, per-mode 1-D convolutions, dense core conv, depthwise,
+    activations, skip), each with its parameter and FLOP count for
+    ``reference_input_extents``.
     """
 
     scheme: str
@@ -116,18 +122,7 @@ class EquivalenceReport:
 
 
 def execute_plan(plan: FactorizedPlan, x: np.ndarray) -> np.ndarray:
-    layer = plan.layer
-    if isinstance(layer, CpConvLayer):
-        return cp_conv_forward(layer, x)
-    if isinstance(layer, TuckerConvLayer):
-        return tucker_conv_forward(layer, x)
-    if isinstance(layer, HoCpConvLayer):
-        return ho_cp_conv_forward(layer, x)
-    if isinstance(layer, MobileNetV1Block):
-        return mobilenet_v1_forward(layer, x)
-    if isinstance(layer, MobileNetV2Block):
-        return mobilenet_v2_forward(layer, x)
-    raise TypeError(f"unknown layer type {type(layer).__name__}")
+    return forward(plan.layer, x)
 
 
 def _rel(num: float, den: float) -> float:
@@ -140,35 +135,28 @@ def _probe_extents(spec: ConvSpec, probe_extent: int) -> tuple[int, ...]:
     return tuple(max(int(probe_extent), k) for k in spec.kernel_sizes)
 
 
-def _probes(spec: ConvSpec, extents, probe_count: int, seed: int):
-    seqs = np.random.SeedSequence(seed).spawn(probe_count)
-    return [
-        np.random.default_rng(s).standard_normal((spec.in_channels,) + tuple(extents))
-        for s in seqs
-    ]
-
-
-def _layer_cost(scheme: str, layer: AnyLayer, extents) -> costs.CostReport:
-    spec = layer.spec
-    if scheme == "cp":
-        return costs.report_hocp(spec, layer.rank, extents)
-    if scheme == "hocp":
-        acts = layer.activations or (None,) * spec.n_spatial
-        return costs.report_hocp(
-            spec, layer.rank, extents, include_skip=layer.skip is not None,
-            activation_stages=tuple(a is not None for a in acts),
-        )
-    if scheme == "tucker":
-        return costs.report_tucker(spec, layer.ranks, extents)
-    if scheme == "mobilenet-v1":
-        return costs.report_mobilenet_v1(spec, extents)
-    if scheme == "mobilenet-v2":
-        return costs.report_mobilenet_v2(spec, layer.rank, extents)
-    raise ValueError(f"unknown scheme {scheme!r}")
+def _worst_probe(
+    plan: FactorizedPlan, kernel: np.ndarray, extents, probe_count: int, seed: int
+) -> tuple[float, int]:
+    """Worst relative forward deviation of the plan from the direct convolution
+    over seeded probes, and its first probe index. A NaN deviation counts as
+    the worst."""
+    spec = plan.spec
+    devs = []
+    for s in np.random.SeedSequence(seed).spawn(probe_count):
+        x = np.random.default_rng(s).standard_normal((spec.in_channels,) + tuple(extents))
+        direct = conv_nd_direct(x, kernel, spec)
+        factorized = execute_plan(plan, x)
+        devs.append(_rel(
+            float(np.linalg.norm((factorized - direct).ravel())),
+            float(np.linalg.norm(direct.ravel())),
+        ))
+    i = int(np.argmax(devs))
+    return devs[i], i
 
 
 def _plan_for(scheme: str, layer: AnyLayer, extents) -> FactorizedPlan:
-    return FactorizedPlan(scheme, layer, _layer_cost(scheme, layer, extents), tuple(extents))
+    return FactorizedPlan(scheme, layer, costs.report(layer.stages, extents), tuple(extents))
 
 
 def _normalize_ranks(scheme: str, ranks, kernel_shape) -> tuple[int, ...]:
@@ -276,15 +264,7 @@ def compress(
 
     extents = _probe_extents(spec, probe_extent)
     plan = _plan_for(scheme, layer, extents)
-    worst = 0.0
-    for x in _probes(spec, extents, probe_count, seed):
-        direct = conv_nd_direct(x, kernel, spec)
-        factorized = execute_plan(plan, x)
-        dev = _rel(
-            float(np.linalg.norm((factorized - direct).ravel())),
-            float(np.linalg.norm(direct.ravel())),
-        )
-        worst = max(worst, dev)
+    worst, _ = _worst_probe(plan, kernel, extents, probe_count, seed)
 
     return CompressionResult(
         plan=plan,
@@ -305,9 +285,9 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Run the plan and the direct convolution on identical probes.
 
-    Fails when the worst-case relative deviation exceeds ``tolerance``; the
-    report carries the deviation, the offending probe index and the probe
-    seed so the failure is reproducible.
+    Fails when the worst-case relative deviation exceeds ``tolerance`` or is
+    NaN; the report carries the deviation, the offending probe index and the
+    probe seed so the failure is reproducible.
     """
     kernel = as_tensor(kernel)
     if probe_count < 1:
@@ -319,17 +299,7 @@ def verify_equivalence(
             f"({spec.out_channels}, {spec.in_channels}, *{spec.kernel_sizes})"
         )
     extents = _probe_extents(spec, probe_extent)
-    worst = 0.0
-    worst_idx = 0
-    for i, x in enumerate(_probes(spec, extents, probe_count, seed)):
-        direct = conv_nd_direct(x, kernel, spec)
-        factorized = execute_plan(plan, x)
-        dev = _rel(
-            float(np.linalg.norm((factorized - direct).ravel())),
-            float(np.linalg.norm(direct.ravel())),
-        )
-        if dev > worst:
-            worst, worst_idx = dev, i
+    worst, worst_idx = _worst_probe(plan, kernel, extents, probe_count, seed)
     return EquivalenceReport(
         passed=bool(worst <= tolerance),
         max_rel_deviation=worst,
@@ -346,20 +316,7 @@ def with_conv_params(plan: FactorizedPlan, stride, padding) -> FactorizedPlan:
     new_spec = ConvSpec(
         spec.in_channels, spec.out_channels, spec.kernel_sizes, stride, padding
     )
-    layer = plan.layer
-    if isinstance(layer, CpConvLayer):
-        layer = CpConvLayer(layer.kruskal, new_spec)
-    elif isinstance(layer, TuckerConvLayer):
-        layer = TuckerConvLayer(layer.down, layer.core, layer.up, new_spec)
-    elif isinstance(layer, HoCpConvLayer):
-        layer = HoCpConvLayer(
-            CpConvLayer(layer.cp.kruskal, new_spec), layer.activations, layer.skip
-        )
-    elif isinstance(layer, MobileNetV1Block):
-        layer = MobileNetV1Block(layer.spatial, layer.pointwise, new_spec)
-    elif isinstance(layer, MobileNetV2Block):
-        layer = MobileNetV2Block(layer.down, layer.spatial, layer.up, new_spec)
-    return _plan_for(plan.scheme, layer, plan.reference_input_extents)
+    return _plan_for(plan.scheme, plan.layer.with_spec(new_spec), plan.reference_input_extents)
 
 
 # ---------------------------------------------------------------------------
@@ -404,40 +361,14 @@ def _decode_activation(obj) -> Optional[Activation]:
     raise ContainerError(f"unknown activation kind {kind!r}")
 
 
-def _layer_factors(layer: AnyLayer) -> list[tuple[str, np.ndarray]]:
-    if isinstance(layer, (CpConvLayer, HoCpConvLayer)):
-        cp = layer if isinstance(layer, CpConvLayer) else layer.cp
-        named = [
-            ("output_channels", cp.kruskal.factors[0]),
-            ("input_channels", cp.kruskal.factors[1]),
-        ]
-        named += [
-            (f"spatial_mode_{i}", f) for i, f in enumerate(cp.kruskal.factors[2:])
-        ]
-        return named
-    if isinstance(layer, TuckerConvLayer):
-        return [("down", layer.down), ("core", layer.core), ("up", layer.up)]
-    if isinstance(layer, MobileNetV1Block):
-        return [("spatial", layer.spatial), ("pointwise", layer.pointwise)]
-    if isinstance(layer, MobileNetV2Block):
-        return [("down", layer.down), ("spatial", layer.spatial), ("up", layer.up)]
-    raise TypeError(f"unknown layer type {type(layer).__name__}")
-
-
-def _ranks_of(layer: AnyLayer) -> list[int]:
-    if isinstance(layer, TuckerConvLayer):
-        return list(layer.ranks)
-    return [layer.rank]
-
-
 def save_plan(plan: FactorizedPlan, out_dir) -> Path:
     """Write factor containers plus ``plan.json`` into ``out_dir``; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     factor_entries = []
-    for role, arr in _layer_factors(plan.layer):
+    for role, factor in plan.layer.factors:
         fname = f"{role}.tensor"
-        write_tensor(out / fname, arr)
+        write_tensor(out / fname, factor)
         factor_entries.append({"role": role, "file": fname})
 
     spec = plan.spec
@@ -450,7 +381,7 @@ def save_plan(plan: FactorizedPlan, out_dir) -> Path:
         "kernel_sizes": list(spec.kernel_sizes),
         "strides": list(spec.strides),
         "paddings": list(spec.paddings),
-        "ranks": _ranks_of(plan.layer),
+        "ranks": list(getattr(plan.layer, "ranks", None) or [plan.layer.rank]),
         "factors": factor_entries,
         "reference_input_extents": list(plan.reference_input_extents),
         "cost": {
@@ -463,12 +394,13 @@ def save_plan(plan: FactorizedPlan, out_dir) -> Path:
             ],
         },
     }
-    if isinstance(plan.layer, HoCpConvLayer):
+    if plan.scheme == "hocp":  # the only scheme with activations and a skip
+        layer = plan.layer
         manifest["activations"] = [
-            _encode_activation(a) for a in (plan.layer.activations or [None] * spec.n_spatial)
+            _encode_activation(a) for a in (layer.activations or [None] * spec.n_spatial)
         ]
-        if plan.layer.skip is not None:
-            write_tensor(out / "skip.tensor", plan.layer.skip)
+        if layer.skip is not None:
+            write_tensor(out / "skip.tensor", layer.skip)
             manifest["skip"] = "skip.tensor"
 
     path = out / MANIFEST_NAME
@@ -499,7 +431,7 @@ def load_plan(manifest_path) -> FactorizedPlan:
             tuple(manifest["paddings"]),
         )
         factors = {
-            entry["role"]: read_tensor(base / entry["file"])
+            entry["role"]: read_finite_tensor(base / entry["file"])
             for entry in manifest["factors"]
         }
     except (KeyError, TypeError) as exc:
@@ -510,28 +442,15 @@ def load_plan(manifest_path) -> FactorizedPlan:
             raise ContainerError(f"{path}: manifest is missing factor role {role!r}")
         return factors[role]
 
-    if scheme in ("cp", "hocp"):
-        ordered = [need("output_channels"), need("input_channels")] + [
-            need(f"spatial_mode_{i}") for i in range(spec.n_spatial)
-        ]
-        cp = CpConvLayer(KruskalTensor(tuple(ordered)), spec)
-        if scheme == "cp":
-            layer: AnyLayer = cp
-        else:
-            acts = manifest.get("activations")
-            activations = (
-                tuple(_decode_activation(a) for a in acts) if acts is not None else None
-            )
-            skip = (
-                read_tensor(base / manifest["skip"]) if manifest.get("skip") else None
-            )
-            layer = HoCpConvLayer(cp, activations, skip)
-    elif scheme == "tucker":
-        layer = TuckerConvLayer(need("down"), need("core"), need("up"), spec)
-    elif scheme == "mobilenet-v1":
-        layer = MobileNetV1Block(need("spatial"), need("pointwise"), spec)
-    else:
-        layer = MobileNetV2Block(need("down"), need("spatial"), need("up"), spec)
+    extras = {}
+    if scheme == "hocp":
+        acts = manifest.get("activations")
+        extras["activations"] = (
+            tuple(_decode_activation(a) for a in acts) if acts is not None else None
+        )
+        skip = manifest.get("skip")
+        extras["skip"] = read_finite_tensor(base / skip) if skip else None
+    layer = _LAYER_TYPES[scheme].from_factors(need, spec, **extras)
 
     extents = tuple(manifest.get("reference_input_extents", ()))
     if not extents:

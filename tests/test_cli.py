@@ -243,6 +243,23 @@ class TestVerify:
         assert "pass=false" in capsys.readouterr().out
 
 
+    def test_nan_factor_plan_exits_nonzero(self, synthetic_kernel, tmp_path, capsys):
+        kernel, _ = synthetic_kernel
+        assert run_cli("decompose", "--input", kernel, "--scheme", "cp", "--rank", "2",
+                       "--out", tmp_path / "plan", "--max-iters", "20") == 0
+        factor_path = tmp_path / "plan" / "spatial_mode_0.tensor"
+        factor = read_tensor(factor_path).copy()
+        factor[0, 0] = np.nan
+        write_tensor(factor_path, factor)
+        capsys.readouterr()
+        code = run_cli("verify", "--plan", tmp_path / "plan" / "plan.json",
+                       "--kernel", kernel, "--tolerance", "1e-8")
+        assert code != 0
+        captured = capsys.readouterr()
+        assert "pass=true" not in captured.out
+        assert str(factor_path) in captured.err
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "tensorconv", "--help"],

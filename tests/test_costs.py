@@ -12,6 +12,7 @@ from tensorconv.costs import (
     flops_regular,
     params_hocp,
     params_regular,
+    report,
     report_hocp,
     report_mobilenet_v1,
     report_mobilenet_v2,
@@ -21,10 +22,18 @@ from tensorconv.costs import (
 )
 from tensorconv.errors import RankError
 from tensorconv.layers import HoCpConvLayer
-from tensorconv.layers import ho_cp_forward_naive
+from tensorconv.layers import forward_naive, ho_cp_forward_naive
+from tensorconv.pipeline import FactorizedPlan, execute_plan, with_conv_params
 
-from helpers import random_kruskal
-from tensorconv import CpConvLayer
+from tensorconv import (
+    CpConvLayer,
+    ReLU,
+    TuckerConvLayer,
+    build_mobilenet_v1,
+    build_mobilenet_v2,
+)
+
+from helpers import random_kruskal, rel_error
 
 
 class TestParams:
@@ -99,6 +108,39 @@ class TestFlops:
             ho_cp_forward_naive(layer, x, counter)
             assert counter.flops == flops_hocp(spec, rank, extents)
 
+    @pytest.mark.parametrize("scheme,stride,padding", [
+        ("cp", (2, 1), (1, 0)),
+        ("hocp", 1, 1),  # the skip needs preserved extents
+        ("tucker", (2, 1), (1, 0)),
+        ("mobilenet-v1", (1, 2), (0, 1)),
+        ("mobilenet-v2", (2, 1), (1, 0)),
+    ])
+    def test_plan_cost_equals_naive_tally(self, scheme, stride, padding):
+        rng = np.random.default_rng(3)
+        spec = ConvSpec(3, 2, (3, 3))
+        k = random_kruskal(rng, (2, 3, 3, 3), 4)
+        layer = {
+            "cp": lambda: CpConvLayer(k, spec),
+            "hocp": lambda: HoCpConvLayer(
+                CpConvLayer(k, spec), (ReLU(), None), rng.standard_normal((2, 3))
+            ),
+            "tucker": lambda: TuckerConvLayer(
+                rng.standard_normal((2, 3)), rng.standard_normal((3, 2, 3, 3)),
+                rng.standard_normal((2, 3)), spec,
+            ),
+            "mobilenet-v1": lambda: build_mobilenet_v1(random_kruskal(rng, (2, 3, 3, 3), 3)),
+            "mobilenet-v2": lambda: build_mobilenet_v2(k),
+        }[scheme]()
+        extents = (5, 6)
+        plan = with_conv_params(
+            FactorizedPlan(scheme, layer, report(layer.stages, extents), extents), stride, padding
+        )
+        x = rng.standard_normal((3,) + extents)
+        counter = OpCounter()
+        out = forward_naive(plan.layer, x, counter)
+        assert counter.flops == plan.cost.flops
+        assert rel_error(out, execute_plan(plan, x)) < 1e-12
+
     def test_hocp_linear_in_rank(self):
         spec = ConvSpec(16, 32, (3, 3, 3))
         extents = (32, 32, 16)
@@ -148,6 +190,17 @@ class TestCostReport:
         assert v1.params == 9 * 8 + 16 * 8
         v2 = report_mobilenet_v2(spec, 48, (10, 10))
         assert v2.params == 48 * 8 + 9 * 48 + 16 * 48
+
+    def test_rank_zero_and_3d_geometry(self):
+        # Reports need no buildable layer: rank 0 costs nothing, and the
+        # MobileNet formulas apply to any number of spatial modes.
+        spec = ConvSpec(8, 16, (3, 3, 3))
+        extents = (9, 9, 9)
+        assert report_hocp(spec, 0, extents, include_skip=True).params == 8 * 16
+        assert report_tucker(spec, (0, 0), extents).flops == 0
+        assert report_mobilenet_v2(spec, 0, extents).flops == 0
+        assert report_mobilenet_v1(spec, extents).params == 27 * 8 + 16 * 8
+        assert report_mobilenet_v2(spec, 5, extents).params == 5 * 8 + 27 * 5 + 16 * 5
 
     def test_regular_report(self):
         spec = ConvSpec(2, 3, (3,))

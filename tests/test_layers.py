@@ -29,7 +29,6 @@ from tensorconv import (
     tucker_hooi,
 )
 from tensorconv.costs import flops_hocp
-from tensorconv.layers import _separable_chain
 
 from helpers import random_kruskal, rel_error
 
@@ -105,10 +104,14 @@ class TestCpConvForward:
         rng = np.random.default_rng(5)
         layer = make_cp_layer(rng, 2, 3, (2, 3, 2), 3)
         x = rng.standard_normal((3, 4, 5, 4))
-        base = _separable_chain(x, layer.kruskal, layer.spec)
+        contract_in, *modes, contract_out = layer.stages
+        assert [s.label for s in modes] == ["conv_mode_0", "conv_mode_1", "conv_mode_2"]
+        base = cp_conv_forward(layer, x)
         for order in [(2, 1, 0), (1, 0, 2), (2, 0, 1)]:
-            permuted = _separable_chain(x, layer.kruskal, layer.spec, mode_order=order)
-            assert rel_error(permuted, base) < 1e-12
+            z = x
+            for stage in [contract_in] + [modes[i] for i in order] + [contract_out]:
+                z = stage.apply(z, x)
+            assert rel_error(z, base) < 1e-12
 
     def test_linear_in_input(self):
         rng = np.random.default_rng(6)

@@ -179,6 +179,19 @@ class TestVerifyEquivalence:
         report = verify_equivalence(bad_plan, kernel, tolerance=float("inf"), seed=0)
         assert report.passed
 
+    def test_nan_factor_fails(self):
+        plan, kernel = self._exact_plan_and_kernel()
+        factors = list(plan.layer.kruskal.factors)
+        factors[2] = factors[2].copy()
+        factors[2][0, 0] = np.nan
+        bad_layer = CpConvLayer(KruskalTensor(tuple(factors)), plan.spec)
+        bad_plan = FactorizedPlan("cp", bad_layer, plan.cost, plan.reference_input_extents)
+        for tolerance in (1e-8, float("inf")):
+            report = verify_equivalence(bad_plan, kernel, tolerance=tolerance, seed=0)
+            assert not report.passed
+            assert np.isnan(report.max_rel_deviation)
+            assert report.worst_probe_index == 0
+
     def test_kernel_shape_must_match_plan(self):
         plan, _ = self._exact_plan_and_kernel()
         with pytest.raises(DimensionError):
