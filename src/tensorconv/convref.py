@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import as_matrix, as_tensor, conv_output_extent, n_mode_product
+from .dense import as_matrix, as_tensor, conv_output_extent
 from .errors import DimensionError
 
 __all__ = ["ConvSpec", "OpCounter", "conv_nd_direct", "conv_nd_naive", "conv_1x1"]
@@ -189,7 +189,11 @@ def conv_nd_naive(
 
 
 def conv_1x1(x: np.ndarray, w2d: np.ndarray) -> np.ndarray:
-    """Pointwise (1x1) convolution: contraction of the channel mode with ``w2d`` (T x C)."""
+    """Pointwise (1x1) convolution: contraction of the channel mode with ``w2d`` (T x C).
+
+    One GEMM on the (C x prod(D)) reshape of ``x``; the result is written in
+    (T x D_0 x ...) order directly, without a transposed copy.
+    """
     x = as_tensor(x)
     w2d = as_matrix(w2d)
     if x.shape[0] != w2d.shape[1]:
@@ -197,4 +201,4 @@ def conv_1x1(x: np.ndarray, w2d: np.ndarray) -> np.ndarray:
             f"channel mismatch: activation has {x.shape[0]} channels, "
             f"1x1 kernel expects {w2d.shape[1]}"
         )
-    return n_mode_product(x, w2d, 0)
+    return (w2d @ x.reshape(x.shape[0], -1)).reshape(w2d.shape[:1] + x.shape[1:])

@@ -132,21 +132,36 @@ def depthwise_conv(
     ``z`` is (R x D_0 x ... x D_{N-1}) and ``taps`` is (K_0 x ... x K_{N-1} x R):
     channel r is filtered with ``taps[..., r]``. The output accumulates one
     shifted window per kernel offset, in row-major offset order, so results
-    are bit-reproducible.
+    are bit-reproducible. Nothing is padded: each offset adds its products
+    only to the output box whose window lies inside ``z``, which leaves out
+    exactly the zero terms a padded input would add.
     """
     kernel_sizes = taps.shape[:-1]
     out_extents = tuple(map(conv_output_extent, z.shape[1:], kernel_sizes, strides, paddings))
-    if any(paddings):
-        z = np.pad(z, [(0, 0)] + [(p, p) for p in paddings])
     out = np.zeros((taps.shape[-1],) + out_extents)
+    product = np.empty_like(out)
     gain_shape = (taps.shape[-1],) + (1,) * len(kernel_sizes)
     for offs in np.ndindex(*kernel_sizes):
-        window = z[
-            (slice(None),)
-            + tuple(slice(o, o + s * (n - 1) + 1, s) for o, s, n in zip(offs, strides, out_extents))
-        ]
-        out += taps[offs].reshape(gain_shape) * window
+        boxes = [_valid_box(*a) for a in zip(offs, strides, paddings, z.shape[1:], out_extents)]
+        if None in boxes:
+            continue
+        dst = (slice(None),) + tuple(d for d, _ in boxes)
+        np.multiply(taps[offs].reshape(gain_shape), z[(slice(None),) + tuple(s for _, s in boxes)],
+                    out=product[dst])
+        out[dst] += product[dst]
     return out
+
+
+def _valid_box(offset: int, stride: int, padding: int, extent: int, out_extent: int):
+    """(output slice, input slice) along one mode for kernel ``offset``: the
+    outputs y whose input y*stride + offset - padding lies in [0, extent),
+    or None when there are none."""
+    lo = max(0, -((offset - padding) // stride))
+    hi = min(out_extent, (extent - 1 + padding - offset) // stride + 1)
+    if lo >= hi:
+        return None
+    start = lo * stride + offset - padding
+    return slice(lo, hi), slice(start, start + stride * (hi - lo - 1) + 1, stride)
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:

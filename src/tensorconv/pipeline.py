@@ -450,7 +450,10 @@ def load_plan(manifest_path) -> FactorizedPlan:
         )
         skip = manifest.get("skip")
         extras["skip"] = read_finite_tensor(base / skip) if skip else None
-    layer = _LAYER_TYPES[scheme].from_factors(need, spec, **extras)
+    try:
+        layer = _LAYER_TYPES[scheme].from_factors(need, spec, **extras)
+    except DimensionError as exc:
+        raise ContainerError(f"{path}: {exc}") from exc
 
     extents = tuple(manifest.get("reference_input_extents", ()))
     if not extents:

@@ -6,8 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from tensorconv import kruskal_to_dense, read_tensor, write_tensor
+from tensorconv import (
+    ConvSpec, CpConvLayer, FrozenBatchNorm, HoCpConvLayer, PReLU, kruskal_to_dense, read_tensor,
+    write_tensor,
+)
 from tensorconv.cli import main
+from tensorconv.costs import report_hocp
+from tensorconv.pipeline import FactorizedPlan, save_plan
 
 from helpers import random_kruskal, rel_error
 
@@ -258,6 +263,76 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "pass=true" not in captured.out
         assert str(factor_path) in captured.err
+
+
+class TestActivationParameters:
+    """Batch-norm and PReLU parameters of a hocp plan fail closed at load (exit 2)."""
+
+    RANK = 5
+
+    @pytest.fixture
+    def hocp_plan(self, tmp_path):
+        rng = np.random.default_rng(60)
+        r = self.RANK
+        spec = ConvSpec(3, 4, (3, 3), 1, 1)
+        layer = HoCpConvLayer(
+            CpConvLayer(random_kruskal(rng, (4, 3, 3, 3), r), spec),
+            activations=(PReLU(0.2), FrozenBatchNorm(
+                tuple(rng.uniform(-0.1, 0.1, r)), tuple(rng.uniform(0.5, 2.0, r)), 1.5, 0.25,
+            )),
+        )
+        plan = FactorizedPlan("hocp", layer, report_hocp(spec, r, (6, 6)), (6, 6))
+        manifest = save_plan(plan, tmp_path / "plan")
+        x = tmp_path / "x.tensor"
+        write_tensor(x, rng.standard_normal((3, 6, 6)))
+        return manifest, x
+
+    @staticmethod
+    def edit(manifest, mode, **params):
+        doc = json.loads(manifest.read_text())
+        doc["activations"][mode].update(params)
+        manifest.write_text(json.dumps(doc))
+
+    def run_conv(self, manifest, x, tmp_path):
+        return run_cli("conv", "--input", x, "--plan", manifest, "--out", tmp_path / "y.tensor")
+
+    def test_mean_longer_than_rank_exits_2(self, hocp_plan, tmp_path, capsys):
+        manifest, x = hocp_plan
+        self.edit(manifest, 1, mean=[0.0] * (self.RANK + 1))
+        assert self.run_conv(manifest, x, tmp_path) == 2
+        assert "mean" in capsys.readouterr().err
+        assert not (tmp_path / "y.tensor").exists()
+
+    def test_negative_var_exits_2(self, hocp_plan, tmp_path, capsys):
+        manifest, x = hocp_plan
+        self.edit(manifest, 1, var=[-2.0] * self.RANK)
+        assert self.run_conv(manifest, x, tmp_path) == 2
+        assert "var + eps" in capsys.readouterr().err
+        assert not (tmp_path / "y.tensor").exists()
+
+    def test_nan_mean_exits_2(self, hocp_plan, tmp_path, capsys):
+        manifest, x = hocp_plan
+        doc = json.loads(manifest.read_text())
+        doc["activations"][1]["mean"][2] = float("nan")
+        manifest.write_text(json.dumps(doc))  # json writes the literal NaN
+        assert "NaN" in manifest.read_text()
+        assert self.run_conv(manifest, x, tmp_path) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "y.tensor").exists()
+
+    def test_non_finite_prelu_slope_exits_2(self, hocp_plan, tmp_path, capsys):
+        manifest, x = hocp_plan
+        self.edit(manifest, 0, slope=float("inf"))
+        assert self.run_conv(manifest, x, tmp_path) == 2
+        assert "slope" in capsys.readouterr().err
+
+    def test_length_one_parameter_equals_scalar(self, hocp_plan, tmp_path):
+        manifest, x = hocp_plan
+        assert self.run_conv(manifest, x, tmp_path) == 0
+        scalar = read_tensor(tmp_path / "y.tensor").copy()
+        self.edit(manifest, 1, scale=[1.5], shift=[0.25])
+        assert self.run_conv(manifest, x, tmp_path) == 0
+        assert np.array_equal(read_tensor(tmp_path / "y.tensor"), scalar)
 
 
 def test_module_entry_point_help():

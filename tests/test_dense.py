@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tensorconv import DimensionError, fold, khatri_rao, mode_conv_1d, n_mode_product, unfold
-from tensorconv.dense import as_tensor, conv_output_extent
+from tensorconv.dense import as_tensor, conv_output_extent, depthwise_conv
+from tensorconv.layers import Depthwise
 
 small_tensors = hnp.arrays(
     dtype=np.float64,
@@ -120,6 +121,35 @@ class TestModeConv1d:
 
     def test_output_extent_formula(self):
         assert conv_output_extent(7, 3, 2, 1) == (7 + 2 - 3) // 2 + 1
+
+
+@st.composite
+def depthwise_cases(draw):
+    """(z, taps, strides, paddings): N = 1-3 modes, kernel 1-3, stride 1-3,
+    padding 0-2, inputs with exact zeros of both signs."""
+    n = draw(st.integers(1, 3))
+    kernel = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    strides = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    paddings = tuple(draw(st.integers(0, 2)) for _ in range(n))
+    extents = tuple(draw(st.integers(max(1, k - 2 * p), k + 4)) for k, p in zip(kernel, paddings))
+    rank = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((rank,) + extents)
+    z[rng.random(z.shape) < 0.2] = 0.0
+    z[rng.random(z.shape) < 0.1] = -0.0
+    taps = rng.standard_normal(kernel + (rank,))
+    return z, taps, strides, paddings
+
+
+class TestDepthwiseConv:
+    @settings(max_examples=60, deadline=None)
+    @given(depthwise_cases())
+    def test_bitwise_equal_to_loop_nest(self, case):
+        # Both sum 0 + a0 + a1 + ... over the kernel offsets in row-major order.
+        z, taps, strides, paddings = case
+        expected = Depthwise("depthwise", taps, strides, paddings).naive(z, z, None)
+        got = depthwise_conv(z, taps, strides, paddings)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestUnfoldFold:

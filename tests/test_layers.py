@@ -1,6 +1,11 @@
+import functools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tensorconv import layers
 from tensorconv import (
     ConvSpec,
     CpConvLayer,
@@ -398,3 +403,92 @@ class TestMobileNetV2:
         rng = np.random.default_rng(30)
         with pytest.raises(DimensionError):
             build_mobilenet_v2(random_kruskal(rng, (2, 3, 3), 2))
+
+
+def untiled_fold(layer, x):
+    """Every stage's ``apply`` on the whole rank, in list order."""
+    return functools.reduce(lambda z, stage: stage.apply(z, x), layer.stages, x)
+
+
+class TestRankTiling:
+    """``forward`` runs the channel-local stages in rank tiles; a small budget
+    forces several tiles on small layers."""
+
+    EXTENTS = (6, 5, 4)
+    RANK = 11  # tiles of 3 channels: 3 + 3 + 3 + 2
+
+    @pytest.fixture
+    def three_channel_tiles(self, monkeypatch):
+        monkeypatch.setattr(layers, "_TILE_BYTES", 8 * math.prod(self.EXTENTS) * 3)
+
+    def make(self, rng, stride, padding, extras=False):
+        cp = make_cp_layer(rng, 4, 3, (3, 3, 3), self.RANK, stride, padding)
+        x = rng.standard_normal((3,) + self.EXTENTS)
+        if not extras:
+            return cp, x
+        r = self.RANK
+        bn = FrozenBatchNorm(
+            mean=tuple(rng.uniform(-0.1, 0.1, r)), var=tuple(rng.uniform(0.5, 2.0, r)),
+            scale=(1.5,), shift=(0.2,),
+        )
+        preserved = cp.spec.output_extents(self.EXTENTS) == self.EXTENTS
+        skip = rng.standard_normal((4, 3)) if preserved else None
+        return HoCpConvLayer(cp, (ReLU(), PReLU(0.1), bn), skip), x
+
+    GEOMETRIES = [(1, 0), (1, 1), (2, 1), (1, 2), (3, 2)]
+
+    @pytest.mark.parametrize("stride,padding", GEOMETRIES)
+    def test_cp_matches_direct(self, three_channel_tiles, stride, padding):
+        rng = np.random.default_rng(70 + 10 * stride + padding)
+        cp, x = self.make(rng, stride, padding)
+        direct = conv_nd_direct(x, cp.dense_kernel(), cp.spec)
+        assert rel_error(cp_conv_forward(cp, x), direct) <= 1e-10
+
+    @pytest.mark.parametrize("stride,padding", GEOMETRIES)
+    def test_hocp_matches_untiled_fold(self, three_channel_tiles, stride, padding):
+        rng = np.random.default_rng(80 + 10 * stride + padding)
+        ho, x = self.make(rng, stride, padding, extras=True)
+        out = ho_cp_conv_forward(ho, x)
+        assert rel_error(out, untiled_fold(ho, x)) <= 1e-10
+        assert out.tobytes() == ho_cp_conv_forward(ho, x).tobytes()
+        assert (ho.skip is not None) == ((stride, padding) == (1, 1))
+
+    @pytest.mark.parametrize("stride,padding", GEOMETRIES)
+    def test_cp_bitwise_equal_to_plain_hocp(self, three_channel_tiles, stride, padding):
+        rng = np.random.default_rng(90 + 10 * stride + padding)
+        cp, x = self.make(rng, stride, padding)
+        assert cp_conv_forward(cp, x).tobytes() == ho_cp_conv_forward(HoCpConvLayer(cp), x).tobytes()
+
+    def test_single_tile_is_bitwise_the_plain_fold(self):
+        rng = np.random.default_rng(100)
+        cp, x3 = self.make(rng, 1, 1)
+        ho, _ = self.make(rng, 1, 1, extras=True)
+        k4 = random_kruskal(rng, (5, 3, 3, 3), 3)
+        x2 = rng.standard_normal((3, 7, 6))
+        tucker = TuckerConvLayer(
+            rng.standard_normal((2, 3)), rng.standard_normal((3, 2, 3, 3, 3)),
+            rng.standard_normal((4, 3)), ConvSpec(3, 4, (3, 3, 3), 1, 1),
+        )
+        for layer, x in [
+            (cp, x3), (ho, x3), (tucker, x3),
+            (build_mobilenet_v1(k4, 2, 1), x2), (build_mobilenet_v2(k4, 1, 1), x2),
+        ]:
+            assert layers.forward(layer, x).tobytes() == untiled_fold(layer, x).tobytes()
+
+    def test_peak_memory_bounded_by_tile(self, monkeypatch):
+        # Rank 512 at 16^3: one full-rank intermediate is 512 * 4096 * 8 B = 16.8 MB,
+        # and an untiled stage holds its input and output at once. 1 MiB tiles
+        # (32 channels) keep the whole forward under 8 MB.
+        monkeypatch.setattr(layers, "_TILE_BYTES", 2**20)
+        rng = np.random.default_rng(110)
+        cp = make_cp_layer(rng, 4, 4, (3, 3, 3), 512, 1, 1)
+        x = rng.standard_normal((4, 16, 16, 16))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = cp_conv_forward(cp, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert rel_error(out, untiled_fold(cp, x)) <= 1e-10
