@@ -89,6 +89,10 @@ def _cmd_decompose(args) -> int:
     print(f"manifest={manifest}")
     print(f"params_regular={result.cost_before.params}")
     print(f"params_factorized={result.cost_after.params}")
+    print(f"n_iters={result.n_iters}")
+    print(f"converged={'true' if result.converged else 'false'}")
+    for warning in result.warnings:
+        print(f"warning={warning}")
     return EXIT_OK
 
 

@@ -48,12 +48,12 @@ def read_tensor(path) -> np.ndarray:
         raise ContainerError(f"{path}: missing header line")
     try:
         header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ContainerError(f"{path}: malformed JSON header: {exc}") from exc
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: header must be a JSON object")
     dtype = header.get("dtype")
-    if dtype not in _DTYPES:
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
         raise ContainerError(f"{path}: unsupported dtype {dtype!r}")
     if header.get("order") != "row-major":
         raise ContainerError(f"{path}: unsupported order {header.get('order')!r}")
@@ -61,7 +61,7 @@ def read_tensor(path) -> np.ndarray:
     if (
         not isinstance(shape, list)
         or not shape
-        or not all(isinstance(e, int) and e >= 1 for e in shape)
+        or not all(type(e) is int and e >= 1 for e in shape)
     ):
         raise ContainerError(f"{path}: invalid shape {shape!r}")
 
@@ -72,7 +72,9 @@ def read_tensor(path) -> np.ndarray:
             f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
         )
     data = np.frombuffer(payload, dtype=_DTYPES[dtype]).reshape(shape)
-    return np.ascontiguousarray(data, dtype=np.float64)
+    # Casting an f32 signalling NaN warns; NaN is the reader's to reject.
+    with np.errstate(invalid="ignore"):
+        return np.ascontiguousarray(data, dtype=np.float64)
 
 
 def read_finite_tensor(path) -> np.ndarray:

@@ -144,16 +144,22 @@ def conv_nd_direct(x: np.ndarray, w: np.ndarray, spec: ConvSpec | None = None) -
     out_spatial = spec.output_extents(x.shape[1:])
     xp = _pad_spatial(x, spec.paddings)
     out = np.zeros((spec.out_channels,) + out_spatial)
-    # One accumulation per kernel offset, in fixed row-major offset order.
+    out2d = out.reshape(spec.out_channels, -1)
+    # One window copy and one GEMM per kernel offset, in fixed row-major
+    # offset order, through two buffers allocated once for all offsets.
+    window = np.empty((spec.in_channels,) + out_spatial)
+    window2d = window.reshape(spec.in_channels, -1)
+    product = np.empty_like(out2d)
     for offs in np.ndindex(*spec.kernel_sizes):
-        window = xp[
+        np.copyto(window, xp[
             (slice(None),)
             + tuple(
                 slice(o, o + s * (n - 1) + 1, s)
                 for o, s, n in zip(offs, spec.strides, out_spatial)
             )
-        ]
-        out += np.tensordot(w[(slice(None), slice(None)) + offs], window, axes=(1, 0))
+        ])
+        np.dot(w[(slice(None), slice(None)) + offs], window2d, out=product)
+        out2d += product
     return out
 
 

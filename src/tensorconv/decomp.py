@@ -6,6 +6,17 @@ HOSVD initialization followed by HOOI sweeps. Non-convergence is not an
 error: both return the best iterate found together with its relative
 reconstruction error and the full error history.
 
+Memory is bounded by the factors, not by their Khatri-Rao product: no step
+allocates much more than ``|X| * R / max_extent`` elements for a tensor X
+fitted at rank R. The MTTKRP of an ALS sweep contracts X with the factor of
+its largest other mode in one GEMM, then folds in the remaining factors one
+at a time over the shared rank index; :func:`kruskal_to_dense` is one GEMM of
+the largest mode's factor with the Khatri-Rao product of the others. HOSVD
+factors come from thin SVDs (left singular vectors only). HOOI neither
+solves again nor projects onto a mode kept at full rank, whose HOSVD factor
+is already an orthonormal basis of the whole mode (typically the spatial
+modes of a conv kernel); its sweeps touch the truncated modes only.
+
 Normal equations in the ALS sweep are solved through a pseudo-inverse with
 singular values below ``PINV_RCOND`` (relative to the largest) treated as
 zero, so rank-deficient and overcomplete problems degrade gracefully.
@@ -13,11 +24,12 @@ zero, so rank-deficient and overcomplete problems degrade gracefully.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import as_matrix, as_tensor, khatri_rao, n_mode_product, unfold
+from .dense import as_matrix, as_tensor, fold, khatri_rao, n_mode_product, unfold
 from .errors import DimensionError, RankError
 
 __all__ = [
@@ -109,8 +121,16 @@ class TuckerTensor:
 
 
 def kruskal_to_dense(k: KruskalTensor) -> np.ndarray:
-    """Dense tensor: ``W[i_0,...,i_{N-1}] = sum_r prod_k factors[k][i_k, r]``."""
-    return khatri_rao(k.factors).sum(axis=1).reshape(k.shape)
+    """Dense tensor: ``W[i_0,...,i_{N-1}] = sum_r prod_k factors[k][i_k, r]``.
+
+    Computed as the mode-m unfolding ``U_m @ khatri_rao(U_k, k != m).T`` for
+    the largest mode m, so the largest temporary is ``|W| * R / extent_m``.
+    """
+    if k.order == 1:
+        return k.factors[0].sum(axis=1)
+    m = int(np.argmax(k.shape))
+    rest = [f for i, f in enumerate(k.factors) if i != m]
+    return fold(k.factors[m] @ khatri_rao(rest).T, m, k.shape)
 
 
 def tucker_to_dense(t: TuckerTensor) -> np.ndarray:
@@ -151,10 +171,32 @@ def _rel_error(t: np.ndarray, approx: np.ndarray, norm_t: float) -> float:
 
 
 def _hosvd_factor(t: np.ndarray, mode: int, rank: int) -> np.ndarray:
-    # full_matrices so a mode can keep `rank` orthonormal columns even when
-    # the unfolding has fewer columns than that (HOOI-projected partials).
-    u, _, _ = np.linalg.svd(unfold(t, mode), full_matrices=True)
+    # A thin SVD: U has min(rows, columns) columns and V is never larger than
+    # the unfolding. Only an unfolding with fewer columns than `rank` (a
+    # HOOI-projected partial) takes full matrices, so the mode still gets
+    # `rank` orthonormal columns; its V is then smaller than `rank` squared.
+    m = unfold(t, mode)
+    u, _, _ = np.linalg.svd(m, full_matrices=m.shape[1] < rank)
     return u[:, :rank]
+
+
+def _mttkrp(t: np.ndarray, factors, n: int) -> np.ndarray:
+    """``unfold(t, n) @ khatri_rao(factors[k] for k != n)`` without the product.
+
+    One GEMM contracts ``t`` with the factor of its largest other mode; the
+    other factors are then folded in one at a time, largest first, over the
+    shared rank index. The largest temporary is ``|t| * R / that extent``.
+    """
+    first, *rest = sorted((k for k in range(t.ndim) if k != n), key=lambda k: -t.shape[k])
+    y = np.tensordot(t, factors[first], axes=(first, 0))  # (other modes..., R)
+    modes = [k for k in range(t.ndim) if k != first]
+    for k in rest:
+        p = modes.index(k)
+        shape = y.shape
+        y = np.einsum("aibr,ir->abr", y.reshape(math.prod(shape[:p]), shape[p], -1, shape[-1]),
+                      factors[k]).reshape(shape[:p] + shape[p + 1 :])
+        del modes[p]
+    return y
 
 
 def cp_als(
@@ -200,7 +242,6 @@ def cp_als(
             f = rng.uniform(-1.0, 1.0, (extent, rank))
         factors.append(f)
 
-    unfoldings = [unfold(t, n) for n in range(t.ndim)]
     grams = [f.T @ f for f in factors]
 
     history: list[float] = []
@@ -213,12 +254,11 @@ def cp_als(
     for it in range(max_iters):
         n_iters = it + 1
         for n in range(t.ndim):
-            others = [k for k in range(t.ndim) if k != n]
-            kr = khatri_rao([factors[k] for k in others])
             gram = np.ones((rank, rank))
-            for k in others:
-                gram *= grams[k]
-            rhs = unfoldings[n] @ kr
+            for k in range(t.ndim):
+                if k != n:
+                    gram *= grams[k]
+            rhs = _mttkrp(t, factors, n)
             factors[n] = rhs @ np.linalg.pinv(gram, rcond=PINV_RCOND)
             grams[n] = factors[n].T @ factors[n]
 
@@ -247,6 +287,8 @@ def tucker_hooi(
 
     Factor columns are orthonormal throughout. Requested ranks larger than a
     mode extent are capped at the extent, with a note in ``result.warnings``.
+    A mode whose rank equals its extent keeps its HOSVD factor, an
+    orthonormal basis of the whole mode, and sweeps leave it out.
     """
     t = as_tensor(t)
     req = tuple(int(r) for r in ranks)
@@ -267,11 +309,15 @@ def tucker_hooi(
 
     norm_t = float(np.linalg.norm(t.ravel()))
     factors = [_hosvd_factor(t, mode, r) for mode, r in enumerate(eff)]
+    # A full-rank factor is square and orthogonal, a change of basis that
+    # alters neither the other modes' left singular vectors nor the fit, so
+    # sweeps project onto the truncated modes only.
+    solved = [n for n in range(t.ndim) if eff[n] < t.shape[n]]
 
-    def core_of(fs):
+    def project(modes):
         out = t
-        for mode, f in enumerate(fs):
-            out = n_mode_product(out, f.T, mode)
+        for mode in modes:
+            out = n_mode_product(out, factors[mode].T, mode)
         return out
 
     history: list[float] = []
@@ -280,24 +326,20 @@ def tucker_hooi(
     n_iters = 0
     for it in range(max_iters):
         n_iters = it + 1
-        for n in range(t.ndim):
-            partial = t
-            for mode, f in enumerate(factors):
-                if mode != n:
-                    partial = n_mode_product(partial, f.T, mode)
-            factors[n] = _hosvd_factor(partial, n, eff[n])
+        for n in solved:
+            factors[n] = _hosvd_factor(project(m for m in solved if m != n), n, eff[n])
 
-        core = core_of(factors)
-        err = _rel_error(
-            t, tucker_to_dense(TuckerTensor(core, tuple(factors))), norm_t
-        )
+        approx = project(solved)
+        for mode in solved:
+            approx = n_mode_product(approx, factors[mode], mode)
+        err = _rel_error(t, approx, norm_t)
         history.append(err)
         if abs(prev_err - err) < tol:
             converged = True
             break
         prev_err = err
 
-    tucker = TuckerTensor(core_of(factors), tuple(factors))
+    tucker = TuckerTensor(project(range(t.ndim)), tuple(factors))
     final = history[-1] if history else _rel_error(t, tucker_to_dense(tucker), norm_t)
     return TuckerResult(tucker, final, n_iters, converged, history, warnings)
 

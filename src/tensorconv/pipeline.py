@@ -96,11 +96,22 @@ class FactorizedPlan:
 
 @dataclass(frozen=True)
 class CompressionResult:
+    """A compressed plan, its errors and costs, and how its decomposition ran.
+
+    ``n_iters``, ``converged`` and ``error_history`` are those of the ALS run
+    that won among the CP restarts, or of the HOOI run; ``warnings`` holds
+    the Tucker rank caps.
+    """
+
     plan: FactorizedPlan
     kernel_rel_error: float
     output_rel_error: float
     cost_before: costs.CostReport
     cost_after: costs.CostReport
+    n_iters: int
+    converged: bool
+    error_history: tuple[float, ...]
+    warnings: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -246,8 +257,10 @@ def compress(
     if scheme == "tucker":
         res = tucker_hooi(kernel, ranks, max_iters=max_iters, tol=tol)
         layer: AnyLayer = TuckerConvLayer.from_tucker(res.tucker, spec)
+        warnings = tuple(res.warnings)
     else:
         res = _best_cp(kernel, ranks[0], max_iters, tol, seed, restarts)
+        warnings = ()
         if scheme == "cp":
             layer = CpConvLayer(res.kruskal, spec)
         elif scheme == "hocp":
@@ -272,6 +285,10 @@ def compress(
         output_rel_error=worst,
         cost_before=costs.report_regular(spec, extents),
         cost_after=plan.cost,
+        n_iters=res.n_iters,
+        converged=res.converged,
+        error_history=tuple(res.error_history),
+        warnings=warnings,
     )
 
 
@@ -409,33 +426,46 @@ def save_plan(plan: FactorizedPlan, out_dir) -> Path:
 
 
 def load_plan(manifest_path) -> FactorizedPlan:
-    """Restore an executable plan from a manifest written by :func:`save_plan`."""
+    """Restore an executable plan from a manifest written by :func:`save_plan`.
+
+    The manifest and the files it names are untrusted input: whatever keeps
+    them from making a plan (a missing key, a value of the wrong type or
+    range, a factor that does not fit the spec, an unreadable file) raises
+    :class:`ContainerError` naming the manifest.
+    """
     path = Path(manifest_path)
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ContainerError(f"{path}: cannot read plan manifest: {exc}") from exc
-    if manifest.get("format") != _MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
         raise ContainerError(f"{path}: not a plan manifest")
+    try:
+        return _plan_from_manifest(manifest, path)
+    except ContainerError:
+        raise
+    # DimensionError and RankError are ValueErrors.
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, OSError) as exc:
+        raise ContainerError(f"{path}: malformed plan manifest: {exc}") from exc
+
+
+def _plan_from_manifest(manifest: dict, path: Path) -> FactorizedPlan:
     scheme = manifest.get("scheme")
     if scheme not in SCHEMES:
         raise ContainerError(f"{path}: unknown scheme {scheme!r}")
 
     base = path.parent
-    try:
-        spec = ConvSpec(
-            manifest["in_channels"],
-            manifest["out_channels"],
-            tuple(manifest["kernel_sizes"]),
-            tuple(manifest["strides"]),
-            tuple(manifest["paddings"]),
-        )
-        factors = {
-            entry["role"]: read_finite_tensor(base / entry["file"])
-            for entry in manifest["factors"]
-        }
-    except (KeyError, TypeError) as exc:
-        raise ContainerError(f"{path}: malformed plan manifest: {exc}") from exc
+    spec = ConvSpec(
+        manifest["in_channels"],
+        manifest["out_channels"],
+        tuple(manifest["kernel_sizes"]),
+        tuple(manifest["strides"]),
+        tuple(manifest["paddings"]),
+    )
+    factors = {
+        entry["role"]: read_finite_tensor(base / entry["file"])
+        for entry in manifest["factors"]
+    }
 
     def need(role: str) -> np.ndarray:
         if role not in factors:
@@ -450,10 +480,7 @@ def load_plan(manifest_path) -> FactorizedPlan:
         )
         skip = manifest.get("skip")
         extras["skip"] = read_finite_tensor(base / skip) if skip else None
-    try:
-        layer = _LAYER_TYPES[scheme].from_factors(need, spec, **extras)
-    except DimensionError as exc:
-        raise ContainerError(f"{path}: {exc}") from exc
+    layer = _LAYER_TYPES[scheme].from_factors(need, spec, **extras)
 
     extents = tuple(manifest.get("reference_input_extents", ()))
     if not extents:

@@ -59,6 +59,26 @@ class TestDecompose:
         rel = float(dict(l.split("=", 1) for l in out.strip().splitlines())["rel_error"])
         assert rel < 1e-10
 
+    def test_prints_decomposition_telemetry(self, tmp_path, capsys):
+        rng = np.random.default_rng(53)
+        kernel = tmp_path / "k.tensor"
+        write_tensor(kernel, rng.standard_normal((4, 3, 2, 2)))
+        code = run_cli(
+            "decompose", "--input", kernel, "--scheme", "tucker", "--rank", "6,2",
+            "--out", tmp_path / "plan",
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        keys = dict(l.split("=", 1) for l in lines)
+        assert int(keys["n_iters"]) >= 1
+        assert keys["converged"] == "true"
+        assert [l for l in lines if l.startswith("warning=")] == [
+            "warning=rank 6 at mode 0 capped at extent 4"
+        ]
+        # Telemetry goes to stdout only; the manifest keeps its keys.
+        manifest = json.loads((tmp_path / "plan" / "plan.json").read_text())
+        assert not {"n_iters", "converged", "warnings", "error_history"} & set(manifest)
+
     def test_rank_zero_exits_3(self, synthetic_kernel, tmp_path, capsys):
         kernel, _ = synthetic_kernel
         code = run_cli(

@@ -1,11 +1,21 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tensorconv import ContainerError, read_tensor, write_tensor
+from tensorconv import (
+    ConvSpec, CpConvLayer, ContainerError, FrozenBatchNorm, HoCpConvLayer, PReLU, ReLU,
+    load_plan, read_tensor, write_tensor,
+)
 from tensorconv.cli import main as cli_main
 from tensorconv.container import read_finite_tensor
+from tensorconv.costs import report_hocp
+from tensorconv.pipeline import FactorizedPlan, save_plan
+
+from helpers import random_kruskal
 
 
 class TestRoundTrip:
@@ -105,3 +115,132 @@ class TestMalformed:
                          "--out", str(tmp_path / "plan")])
         assert code == 2
         assert str(path) in capsys.readouterr().err
+
+
+# Arbitrary JSON values, for header and manifest fields.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def well_formed_containers(draw):
+    """A valid header and a payload of exactly the right length, of any bytes."""
+    dtype = draw(st.sampled_from(["f64", "f32"]))
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    size = math.prod(shape) * (8 if dtype == "f64" else 4)
+    header = json.dumps({"dtype": dtype, "shape": shape, "order": "row-major"}).encode()
+    return header + b"\n" + draw(st.binary(min_size=size, max_size=size))
+
+
+headers = st.fixed_dictionaries({}, optional={
+    "dtype": st.sampled_from(["f64", "f32"]) | json_values,
+    "shape": st.lists(st.integers(-1, 3), max_size=3) | json_values,
+    "order": st.just("row-major") | json_values,
+})
+
+container_bytes = st.one_of(
+    st.binary(max_size=80),
+    st.builds(lambda h, payload: json.dumps(h).encode() + b"\n" + payload,
+              headers | json_values, st.binary(max_size=80)),
+    well_formed_containers(),
+)
+
+fuzz_settings = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def _hocp_plan():
+    """A hocp plan with every activation kind and a skip: the most manifest keys."""
+    rng = np.random.default_rng(60)
+    spec = ConvSpec(2, 2, (2, 2), paddings=1)
+    layer = HoCpConvLayer(
+        CpConvLayer(random_kruskal(rng, (2, 2, 2, 2), 3), spec),
+        activations=(PReLU(0.25), FrozenBatchNorm(mean=(0.1, 0.0, -0.1), var=2.0)),
+        skip=rng.standard_normal((2, 2)),
+    )
+    return FactorizedPlan("hocp", layer, report_hocp(spec, 3, (4, 4), include_skip=True), (4, 4))
+
+
+class TestFuzz:
+    """Any bytes either read back or fail with ContainerError, never another exception."""
+
+    @fuzz_settings
+    @given(raw=container_bytes)
+    def test_read_tensor(self, tmp_path, raw):
+        path = tmp_path / "t.tensor"
+        path.write_bytes(raw)
+        try:
+            data = read_tensor(path)
+        except ContainerError:
+            return
+        assert data.dtype == np.float64
+
+    @fuzz_settings
+    @given(raw=container_bytes)
+    def test_cli_conv_input_exits_2(self, tmp_path, raw, capsys):
+        kernel = tmp_path / "kernel.tensor"
+        write_tensor(kernel, np.ones((2, 1, 2)))
+        path = tmp_path / "x.tensor"
+        path.write_bytes(raw)
+        try:
+            x = read_finite_tensor(path)
+            runs = x.ndim == 2 and x.shape[0] == 1 and x.shape[1] >= 2
+        except ContainerError:
+            runs = False
+        code = cli_main(["conv", "--input", str(path), "--kernel", str(kernel),
+                         "--out", str(tmp_path / "y.tensor")])
+        err = capsys.readouterr().err
+        assert code == (0 if runs else 2)
+        if not runs:
+            assert err.startswith("error: ")
+
+    @fuzz_settings
+    @given(data=st.data())
+    def test_load_plan(self, tmp_path, data):
+        manifest_path = save_plan(_hocp_plan(), tmp_path / "plan")
+        manifest = json.loads(manifest_path.read_text())
+        kind = data.draw(st.sampled_from(["bytes", "replace", "delete", "nested"]))
+        if kind == "bytes":
+            manifest_path.write_bytes(data.draw(st.binary(max_size=120)))
+        else:
+            key = data.draw(st.sampled_from(sorted(manifest)))
+            if kind == "replace":
+                manifest[key] = data.draw(json_values)
+            elif kind == "delete":
+                del manifest[key]
+            else:
+                # Replace one entry inside a list-valued field (factors, activations, extents...).
+                items = manifest[key] if isinstance(manifest[key], list) else [manifest[key]]
+                if items:
+                    i = data.draw(st.integers(0, len(items) - 1))
+                    if isinstance(items[i], dict) and items[i]:
+                        field = data.draw(st.sampled_from(sorted(items[i])))
+                        items[i][field] = data.draw(json_values)
+                    else:
+                        items[i] = data.draw(json_values)
+                manifest[key] = items
+            manifest_path.write_text(json.dumps(manifest))
+        try:
+            load_plan(manifest_path)
+        except ContainerError:
+            pass
+
+    def test_deep_json_header(self, tmp_path):
+        path = tmp_path / "deep.tensor"
+        path.write_bytes(b"[" * 100_000 + b"\n")
+        with pytest.raises(ContainerError, match="malformed JSON"):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("header", [
+        b'{"dtype": ["f64"], "shape": [1], "order": "row-major"}',
+        b'{"dtype": "f64", "shape": [true], "order": "row-major"}',
+    ])
+    def test_header_field_types(self, tmp_path, header):
+        path = tmp_path / "bad.tensor"
+        path.write_bytes(header + b"\n" + b"\0" * 8)
+        with pytest.raises(ContainerError):
+            read_tensor(path)

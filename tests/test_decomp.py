@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from tensorconv import (
     tucker_hooi,
     tucker_to_dense,
 )
+from tensorconv import decomp
+from tensorconv.dense import khatri_rao, unfold
 
 from helpers import orthonormal_factor, random_kruskal, random_tucker, rel_error
 
@@ -53,6 +57,28 @@ class TestKruskalToDense:
     def test_rank_mismatch_rejected(self):
         with pytest.raises(RankError):
             KruskalTensor((np.zeros((2, 2)), np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("shape,subscripts", [
+        ((3, 5, 2, 4), "ar,br,cr,dr->abcd"),
+        ((4, 2, 6, 3, 2), "ar,br,cr,dr,er->abcde"),
+    ])
+    def test_matches_einsum(self, shape, subscripts):
+        # The largest mode is not mode 0 in either shape.
+        rng = np.random.default_rng(21)
+        factors = [rng.standard_normal((e, 7)) for e in shape]
+        expected = np.einsum(subscripts, *factors)
+        assert rel_error(kruskal_to_dense(KruskalTensor(tuple(factors))), expected) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 3), (2, 7), (6, 2, 3, 4), (3, 4, 2, 5, 2)])
+def test_mttkrp_matches_khatri_rao_product(shape):
+    rng = np.random.default_rng(22)
+    t = rng.standard_normal(shape)
+    factors = [rng.standard_normal((e, 3)) for e in shape]
+    for n in range(len(shape)):
+        others = [factors[k] for k in range(len(shape)) if k != n]
+        expected = unfold(t, n) @ khatri_rao(others)
+        assert rel_error(decomp._mttkrp(t, factors, n), expected) <= 1e-14
 
 
 class TestTuckerToDense:
@@ -183,6 +209,22 @@ class TestTuckerHooi:
         res = tucker_hooi(np.zeros((3, 4)), (2, 2))
         assert res.rel_error == 0.0
 
+    def test_projected_unfolding_narrower_than_rank(self):
+        # Projected on ranks 1 and 1, mode 0's unfolding is 6 x 1, yet mode 0
+        # keeps 4 orthonormal columns.
+        rng = np.random.default_rng(23)
+        res = tucker_hooi(rng.standard_normal((6, 2, 2)), (4, 1, 1), max_iters=3)
+        u = res.tucker.factors[0]
+        assert u.shape == (6, 4)
+        assert np.linalg.norm(u.T @ u - np.eye(4)) < 1e-12
+
+    def test_full_rank_modes_keep_hosvd_factor(self):
+        rng = np.random.default_rng(24)
+        target = rng.standard_normal((5, 4, 3, 3))
+        res = tucker_hooi(target, (2, 2, 3, 3), max_iters=4, tol=0.0)
+        for mode in (2, 3):
+            assert np.array_equal(res.tucker.factors[mode], decomp._hosvd_factor(target, mode, 3))
+
 
 class TestAbsorbSpatial:
     def test_reconstruction_invariant(self):
@@ -256,3 +298,23 @@ class TestMergeSpatialFactors:
         rng = np.random.default_rng(20)
         with pytest.raises(DimensionError):
             merge_spatial_factors(random_kruskal(rng, (3, 3, 3), 3))
+
+
+def test_block4_sweeps_in_bounded_memory():
+    """Column block 4, (256, 256, 3, 3, 3): one CP-ALS sweep at rank 1536 and
+    two HOOI sweeps at ranks (128, 128, 3, 3, 3) each peak below 1 GB. A full
+    Khatri-Rao product at this size would take 21.7 GB."""
+    t = np.random.default_rng(25).standard_normal((256, 256, 3, 3, 3))
+    runs = (
+        lambda: cp_als(t, 1536, max_iters=1, seed=0),
+        lambda: tucker_hooi(t, (128, 128, 3, 3, 3), max_iters=2),
+    )
+    for run in runs:
+        tracemalloc.start()
+        try:
+            res = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e9
+        assert np.isfinite(res.rel_error) and res.rel_error < 1.0

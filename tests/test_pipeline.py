@@ -48,6 +48,22 @@ class TestCompress:
         out = execute_plan(res.plan, np.ones((3, 5, 5)))
         assert np.all(out == 0.0)
 
+    def test_telemetry_of_winning_cp_restart(self):
+        rng = np.random.default_rng(103)
+        w = rng.standard_normal((3, 2, 2, 2))
+        res = compress(w, "cp", 2, seed=4, max_iters=7, tol=0.0, restarts=3)
+        assert res.n_iters == 7 and not res.converged
+        assert len(res.error_history) == 7
+        assert min(res.error_history) == pytest.approx(res.kernel_rel_error, rel=1e-9)
+        assert res.warnings == ()
+
+    def test_tucker_rank_cap_is_reported(self):
+        rng = np.random.default_rng(104)
+        res = compress(rng.standard_normal((4, 3, 2, 2)), "tucker", (6, 2), max_iters=50)
+        assert res.warnings == ("rank 6 at mode 0 capped at extent 4",)
+        assert res.n_iters == len(res.error_history)
+        assert res.converged
+
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(102)
         w = rng.standard_normal((2, 3, 2, 2))
