@@ -18,6 +18,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -132,17 +133,34 @@ def depthwise_conv(
     ``z`` is (R x D_0 x ... x D_{N-1}) and ``taps`` is (K_0 x ... x K_{N-1} x R):
     channel r is filtered with ``taps[..., r]``. The output accumulates one
     shifted window per kernel offset, in row-major offset order, so results
-    are bit-reproducible. Nothing is padded: each offset adds its products
-    only to the output box whose window lies inside ``z``, which leaves out
-    exactly the zero terms a padded input would add.
+    are bit-reproducible. Nothing is padded; one of two paths leaves out
+    exactly the zero terms a padded input would add:
+
+    * flat shifts, when every stride is 1 and the output keeps the input
+      extents (K odd and padding (K - 1)/2 on every mode: every stage of a
+      CP or MobileNet layer with stride 1 and same padding). Each offset is
+      one constant shift of the (R x D_0*...*D_{N-1}) view: one contiguous
+      multiply, then zeroing the products whose window wrapped across a mode
+      boundary, then one contiguous add;
+    * boxes, for every other geometry: each offset adds its products only to
+      the output box whose window lies inside ``z``.
+
+    Every output element sums ``0 + a0 + a1 + ...`` over its in-window offsets
+    in row-major order on both paths. The flat path also adds +0.0 for the
+    others, which leaves the bits of a sum that starts at +0.0 unchanged, so
+    the paths agree bitwise.
     """
     kernel_sizes = taps.shape[:-1]
-    out_extents = tuple(map(conv_output_extent, z.shape[1:], kernel_sizes, strides, paddings))
+    extents = z.shape[1:]
+    out_extents = tuple(map(conv_output_extent, extents, kernel_sizes, strides, paddings))
     out = np.zeros((taps.shape[-1],) + out_extents)
     product = np.empty_like(out)
+    if out_extents == extents and all(s == 1 for s in strides):
+        _add_flat_shifts(out, product, z, taps, paddings)
+        return out
     gain_shape = (taps.shape[-1],) + (1,) * len(kernel_sizes)
     for offs in np.ndindex(*kernel_sizes):
-        boxes = [_valid_box(*a) for a in zip(offs, strides, paddings, z.shape[1:], out_extents)]
+        boxes = [_valid_box(*a) for a in zip(offs, strides, paddings, extents, out_extents)]
         if None in boxes:
             continue
         dst = (slice(None),) + tuple(d for d, _ in boxes)
@@ -150,6 +168,31 @@ def depthwise_conv(
                     out=product[dst])
         out[dst] += product[dst]
     return out
+
+
+def _add_flat_shifts(out, product, z, taps, paddings) -> None:
+    """The stride-1, extent-keeping path of :func:`depthwise_conv`: adds every
+    offset's products to ``out`` (zeros), through the buffer ``product``; both
+    have the shape of ``z``."""
+    rank, extents = z.shape[0], z.shape[1:]
+    volume = math.prod(extents)
+    steps = [math.prod(extents[i + 1:]) for i in range(len(extents))]
+    flat_z, flat_out = z.reshape(rank, -1), out.reshape(rank, -1)
+    flat_product = product.reshape(rank, -1)
+    for offs in np.ndindex(*taps.shape[:-1]):
+        shifts = [o - p for o, p in zip(offs, paddings)]
+        if any(abs(d) >= e for d, e in zip(shifts, extents)):
+            continue
+        s = sum(d * step for d, step in zip(shifts, steps))
+        lo, hi = max(0, -s), min(volume, volume - s)
+        np.multiply(taps[offs].reshape(rank, 1), flat_z[:, lo + s:hi + s], out=flat_product[:, lo:hi])
+        # Outputs whose window leaves the input along some mode; this covers
+        # [0, lo) and [hi, volume) too, whose products were not written.
+        for i, (d, e) in enumerate(zip(shifts, extents)):
+            if d:
+                wrapped = slice(None, -d) if d < 0 else slice(e - d, None)
+                product[(slice(None),) * (i + 1) + (wrapped,)] = 0.0
+        flat_out += flat_product
 
 
 def _valid_box(offset: int, stride: int, padding: int, extent: int, out_extent: int):

@@ -9,7 +9,8 @@ Each stage has a vectorized ``apply``, a loop-nest ``naive`` that can tally
 multiply-adds into an :class:`~tensorconv.convref.OpCounter`, its
 ``out_extents`` and its weight count ``params``. :func:`forward`,
 :func:`forward_naive` and the cost reports are folds over the stage list;
-:func:`forward` runs the channel-local stages one rank tile at a time.
+:func:`forward` runs the channel-local stages one rank tile at a time, and
+the per-channel ones inside a tile in cache-sized channel blocks.
 
 Each layer class holds what is particular to its scheme: validation, its
 stage list (``stages_for``, which the cost model also calls on shape-only
@@ -712,12 +713,20 @@ def _check_activation(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return x
 
 
-# Bytes of one rank tile's intermediate (tile channels x input spatial volume,
-# float64). On the 3-D column (32x32x16 inputs) 8-16 MiB tiles ran fastest and
-# 20 MiB about 5-10% slower, mostly from re-faulting freed pages, not cache
-# misses. 20 MiB is kept because rank 32 on a 320x240 image then fits one
-# tile, so small-rank 2-D layers run as the plain fold.
+# Bytes of one rank tile's largest per-channel intermediate (tile channels x
+# the largest spatial volume of the per-channel chain, float64). On the 3-D
+# column (32x32x16 inputs) 8-16 MiB tiles ran fastest and 20 MiB about 5-10%
+# slower, mostly from re-faulting freed pages, not cache misses. 20 MiB is
+# kept because rank 32 on a 320x240 image then fits one tile, so small-rank
+# 2-D layers run as the plain fold. Shrinking the tiles toward cache size
+# instead of blocking inside them made the column's contractions 4x (2 MiB
+# tiles) to 12x (0.5 MiB) slower.
 _TILE_BYTES = 20 * 2**20
+
+# Bytes of one channel block of the per-channel stages inside a tile, on the
+# same measure. A depthwise stage holds its block's input, product buffer and
+# output at once, so 0.5 MiB blocks keep all three within a 2 MiB per-core L2.
+_BLOCK_BYTES = 2**19
 
 
 def _channel_local(stages):
@@ -741,15 +750,26 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
 
     The channel-local head of the list (optional leading contraction,
     per-channel depthwise and activation stages, trailing contraction) runs
-    one rank tile at a time: tile ``sl`` contracts ``x`` to the channels
-    ``sl`` (or takes ``x[sl]`` when there is no leading contraction), runs
-    the per-channel stages on those channels, and adds its contraction to the
-    output. A tile holds as many channels as fit ``_TILE_BYTES`` at the input's
-    spatial volume, so memory stays bounded whatever the rank. Tiles run in
-    increasing channel order, so results are bit-reproducible; when the rank
-    fits one tile, the output is bitwise that of the plain fold over the
-    stages. The remaining stages (a skip, or Tucker's whole list, whose core
-    conv mixes channels) then run once on the full output.
+    on two levels of blocking, both sized by the largest spatial volume the
+    per-channel stages hold (padding can make it larger than the input's):
+
+    * rank tiles of ``_TILE_BYTES``, sized for the GEMMs: tile ``sl``
+      contracts ``x`` to the channels ``sl`` (or takes ``x[sl]`` when there
+      is no leading contraction) and, at the end, adds its contraction to
+      the output; memory stays bounded whatever the rank;
+    * inside a tile, channel blocks of ``_BLOCK_BYTES``, sized for the L2
+      cache: each block runs all the per-channel stages while its data stays
+      in cache, and writes its result into one tile-shaped array that the
+      trailing contraction reads. A depthwise stage with stride 1 that keeps
+      the extents (each stage of a CP, HO-CP or MobileNet layer with same
+      padding) runs as flat shifts of the block (:func:`depthwise_conv`).
+
+    Tiles run in increasing channel order, so results are bit-reproducible.
+    A per-channel stage computes each channel from that channel alone, so
+    blocks change no bit, and when the rank fits one tile the output is
+    bitwise that of the plain fold over the stages. The remaining stages (a
+    skip, or Tucker's whole list, whose core conv mixes channels) then run
+    once on the full output.
     """
     x = _check_activation(x, layer.spec)
     z, rest = x, layer.stages
@@ -757,17 +777,28 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
     if head is not None:
         lead, per_channel, tail, rest = head
         rank = tail.matrix.shape[1]
-        step = max(1, _TILE_BYTES // (8 * math.prod(x.shape[1:])))
+        extents = [x.shape[1:]]
+        for stage in per_channel:
+            extents.append(stage.out_extents(extents[-1]))
+        volume = max(map(math.prod, extents))
+        step = max(1, _TILE_BYTES // (8 * volume))
+        width = max(1, _BLOCK_BYTES // (8 * volume))
         for lo in range(0, rank, step):
-            sl = slice(lo, min(lo + step, rank))
-            t = x[sl] if lead is None else conv_1x1(x, lead.matrix[sl])
-            for stage in per_channel:
-                t = stage.channels(sl).apply(t, x)
-            part = conv_1x1(t, tail.matrix[:, sl])
+            hi = min(lo + step, rank)
+            t = x[lo:hi] if lead is None else conv_1x1(x, lead.matrix[lo:hi])
+            stages = [stage.channels(slice(lo, hi)) for stage in per_channel]
+            tile = np.empty((hi - lo,) + extents[-1])
+            for b in range(0, hi - lo, width):
+                blk = slice(b, b + width)
+                u = t[blk]
+                for stage in stages:
+                    u = stage.channels(blk).apply(u, x)
+                tile[blk] = u
+            del t  # the tile's input is not held through the trailing contraction
             if lo == 0:
-                z = part
+                z = conv_1x1(tile, tail.matrix[:, lo:hi])
             else:
-                z += part
+                z += conv_1x1(tile, tail.matrix[:, lo:hi])
     for stage in rest:
         z = stage.apply(z, x)
     return z

@@ -141,6 +141,24 @@ def depthwise_cases(draw):
     return z, taps, strides, paddings
 
 
+@st.composite
+def same_padded_cases(draw):
+    """(z, taps, strides, paddings) that keep the extents at stride 1: N = 1-3
+    modes, K in {1, 3, 5} with padding (K - 1)/2, extents down to 1, inputs
+    with exact zeros of both signs."""
+    n = draw(st.integers(1, 3))
+    kernel = tuple(draw(st.sampled_from((1, 3, 5))) for _ in range(n))
+    paddings = tuple((k - 1) // 2 for k in kernel)
+    extents = tuple(draw(st.integers(1, 7)) for _ in range(n))
+    rank = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((rank,) + extents)
+    z[rng.random(z.shape) < 0.2] = 0.0
+    z[rng.random(z.shape) < 0.1] = -0.0
+    taps = rng.standard_normal(kernel + (rank,))
+    return z, taps, (1,) * n, paddings
+
+
 class TestDepthwiseConv:
     @settings(max_examples=60, deadline=None)
     @given(depthwise_cases())
@@ -149,6 +167,29 @@ class TestDepthwiseConv:
         z, taps, strides, paddings = case
         expected = Depthwise("depthwise", taps, strides, paddings).naive(z, z, None)
         got = depthwise_conv(z, taps, strides, paddings)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(same_padded_cases())
+    def test_flat_shifts_bitwise_equal_to_loop_nest(self, case):
+        # Stride 1 with extents kept: each offset is one shift of the flat view.
+        z, taps, strides, paddings = case
+        expected = Depthwise("depthwise", taps, strides, paddings).naive(z, z, None)
+        got = depthwise_conv(z, taps, strides, paddings)
+        assert got.shape == z.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(same_padded_cases(), st.data())
+    def test_same_padded_mode_conv_bitwise_equal_to_loop_nest(self, case, data):
+        t, n = case[0][0], case[0].ndim - 1
+        mode = data.draw(st.integers(0, n - 1))
+        k = data.draw(st.sampled_from((1, 3, 5)))
+        v = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(k)
+        shape = (1,) * mode + (k,) + (1,) * (n - mode - 1) + (1,)
+        paddings = tuple((k - 1) // 2 if i == mode else 0 for i in range(n))
+        expected = Depthwise("mode", v.reshape(shape), (1,) * n, paddings).naive(t[None], t[None], None)[0]
+        got = mode_conv_1d(t, v, mode, 1, (k - 1) // 2)
         assert got.tobytes() == expected.tobytes()
 
 

@@ -492,3 +492,79 @@ class TestRankTiling:
             tracemalloc.stop()
         assert peak < 8e6
         assert rel_error(out, untiled_fold(cp, x)) <= 1e-10
+
+    def test_peak_memory_bounded_by_chain_volume(self, monkeypatch):
+        # Padding 2 with K = 3 grows every mode by 2, so at 4^3 the last
+        # depthwise output is 6^3 = 3.4x the input volume. Tiles and blocks
+        # are sized by that largest volume, so with 1 MiB tiles (606 channels)
+        # the forward holds one tile's contraction, one tile-shaped result and
+        # a block stage's input, product and output (3 x 0.5 MiB): 2.8 MiB.
+        # Sized by the input volume, one tile would hold all 2048 channels and
+        # 3.5 MB per depthwise output, 9.2 MiB in all.
+        monkeypatch.setattr(layers, "_TILE_BYTES", 2**20)
+        rng = np.random.default_rng(120)
+        cp = make_cp_layer(rng, 4, 4, (3, 3, 3), 2048, 1, 2)
+        x = rng.standard_normal((4, 4, 4, 4))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = cp_conv_forward(cp, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4, 6, 6, 6)
+        assert peak < 2 * 2**20 + 3 * 2**19
+        assert rel_error(out, untiled_fold(cp, x)) <= 1e-10
+
+
+def chain_volume(layer, extents) -> int:
+    """The largest spatial volume the layer's depthwise stages hold."""
+    volumes = [math.prod(extents)]
+    for stage in layer.stages:
+        if isinstance(stage, layers.Depthwise):
+            extents = stage.out_extents(extents)
+            volumes.append(math.prod(extents))
+    return max(volumes)
+
+
+class TestChannelBlocks:
+    """Inside a rank tile, the per-channel stages run in channel blocks; a
+    small block budget splits rank 11 into blocks of 2 or 3 channels, while
+    the rank stays in one tile."""
+
+    RANK = 11
+    GEOMETRIES = TestRankTiling.GEOMETRIES
+
+    def layers_for(self, rng, stride, padding):
+        """cp, hocp (activations and, when extents are kept, a skip),
+        MobileNet-v1/v2 and Tucker at rank 11, each with its input."""
+        r = self.RANK
+        cp, x3 = TestRankTiling().make(rng, stride, padding)
+        ho, _ = TestRankTiling().make(rng, stride, padding, extras=True)
+        x2 = rng.standard_normal((r, 6, 5))
+        tucker = TuckerConvLayer(
+            rng.standard_normal((2, 3)), rng.standard_normal((3, 2, 3, 3, 3)),
+            rng.standard_normal((4, 3)), ConvSpec(3, 4, (3, 3, 3), stride, padding),
+        )
+        return {
+            "cp": (cp, x3),
+            "hocp": (ho, x3),
+            "mobilenet-v1": (build_mobilenet_v1(random_kruskal(rng, (5, r, 3, 3), r), stride, padding), x2),
+            "mobilenet-v2": (build_mobilenet_v2(random_kruskal(rng, (5, 3, 3, 3), r), stride, padding), x2[:3]),
+            "tucker": (tucker, x3),
+        }
+
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("stride,padding", GEOMETRIES)
+    def test_blocks_are_bitwise_the_untiled_fold(self, monkeypatch, width, stride, padding):
+        rng = np.random.default_rng(130 + 10 * stride + padding)
+        cases = self.layers_for(rng, stride, padding)
+        for scheme, (layer, x) in cases.items():
+            monkeypatch.setattr(layers, "_BLOCK_BYTES", 8 * chain_volume(layer, x.shape[1:]) * width)
+            before = x.copy()
+            out = layers.forward(layer, x)
+            assert out.tobytes() == untiled_fold(layer, x).tobytes(), scheme
+            assert x.tobytes() == before.tobytes(), scheme
+        cp, x = cases["cp"]
+        assert layers.forward(cp, x).tobytes() == layers.forward(HoCpConvLayer(cp), x).tobytes()
+        assert (cases["hocp"][0].skip is not None) == ((stride, padding) == (1, 1))
