@@ -17,9 +17,12 @@ solves again nor projects onto a mode kept at full rank, whose HOSVD factor
 is already an orthonormal basis of the whole mode (typically the spatial
 modes of a conv kernel); its sweeps touch the truncated modes only.
 
-Normal equations in the ALS sweep are solved through a pseudo-inverse with
-singular values below ``PINV_RCOND`` (relative to the largest) treated as
-zero, so rank-deficient and overcomplete problems degrade gracefully.
+Normal equations in the ALS sweep are solved by ``np.linalg.solve`` once a
+Cholesky factorization has shown the R x R Hadamard Gram positive definite
+and no worse conditioned than ``1 / PINV_RCOND``. A rank-deficient Gram
+(duplicated or collinear factor columns, overcomplete ranks) goes through a
+pseudo-inverse with singular values below ``PINV_RCOND`` (relative to the
+largest) treated as zero instead, so such problems degrade gracefully.
 """
 
 from __future__ import annotations
@@ -48,6 +51,24 @@ __all__ = [
 
 # Relative singular-value cutoff for pseudo-inverse solves of ALS normal equations.
 PINV_RCOND = 1e-12
+
+
+def _solve_normal(rhs: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """``rhs @ inv(gram)``: the ALS update ``X`` with ``X @ gram = rhs``.
+
+    Solved directly when the Cholesky factor L of the symmetric Gram exists
+    and its diagonal keeps ``min(L_ii)**2 >= PINV_RCOND * max(L_ii)**2``
+    (the squared diagonal lies inside the Gram's eigenvalue range, so a
+    smaller ratio means a condition number above ``1 / PINV_RCOND``).
+    Otherwise through the pseudo-inverse, as a singular Gram needs.
+    """
+    try:
+        pivots = np.diag(np.linalg.cholesky(gram)) ** 2
+    except np.linalg.LinAlgError:
+        pivots = None
+    if pivots is None or pivots.min() < PINV_RCOND * pivots.max():
+        return rhs @ np.linalg.pinv(gram, rcond=PINV_RCOND)
+    return np.linalg.solve(gram, rhs.T).T
 
 
 @dataclass(frozen=True)
@@ -259,7 +280,7 @@ def cp_als(
                 if k != n:
                     gram *= grams[k]
             rhs = _mttkrp(t, factors, n)
-            factors[n] = rhs @ np.linalg.pinv(gram, rcond=PINV_RCOND)
+            factors[n] = _solve_normal(rhs, gram)
             grams[n] = factors[n].T @ factors[n]
 
         err = _rel_error(t, kruskal_to_dense(KruskalTensor(tuple(factors))), norm_t)

@@ -31,6 +31,8 @@ __all__ = [
     "n_mode_product",
     "mode_conv_1d",
     "depthwise_conv",
+    "band_matrices",
+    "banded_mode_conv",
     "conv_output_extent",
     "unfold",
     "fold",
@@ -193,6 +195,42 @@ def _add_flat_shifts(out, product, z, taps, paddings) -> None:
                 wrapped = slice(None, -d) if d < 0 else slice(e - d, None)
                 product[(slice(None),) * (i + 1) + (wrapped,)] = 0.0
         flat_out += flat_product
+
+
+def band_matrices(taps: np.ndarray, extent: int, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Per-channel 1-D cross-correlations as (R x D_out x D) band matrices.
+
+    ``taps`` is (K x R). Row y of channel r's matrix holds ``taps[k, r]`` at
+    column ``y*stride + k - padding`` for every k that lands inside
+    ``[0, extent)`` and zeros elsewhere, so stride and zero padding live in
+    the matrix and nothing is padded.
+    """
+    kernel, rank = taps.shape
+    out_extent = conv_output_extent(extent, kernel, stride, padding)
+    cols = np.arange(out_extent)[:, None] * stride - padding + np.arange(kernel)
+    rows, ks = np.nonzero((cols >= 0) & (cols < extent))
+    bands = np.zeros((rank, out_extent, extent))
+    bands[:, rows, cols[rows, ks]] = taps[ks].T
+    return bands
+
+
+def banded_mode_conv(z: np.ndarray, bands: np.ndarray, mode: int) -> np.ndarray:
+    """Apply channel r's band matrix ``bands[r]`` along ``mode`` of ``z[r]``.
+
+    ``z`` is (R x D_0 x ... x D_{N-1}) and ``bands`` (R x D_out x D_mode),
+    as :func:`band_matrices` builds them: one batched matrix product over
+    the channels, and over the modes before ``mode`` unless it is the last.
+    Each output sums over the whole band row, zeros included, so it is the
+    loop nest's sum up to rounding, not bitwise; a non-finite input spreads
+    NaN (0 x inf) along its whole row instead of K outputs.
+    """
+    rank, extents = z.shape[0], z.shape[1:]
+    before, after = math.prod(extents[:mode]), math.prod(extents[mode + 1:])
+    if after == 1:
+        out = np.matmul(z.reshape(rank, before, extents[mode]), bands.transpose(0, 2, 1))
+    else:
+        out = np.matmul(bands[:, None], z.reshape(rank, before, extents[mode], after))
+    return out.reshape((rank,) + extents[:mode] + bands.shape[1:2] + extents[mode + 1:])
 
 
 def _valid_box(offset: int, stride: int, padding: int, extent: int, out_extent: int):

@@ -31,7 +31,15 @@ import numpy as np
 
 from .convref import ConvSpec, OpCounter, conv_1x1, conv_nd_direct, conv_nd_naive
 from .decomp import KruskalTensor, TuckerTensor, kruskal_to_dense, merge_spatial_factors
-from .dense import as_matrix, as_tensor, conv_output_extent, depthwise_conv, n_mode_product
+from .dense import (
+    as_matrix,
+    as_tensor,
+    band_matrices,
+    banded_mode_conv,
+    conv_output_extent,
+    depthwise_conv,
+    n_mode_product,
+)
 from .errors import DimensionError, RankError
 
 __all__ = [
@@ -96,6 +104,12 @@ class PReLU(Activation):
     slope: float = 0.25
 
     def apply(self, z: np.ndarray) -> np.ndarray:
+        if 0.0 < self.slope <= 1.0:
+            # Then slope * z <= z exactly where z >= 0, so this is bitwise the
+            # np.where below, for +-0, +-inf, NaN and subnormals too, without
+            # the mask. Slope 0 (0 * inf), > 1 and < 0 break that.
+            out = np.multiply(z, self.slope)
+            return np.maximum(z, out, out=out)
         return np.where(z >= 0.0, z, self.slope * z)
 
     def check(self, rank: int) -> None:
@@ -134,22 +148,38 @@ class FrozenBatchNorm(Activation):
         if not (np.asarray(self.var, dtype=np.float64) + self.eps > 0.0).all():
             raise DimensionError("batch-norm var + eps must be > 0")
 
-    def channels(self, sl: slice) -> "FrozenBatchNorm":
-        params = {n: getattr(self, n) for n in self._PARAMS}
-        return replace(self, **{n: np.asarray(p)[sl] for n, p in params.items() if np.size(p) > 1})
+    def _affine(self) -> "_Affine":
+        """The batch norm as ``z * a + b``, a = scale / sqrt(var + eps) and
+        b = shift - mean * a. Not bitwise the formula above: it rounds
+        differently, by about one ulp of each term."""
+        mean, var, scale, shift = (np.asarray(getattr(self, n), dtype=np.float64) for n in self._PARAMS)
+        a = scale / np.sqrt(var + self.eps)
+        return _Affine(a, shift - mean * a)
 
-    def _param(self, p, ndim: int) -> np.ndarray:
-        arr = np.asarray(p, dtype=np.float64)
-        if arr.ndim == 0:
-            return arr
-        return arr.reshape((-1,) + (1,) * (ndim - 1))
+    def channels(self, sl: slice) -> "_Affine":
+        return self._affine().channels(sl)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        mean = self._param(self.mean, z.ndim)
-        var = self._param(self.var, z.ndim)
-        scale = self._param(self.scale, z.ndim)
-        shift = self._param(self.shift, z.ndim)
-        return scale * (z - mean) / np.sqrt(var + self.eps) + shift
+        return self._affine().apply(z)
+
+
+@dataclass(frozen=True, eq=False)
+class _Affine(Activation):
+    """``z * a + b`` with ``a``, ``b`` scalars, length 1 or one per channel:
+    a frozen batch norm with its parameters folded, built once and then
+    restricted to channel blocks."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        a, b = (p.reshape(p.shape + (1,) * (z.ndim - 1)) if p.ndim else p for p in (self.a, self.b))
+        out = np.multiply(z, a)
+        out += b
+        return out
+
+    def channels(self, sl: slice) -> "_Affine":
+        return _Affine(*(p[sl] if p.size > 1 else p for p in (self.a, self.b)))
 
 
 def _normalize_activations(
@@ -176,6 +206,10 @@ class _Stage:
 
     def out_extents(self, extents) -> tuple[int, ...]:
         return tuple(extents)
+
+    def at(self, extents) -> "_Stage":
+        """The stage as it runs on inputs of spatial ``extents``."""
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,11 +257,26 @@ class Skip(Contract):
         return z + super().naive(x, x, counter)
 
 
+# The longest mode along which a 1-D depthwise stage runs as band matrices.
+# A band row spans the whole mode, D/K times the taps, so the band's wasted
+# multiply-adds grow with D. On 0.5 MiB channel blocks of 3-tap stages
+# (2 vCPUs, OpenBLAS 0.3.31) the band took 0.07-0.74x the time of flat
+# shifts at D = 8-48, 0.18-1.17x at D = 64, 0.48-3.2x at D = 96-128 and
+# 1.2-5.4x at D = 192-512 (the 2-D images of the CLI benchmark).
+_BAND_EXTENT = 48
+
+
 @dataclass(frozen=True, eq=False)
 class Depthwise(_Stage):
     """Per-channel N-D convolution: channel r filtered with ``taps[..., r]``.
 
-    ``taps`` is (K_0 x ... x K_{N-1} x R), channels last.
+    ``taps`` is (K_0 x ... x K_{N-1} x R), channels last. A stage whose taps,
+    stride and padding are those of the identity on every mode but one (each
+    CP ``conv_mode_i`` stage) runs, when that mode's extent is at most
+    ``_BAND_EXTENT``, as one batched product of per-channel band matrices
+    (:func:`banded_mode_conv`), which carry its stride and padding. Every
+    other stage (long modes, merged MobileNet taps) runs
+    :func:`depthwise_conv`.
     """
 
     label: str
@@ -243,7 +292,31 @@ class Depthwise(_Stage):
         kernel_sizes = self.taps.shape[:-1]
         return tuple(map(conv_output_extent, extents, kernel_sizes, self.strides, self.paddings))
 
+    def band_mode(self, extents) -> Optional[int]:
+        """The mode this stage runs along as band matrices on inputs of
+        spatial ``extents``, or None when it takes :func:`depthwise_conv`."""
+        moving = [
+            i for i, g in enumerate(zip(self.taps.shape[:-1], self.strides, self.paddings))
+            if g != (1, 1, 0)
+        ]
+        if len(moving) == 1 and extents[moving[0]] <= _BAND_EXTENT:
+            return moving[0]
+        return None
+
+    def at(self, extents) -> "Depthwise | _Banded":
+        """The stage with its band matrices built for inputs of ``extents``
+        when :meth:`band_mode` names a mode, else itself."""
+        mode = self.band_mode(extents)
+        if mode is None:
+            return self
+        taps = self.taps.reshape(-1, self.taps.shape[-1])
+        bands = band_matrices(taps, extents[mode], self.strides[mode], self.paddings[mode])
+        return _Banded(self.label, bands, mode)
+
     def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        stage = self.at(z.shape[1:])
+        if stage is not self:
+            return stage.apply(z, x)
         return depthwise_conv(z, self.taps, self.strides, self.paddings)
 
     def channels(self, sl: slice) -> "Depthwise":
@@ -262,6 +335,23 @@ class Depthwise(_Stage):
                     counter.madds += 1
             out[idx] = acc
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Banded:
+    """A 1-D :class:`Depthwise` stage bound to its input extents: per-channel
+    band matrices (R x D_out x D) along ``mode``. Only :func:`forward`'s
+    channel blocks run it."""
+
+    label: str
+    bands: np.ndarray
+    mode: int
+
+    def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return banded_mode_conv(z, self.bands, self.mode)
+
+    def channels(self, sl: slice) -> "_Banded":
+        return replace(self, bands=self.bands[sl])
 
 
 @dataclass(frozen=True, eq=False)
@@ -760,9 +850,16 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
     * inside a tile, channel blocks of ``_BLOCK_BYTES``, sized for the L2
       cache: each block runs all the per-channel stages while its data stays
       in cache, and writes its result into one tile-shaped array that the
-      trailing contraction reads. A depthwise stage with stride 1 that keeps
-      the extents (each stage of a CP, HO-CP or MobileNet layer with same
-      padding) runs as flat shifts of the block (:func:`depthwise_conv`).
+      trailing contraction reads.
+
+    Each tile restricts the per-channel stages to its channels once, for
+    the input extents each stage sees (:meth:`Depthwise.at`): a CP or HO-CP
+    ``conv_mode_i`` stage along a mode of at most ``_BAND_EXTENT`` gets its
+    band matrices and runs on each block as one batched matrix product
+    (:func:`banded_mode_conv`); a frozen batch norm becomes ``z * a + b``.
+    Any other depthwise stage (a longer mode, merged MobileNet taps) runs
+    :func:`depthwise_conv`, as flat shifts of the block when it has stride
+    1 and keeps the extents.
 
     Tiles run in increasing channel order, so results are bit-reproducible.
     A per-channel stage computes each channel from that channel alone, so
@@ -786,7 +883,7 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
         for lo in range(0, rank, step):
             hi = min(lo + step, rank)
             t = x[lo:hi] if lead is None else conv_1x1(x, lead.matrix[lo:hi])
-            stages = [stage.channels(slice(lo, hi)) for stage in per_channel]
+            stages = [stage.channels(slice(lo, hi)).at(e) for stage, e in zip(per_channel, extents)]
             tile = np.empty((hi - lo,) + extents[-1])
             for b in range(0, hi - lo, width):
                 blk = slice(b, b + width)

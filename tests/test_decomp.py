@@ -167,6 +167,65 @@ class TestCpAls:
         assert res.rel_error == min(res.error_history)
 
 
+class TestNormalEquations:
+    """ALS updates solve ``X @ gram = rhs`` through Cholesky and solve, or
+    through the pseudo-inverse when the Hadamard Gram is rank-deficient."""
+
+    @pytest.fixture
+    def pinv_calls(self, monkeypatch):
+        calls = []
+        pinv = np.linalg.pinv
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return pinv(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", spy)
+        return calls
+
+    def test_duplicated_columns_fall_back_to_pinv(self, pinv_calls):
+        rng = np.random.default_rng(30)
+        a, b = rng.standard_normal((6, 3)), rng.standard_normal((5, 3))
+        a, b = np.hstack([a, a[:, :1]]), np.hstack([b, b[:, :1]])  # column 3 repeats column 0
+        gram = (a.T @ a) * (b.T @ b)
+        rhs = rng.standard_normal((4, 4))
+        x = decomp._solve_normal(rhs, gram)
+        assert pinv_calls == [(4, 4)]
+        assert np.array_equal(x, rhs @ np.linalg.pinv(gram, rcond=decomp.PINV_RCOND))
+
+    def test_positive_definite_gram_is_solved(self, pinv_calls):
+        rng = np.random.default_rng(31)
+        a, b = rng.standard_normal((6, 4)), rng.standard_normal((5, 4))
+        gram = (a.T @ a) * (b.T @ b)
+        rhs = rng.standard_normal((7, 4))
+        x = decomp._solve_normal(rhs, gram)
+        assert pinv_calls == []
+        assert rel_error(x @ gram, rhs) < 1e-12
+
+    def test_duplicated_factor_columns_fit_with_fallback(self, monkeypatch, pinv_calls):
+        # A rank-2 target fitted at rank 3 from factors whose third column
+        # repeats the first: every Gram of the first sweep is singular.
+        rng = np.random.default_rng(32)
+        target = kruskal_to_dense(random_kruskal(rng, (4, 5, 3), 2))
+        cp_als(target, 3, max_iters=1, seed=0)
+        assert pinv_calls == []  # distinct random columns
+        default_rng = np.random.default_rng
+
+        class DuplicatingRng:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def uniform(self, low, high, size):
+                f = self._rng.uniform(low, high, size)
+                f[:, 2] = f[:, 0]
+                return f
+
+        monkeypatch.setattr(np.random, "default_rng", DuplicatingRng)
+        res = cp_als(target, 3, max_iters=200, seed=0)
+        assert pinv_calls[:3] == [(3, 3)] * 3
+        assert np.isfinite(res.rel_error) and res.rel_error < 1e-6
+
+
 class TestTuckerHooi:
     def test_full_ranks_exact(self):
         rng = np.random.default_rng(10)

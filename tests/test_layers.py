@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorconv import layers
 from tensorconv import (
@@ -568,3 +570,138 @@ class TestChannelBlocks:
         cp, x = cases["cp"]
         assert layers.forward(cp, x).tobytes() == layers.forward(HoCpConvLayer(cp), x).tobytes()
         assert (cases["hocp"][0].skip is not None) == ((stride, padding) == (1, 1))
+
+
+@st.composite
+def one_mode_cases(draw):
+    """(stage, z): a 1-D depthwise stage on mode i of a 1-D to 3-D input,
+    K in {1, 2, 3, 5}, stride 1-3, padding 0-2, extents up to 9, inputs with
+    exact zeros of both signs."""
+    n = draw(st.integers(1, 3))
+    mode = draw(st.integers(0, n - 1))
+    k = draw(st.sampled_from((1, 2, 3, 5)))
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    extents = [draw(st.integers(1, 5)) for _ in range(n)]
+    extents[mode] = draw(st.integers(max(1, k - 2 * padding), 9))
+    rank = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((rank,) + tuple(extents))
+    z[rng.random(z.shape) < 0.2] = 0.0
+    z[rng.random(z.shape) < 0.1] = -0.0
+    shape = tuple(k if i == mode else 1 for i in range(n)) + (rank,)
+    stage = layers.Depthwise(
+        f"conv_mode_{mode}", rng.standard_normal(shape),
+        tuple(stride if i == mode else 1 for i in range(n)),
+        tuple(padding if i == mode else 0 for i in range(n)),
+    )
+    return stage, z
+
+
+class TestBandedDepthwise:
+    @settings(max_examples=120, deadline=None)
+    @given(one_mode_cases())
+    def test_matches_loop_nest(self, case):
+        stage, z = case
+        identity = all(g == (1, 1, 0) for g in zip(stage.taps.shape, stage.strides, stage.paddings))
+        assert (stage.band_mode(z.shape[1:]) is None) == identity  # a plain scale otherwise
+        expected = stage.naive(z, z, None)
+        got = stage.apply(z, z)
+        assert got.shape == expected.shape
+        assert rel_error(got, expected) <= 1e-12
+
+    def test_extent_rule(self):
+        stage = CpConvLayer.stages_for(
+            [np.ones((2, 1)), np.ones((2, 1)), np.ones((3, 1)), np.ones((3, 1))],
+            ConvSpec(2, 2, (3, 3), 1, 1),
+        )[2]  # conv_mode_1
+        limit = layers._BAND_EXTENT
+        assert stage.band_mode((500, limit)) == 1
+        assert stage.band_mode((2, limit + 1)) is None
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of the two depthwise kernels' calls during a forward."""
+        counts = {"depthwise_conv": 0, "banded_mode_conv": 0}
+        for name in counts:
+            def spy(*args, _name=name, _fn=getattr(layers, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(layers, name, spy)
+        return counts
+
+    @pytest.mark.parametrize("extents", [(320, 240), (192, 384)])
+    def test_long_modes_keep_depthwise_conv(self, calls, extents):
+        rng = np.random.default_rng(140)
+        cp = make_cp_layer(rng, 2, 2, (3, 3), 2, 1, 1)
+        x = rng.standard_normal((2,) + extents)
+        out = layers.forward(cp, x)
+        assert calls["depthwise_conv"] > 0 and calls["banded_mode_conv"] == 0
+        assert rel_error(out, conv_nd_direct(x, cp.dense_kernel(), cp.spec)) <= 1e-10
+
+    def test_merged_mobilenet_taps_keep_depthwise_conv(self, calls):
+        rng = np.random.default_rng(141)
+        k = random_kruskal(rng, (3, 4, 3, 3), 4)
+        x = rng.standard_normal((4, 8, 8))
+        for block in (build_mobilenet_v1(k, 1, 1), build_mobilenet_v2(k, 2, 0)):
+            layers.forward(block, x)
+        assert calls == {"depthwise_conv": 2, "banded_mode_conv": 0}
+
+    def test_short_modes_take_bands(self, calls):
+        rng = np.random.default_rng(142)
+        cp = make_cp_layer(rng, 3, 2, (3, 3, 3), 4, 1, 1)
+        x = rng.standard_normal((2, 32, 32, 16))
+        out = layers.forward(cp, x)
+        assert calls == {"depthwise_conv": 0, "banded_mode_conv": 3}
+        assert rel_error(out, conv_nd_direct(x, cp.dense_kernel(), cp.spec)) <= 1e-10
+
+
+def exponent_range_values(rng, count):
+    """``count`` values of random sign, mantissa and binary exponent from the
+    subnormals up to the largest finite, plus +-0, +-inf and NaN."""
+    mantissa = rng.uniform(0.5, 1.0, count) * rng.choice((-1.0, 1.0), count)
+    values = np.ldexp(mantissa, rng.integers(-1074, 1025, count))
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308]
+    return np.concatenate([values, specials])
+
+
+class TestActivations:
+    def test_prelu_maximum_is_bitwise_where(self):
+        z = exponent_range_values(np.random.default_rng(150), 10**5).reshape(-1, 10)
+        for slope in (5e-324, 1e-300, 0.1, 0.25, 0.5, np.nextafter(1.0, 0.0), 1.0):
+            expected = np.where(z >= 0.0, z, slope * z)
+            assert PReLU(slope).apply(z).tobytes() == expected.tobytes(), slope
+
+    @pytest.mark.parametrize("slope", [0.0, 1.5, 2.0, -0.5, -1.0])
+    def test_other_slopes_keep_where(self, slope):
+        z = exponent_range_values(np.random.default_rng(151), 10**4)
+        with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf, 2 * 1e308
+            expected = np.where(z >= 0.0, z, slope * z)
+            assert PReLU(slope).apply(z).tobytes() == expected.tobytes()
+            # The maximum form would differ for such a slope.
+            assert np.maximum(z, slope * z).tobytes() != expected.tobytes()
+
+    @pytest.mark.parametrize("per_channel", [(), ("mean", "var"), ("mean", "var", "scale", "shift")])
+    @pytest.mark.parametrize("length_one", [False, True])
+    def test_batch_norm_affine_matches_formula(self, per_channel, length_one):
+        rng = np.random.default_rng(152)
+        r = 7
+        draws = {
+            "mean": lambda n: rng.uniform(-0.5, 0.5, n), "var": lambda n: rng.uniform(0.1, 3.0, n),
+            "scale": lambda n: rng.uniform(0.5, 1.5, n), "shift": lambda n: rng.uniform(-0.5, 0.5, n),
+        }
+        params = {}
+        for name, draw in draws.items():
+            if name in per_channel:
+                params[name] = tuple(draw(r))
+            else:
+                params[name] = (float(draw(1)[0]),) if length_one else float(draw(1)[0])
+        bn = FrozenBatchNorm(**params, eps=1e-3)
+        bn.check(r)
+        z = rng.standard_normal((r, 5, 4)) * 3.0
+        shaped = {
+            n: np.asarray(p).reshape(-1, 1, 1) if np.ndim(p) else p for n, p in params.items()
+        }
+        expected = shaped["scale"] * (z - shaped["mean"]) / np.sqrt(shaped["var"] + bn.eps) + shaped["shift"]
+        assert rel_error(bn.apply(z), expected) <= 1e-12
+        blocks = np.concatenate([bn.channels(slice(lo, lo + 3)).apply(z[lo:lo + 3]) for lo in range(0, r, 3)])
+        assert blocks.tobytes() == bn.apply(z).tobytes()
