@@ -2,7 +2,13 @@
 
 Two implementations of the same contract live here on purpose:
 
-* :func:`conv_nd_direct` is the vectorized path used everywhere by default;
+* :func:`conv_nd_direct` is the vectorized path used everywhere by default:
+  an unrolled convolution (im2col) that copies the windows of about 512
+  output positions at a time into one column buffer, of at most
+  (C + T) * V_out doubles, and runs one GEMM per such slab straight into the
+  output. Each output sums its C * prod(K) terms in BLAS order, so results
+  agree with the loop nest to rounding and are bit-reproducible, as the slabs
+  depend on the shapes alone;
 * :func:`conv_nd_naive` is plain Python loops, the oracle of record. It is slow
   but unambiguous, and optionally tallies multiply-adds into an
   :class:`OpCounter` so the analytic FLOP formulas can be checked against an
@@ -14,6 +20,7 @@ explicit per-mode stride and zero padding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,33 +140,75 @@ def _pad_spatial(x: np.ndarray, paddings: tuple[int, ...]) -> np.ndarray:
     return np.pad(x, [(0, 0)] + [(p, p) for p in paddings])
 
 
+# Output positions per slab of the unrolled convolution. On a 256 -> 256,
+# 3x3x3 layer at 32x32x16 (2 vCPUs, OpenBLAS 0.3.31) slabs of 512-2048
+# positions took 0.80-0.87 s and slabs of 64 positions 1.04 s; 512 holds the
+# smallest column buffer of the fast sizes.
+_SLAB_POSITIONS = 512
+
+
+def _slabs(out_spatial: tuple[int, ...], budget: int):
+    """Yield ``(key, start, stop)`` per slab of at most ``budget`` output positions.
+
+    A slab is a run of whole trailing-mode rows: a fixed index on the modes
+    before the split mode ``m``, a range of mode ``m``, and all of every later
+    mode. ``m`` is the first mode whose trailing rows hold at most ``budget``
+    positions. ``key`` indexes the slab on the output modes, and its outputs
+    are the row-major positions ``start:stop``.
+    """
+    m = 0
+    while m < len(out_spatial) - 1 and math.prod(out_spatial[m + 1:]) > budget:
+        m += 1
+    row = math.prod(out_spatial[m + 1:])
+    step = max(1, budget // row)
+    extent = out_spatial[m]
+    for i, index in enumerate(np.ndindex(*out_spatial[:m])):
+        for a in range(0, extent, step):
+            b = min(a + step, extent)
+            yield index + (slice(a, b),), (i * extent + a) * row, (i * extent + b) * row
+
+
 def conv_nd_direct(x: np.ndarray, w: np.ndarray, spec: ConvSpec | None = None) -> np.ndarray:
     """N-D convolution of ``x`` (C x D_0 x ... ) with kernel ``w`` (T x C x K_0 x ...).
 
     ``out[t, y...] = sum_c sum_k w[t, c, k...] x[c, y*s + k - p, ...]``
     (cross-correlation, zero padding). ``spec`` defaults to stride 1, padding 0
     with extents taken from ``w``.
+
+    Runs as an unrolled convolution (im2col), one slab of about
+    ``_SLAB_POSITIONS`` consecutive output positions at a time (see
+    :func:`_slabs`). Each slab's windows are copied once from a strided view
+    of the padded input into a column buffer with rows in (channel, offset)
+    order, so the kernel is its own free (T x C*prod(K)) reshape, and one GEMM
+    writes the slab's output columns in place. The buffer holds at most
+    (C + T) * V_out doubles for V_out output positions (and never less than
+    one column), so the call needs no more than the padded input, the output
+    and that. Each output is one BLAS dot product over all C*prod(K) terms:
+    its rounding is BLAS's, not a fixed offset-by-offset order, but the slabs
+    are a fixed function of the shapes, so results are bit-reproducible.
     """
     x, w, spec = _check_conv_operands(x, w, spec)
     out_spatial = spec.output_extents(x.shape[1:])
+    n = spec.n_spatial
     xp = _pad_spatial(x, spec.paddings)
-    out = np.zeros((spec.out_channels,) + out_spatial)
+    # Windows as a read-only (C, K_0..K_{N-1}, O_0..O_{N-1}) view of xp.
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xp, spec.kernel_sizes, axis=tuple(range(1, n + 1))
+    )[(slice(None),) + tuple(slice(0, o * s, s) for o, s in zip(out_spatial, spec.strides))]
+    windows = np.moveaxis(windows, tuple(range(n + 1, 2 * n + 1)), tuple(range(1, n + 1)))
+    rows = spec.in_channels * math.prod(spec.kernel_sizes)
+    kernel = w.reshape(spec.out_channels, rows)
+    out = np.empty((spec.out_channels,) + out_spatial)
     out2d = out.reshape(spec.out_channels, -1)
-    # One window copy and one GEMM per kernel offset, in fixed row-major
-    # offset order, through two buffers allocated once for all offsets.
-    window = np.empty((spec.in_channels,) + out_spatial)
-    window2d = window.reshape(spec.in_channels, -1)
-    product = np.empty_like(out2d)
-    for offs in np.ndindex(*spec.kernel_sizes):
-        np.copyto(window, xp[
-            (slice(None),)
-            + tuple(
-                slice(o, o + s * (n - 1) + 1, s)
-                for o, s, n in zip(offs, spec.strides, out_spatial)
-            )
-        ])
-        np.dot(w[(slice(None), slice(None)) + offs], window2d, out=product)
-        out2d += product
+    volume = out2d.shape[1]
+    budget = max(1, min(_SLAB_POSITIONS, (spec.in_channels + spec.out_channels) * volume // rows))
+    slabs = list(_slabs(out_spatial, budget))
+    flat = np.empty(rows * slabs[0][2])  # the first slab is a largest one
+    for key, start, stop in slabs:
+        view = windows[(slice(None),) * (n + 1) + key]
+        cols = flat[: rows * (stop - start)].reshape(rows, stop - start)
+        np.copyto(cols.reshape(view.shape), view)
+        np.matmul(kernel, cols, out=out2d[:, start:stop])
     return out
 
 

@@ -250,7 +250,10 @@ class Skip(Contract):
 
     def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
         self._check(z, x)
-        return z + super().apply(x, x)
+        # Added into the fresh GEMM result: bitwise z + s, one T x V array less.
+        s = super().apply(x, x)
+        s += z
+        return s
 
     def naive(self, z: np.ndarray, x: np.ndarray, counter: Optional[OpCounter]) -> np.ndarray:
         self._check(z, x)

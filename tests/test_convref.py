@@ -1,6 +1,13 @@
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tensorconv import convref
 from tensorconv import (
     ConvSpec,
     DimensionError,
@@ -115,6 +122,101 @@ class TestConvNdDirect:
         counter = OpCounter()
         conv_nd_naive(x, w, spec, counter)
         assert counter.flops == flops_regular(spec, (4, 7))
+
+
+@st.composite
+def conv_cases(draw):
+    """Small N-D convolutions, 1-3 modes, with extents down to the smallest valid one."""
+    n = draw(st.integers(1, 3))
+    c, t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kernel = tuple(draw(st.integers(1, 4)) for _ in range(n))
+    strides = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    paddings = tuple(draw(st.integers(0, 2)) for _ in range(n))
+    extra = {1: 12, 2: 6, 3: 3}[n]
+    extents = tuple(
+        draw(st.integers(max(1, k - 2 * p), max(1, k - 2 * p) + extra))
+        for k, p in zip(kernel, paddings)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((c,) + extents)
+    w = rng.standard_normal((t, c) + kernel)
+    return x, w, ConvSpec(c, t, kernel, strides, paddings)
+
+
+class TestSlabs:
+    """``conv_nd_direct`` runs one GEMM per slab of output positions."""
+
+    # Slab budgets of 1 and 7 split modes mid-row, leave remainder slabs and
+    # loop over leading indices; 512 is the default.
+    @pytest.mark.parametrize("slab", [1, 7, 512])
+    @settings(max_examples=150, deadline=None)
+    @given(case=conv_cases())
+    def test_matches_naive(self, slab, case):
+        x, w, spec = case
+        x_before = x.copy()
+        with mock.patch.object(convref, "_SLAB_POSITIONS", slab):
+            out = conv_nd_direct(x, w, spec)
+            again = conv_nd_direct(x, w, spec)
+        np.testing.assert_allclose(out, conv_nd_naive(x, w, spec), rtol=1e-12)
+        assert np.array_equal(out, again)
+        assert np.array_equal(x, x_before)
+
+    @pytest.mark.parametrize(
+        "shape, kernel, stride, padding",
+        [
+            # Column-like: 64 -> 64 at 8x8x4, whose 1728-row columns would
+            # take 3.5 MB for 256 positions against 0.26 MB for (C + T) V_out.
+            ((64, 8, 8, 4), (64, 64, 3, 3, 3), 1, 1),
+            # A thin leading mode: 200-row columns for 512 positions would
+            # take 0.8 MB against 0.33 MB for (C + T) V_out.
+            ((8, 1, 256, 256), (2, 8, 1, 5, 5), (1, 4, 4), (0, 2, 2)),
+        ],
+    )
+    def test_peak_memory_capped(self, shape, kernel, stride, padding):
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal(kernel)
+        spec = ConvSpec.from_kernel(w, stride, padding)
+        out_volume = math.prod(spec.output_extents(shape[1:]))
+        padded = shape[0] * math.prod(
+            d + 2 * p for d, p in zip(shape[1:], spec.paddings)
+        )
+        # Padded input, output, and the column buffer's cap of (C + T) V_out.
+        cap = (spec.in_channels + spec.out_channels) * out_volume
+        bound = 8 * (padded + spec.out_channels * out_volume + cap)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv_nd_direct(x, w, spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.size == spec.out_channels * out_volume
+        # 16 KiB for Python objects: views, index tuples, the slab generator.
+        assert peak <= bound + 2**14
+
+    @pytest.mark.parametrize("slab", [7, 512])
+    @pytest.mark.parametrize(
+        "shape, kernel, stride, padding",
+        [
+            ((3, 9), (2, 3, 3), 1, 1),
+            ((2, 6, 7), (3, 2, 3, 2), (1, 2), (1, 0)),
+            ((2, 5, 6, 4), (2, 2, 3, 3, 3), (2, 1, 1), 1),
+        ],
+    )
+    def test_nan_stays_local(self, slab, shape, kernel, stride, padding):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(shape)
+        x[(shape[0] - 1,) + tuple(d // 2 for d in shape[1:])] = np.nan
+        w = rng.standard_normal(kernel)
+        spec = ConvSpec.from_kernel(w, stride, padding)
+        with mock.patch.object(convref, "_SLAB_POSITIONS", slab):
+            out = conv_nd_direct(x, w, spec)
+        naive = conv_nd_naive(x, w, spec)
+        assert np.isnan(naive).any() and not np.isnan(naive).all()
+        assert np.array_equal(np.isnan(out), np.isnan(naive))
+        finite = ~np.isnan(naive)
+        np.testing.assert_allclose(out[finite], naive[finite], rtol=1e-12)
 
 
 class TestConv1x1:
