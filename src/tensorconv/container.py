@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
+import os
 
 import numpy as np
 
@@ -31,50 +31,57 @@ def write_tensor(path, array: np.ndarray, dtype: str = "f64") -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
-        fh.write(arr.tobytes(order="C"))
+        fh.write(memoryview(arr))
 
 
 def read_tensor(path) -> np.ndarray:
     """Read a container file; returns float64 data regardless of stored dtype.
 
-    An f64 payload is returned as a read-only view of the file bytes, without
-    a copy; an f32 payload is converted into a new array. Raises
-    :class:`ContainerError` for a malformed header or a payload whose length
-    does not match the header's shape.
+    The header line is parsed first, and the file size checked against the
+    shape it declares before anything is allocated. An f64 payload is then
+    read straight into a fresh read-only array, without an intermediate
+    copy of the file's bytes; an f32 payload is read the same way and
+    converted into a new array. Raises :class:`ContainerError` for a
+    malformed header or a payload whose length does not match the header's
+    shape.
     """
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise ContainerError(f"{path}: missing header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ContainerError(f"{path}: malformed JSON header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ContainerError(f"{path}: header must be a JSON object")
-    dtype = header.get("dtype")
-    if not isinstance(dtype, str) or dtype not in _DTYPES:
-        raise ContainerError(f"{path}: unsupported dtype {dtype!r}")
-    if header.get("order") != "row-major":
-        raise ContainerError(f"{path}: unsupported order {header.get('order')!r}")
-    shape = header.get("shape")
-    if (
-        not isinstance(shape, list)
-        or not shape
-        or not all(type(e) is int and e >= 1 for e in shape)
-    ):
-        raise ContainerError(f"{path}: invalid shape {shape!r}")
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise ContainerError(f"{path}: missing header line")
+        try:
+            header = json.loads(line[:-1].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ContainerError(f"{path}: malformed JSON header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ContainerError(f"{path}: header must be a JSON object")
+        dtype = header.get("dtype")
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
+            raise ContainerError(f"{path}: unsupported dtype {dtype!r}")
+        if header.get("order") != "row-major":
+            raise ContainerError(f"{path}: unsupported order {header.get('order')!r}")
+        shape = header.get("shape")
+        if (
+            not isinstance(shape, list)
+            or not shape
+            or not all(type(e) is int and e >= 1 for e in shape)
+        ):
+            raise ContainerError(f"{path}: invalid shape {shape!r}")
 
-    payload = raw[newline + 1 :]
-    expected = _DTYPES[dtype].itemsize * math.prod(shape)
-    if len(payload) != expected:
-        raise ContainerError(
-            f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
-        )
-    data = np.frombuffer(payload, dtype=_DTYPES[dtype]).reshape(shape)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = _DTYPES[dtype].itemsize * math.prod(shape)
+        if size != expected:
+            raise ContainerError(f"{path}: payload holds {size} bytes, header implies {expected}")
+        data = np.empty(shape, dtype=_DTYPES[dtype])
+        got = fh.readinto(memoryview(data).cast("B"))
+        if got != expected:  # the file shrank while being read
+            raise ContainerError(f"{path}: payload holds {got} bytes, header implies {expected}")
+    if data.dtype == np.float64:
+        data.flags.writeable = False
+        return data
     # Casting an f32 signalling NaN warns; NaN is the reader's to reject.
     with np.errstate(invalid="ignore"):
-        return np.ascontiguousarray(data, dtype=np.float64)
+        return data.astype(np.float64)
 
 
 def read_finite_tensor(path) -> np.ndarray:

@@ -9,8 +9,8 @@ Each stage has a vectorized ``apply``, a loop-nest ``naive`` that can tally
 multiply-adds into an :class:`~tensorconv.convref.OpCounter`, its
 ``out_extents`` and its weight count ``params``. :func:`forward`,
 :func:`forward_naive` and the cost reports are folds over the stage list;
-:func:`forward` runs the channel-local stages one rank tile at a time, and
-the per-channel ones inside a tile in cache-sized channel blocks.
+:func:`forward` streams the channel-local stages over slabs of output planes
+along mode 0, the per-channel ones in cache-sized channel blocks.
 
 Each layer class holds what is particular to its scheme: validation, its
 stage list (``stages_for``, which the cost model also calls on shape-only
@@ -174,8 +174,17 @@ class _Affine(Activation):
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         a, b = (p.reshape(p.shape + (1,) * (z.ndim - 1)) if p.ndim else p for p in (self.a, self.b))
-        out = np.multiply(z, a)
-        out += b
+        # Per-channel a and b broadcast along rows shorter than numpy's ufunc
+        # buffer (8192 elements by default) go through buffered copies, 3-4x
+        # slower per element; a slab's channel rows can be 1536 long. A
+        # buffer no longer than a row avoids the copies and, the operation
+        # being elementwise, changes no bit.
+        old = np.setbufsize(max(16, min(np.getbufsize(), z[0].size // 16 * 16)))
+        try:
+            out = np.multiply(z, a)
+            out += b
+        finally:
+            np.setbufsize(old)
         return out
 
     def channels(self, sl: slice) -> "_Affine":
@@ -806,32 +815,44 @@ def _check_activation(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return x
 
 
-# Bytes of one rank tile's largest per-channel intermediate (tile channels x
-# the largest spatial volume of the per-channel chain, float64). On the 3-D
-# column (32x32x16 inputs) 8-16 MiB tiles ran fastest and 20 MiB about 5-10%
-# slower, mostly from re-faulting freed pages, not cache misses. 20 MiB is
-# kept because rank 32 on a 320x240 image then fits one tile, so small-rank
-# 2-D layers run as the plain fold. Shrinking the tiles toward cache size
-# instead of blocking inside them made the column's contractions 4x (2 MiB
-# tiles) to 12x (0.5 MiB) slower.
+# Bytes of one slab's largest per-channel intermediate at full rank (rank x
+# g planes x the largest plane volume of the per-channel chain, float64),
+# which sets the slab height g. The line buffer holds K - s planes more than
+# the slab. At 20 MiB the column's blocks 2-4 (32x32x16 inputs, rank 6C)
+# take slabs of 13, 6 and 3 planes, and their cp and hocp forwards peak at
+# 46-55, 68-76 and 82-87 MB (tracemalloc; 30 MiB put block 4's hocp forward
+# at 104 MB for no clear gain). Rank 32 on a 320x240 image fits one slab, so
+# small-rank 2-D layers run as the plain fold.
 _TILE_BYTES = 20 * 2**20
 
-# Bytes of one channel block of the per-channel stages inside a tile, on the
+# Bytes of one channel block of the per-channel stages inside a slab, on the
 # same measure. A depthwise stage holds its block's input, product buffer and
 # output at once, so 0.5 MiB blocks keep all three within a 2 MiB per-core L2.
 _BLOCK_BYTES = 2**19
+
+
+def _mode_0(stage) -> tuple[int, int, int]:
+    """(kernel, stride, padding) of ``stage`` along spatial mode 0."""
+    if isinstance(stage, Depthwise):
+        return stage.taps.shape[0], stage.strides[0], stage.paddings[0]
+    return 1, 1, 0
 
 
 def _channel_local(stages):
     """Split ``stages`` into (leading :class:`Contract` or None, the
     :class:`Depthwise`/:class:`Activate` stages after it, trailing
     :class:`Contract`, the stages after that); None when the list does not
-    start with such a channel-local run."""
+    start with such a channel-local run, or when a per-channel stage other
+    than the first moves spatial mode 0."""
     lead = stages[0] if type(stages[0]) is Contract else None
     lo = hi = int(lead is not None)
     while hi < len(stages) and isinstance(stages[hi], (Depthwise, Activate)):
         hi += 1
-    if lo < hi < len(stages) and type(stages[hi]) is Contract:
+    if (
+        lo < hi < len(stages)
+        and type(stages[hi]) is Contract
+        and all(_mode_0(s) == (1, 1, 0) for s in stages[lo + 1:hi])
+    ):
         return lead, stages[lo:hi], stages[hi], stages[hi + 1:]
     return None
 
@@ -842,66 +863,161 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
     Equals ``conv_nd_direct(x, layer.dense_kernel(), layer.spec)``.
 
     The channel-local head of the list (optional leading contraction,
-    per-channel depthwise and activation stages, trailing contraction) runs
-    on two levels of blocking, both sized by the largest spatial volume the
-    per-channel stages hold (padding can make it larger than the input's):
+    per-channel depthwise and activation stages, trailing contraction)
+    streams over slabs of g output planes along spatial mode 0, g set by
+    ``_TILE_BYTES`` from the rank and the largest plane volume the
+    per-channel stages hold (padding can make it larger than the input's).
+    For each slab, in increasing plane order:
 
-    * rank tiles of ``_TILE_BYTES``, sized for the GEMMs: tile ``sl``
-      contracts ``x`` to the channels ``sl`` (or takes ``x[sl]`` when there
-      is no leading contraction) and, at the end, adds its contraction to
-      the output; memory stays bounded whatever the rank;
-    * inside a tile, channel blocks of ``_BLOCK_BYTES``, sized for the L2
-      cache: each block runs all the per-channel stages while its data stays
-      in cache, and writes its result into one tile-shaped array that the
-      trailing contraction reads.
+    * the leading contraction writes the input planes the slab's window
+      needs into a line buffer, one GEMM for the planes the previous slab
+      did not hold; planes in the mode-0 zero padding are zeros. Without a
+      leading contraction the planes are copied from ``x``;
+    * the per-channel stages run on the window in channel blocks of
+      ``_BLOCK_BYTES``, sized for the L2 cache, so a block's data stays in
+      cache through the chain. The first stage, the only one that may move
+      mode 0, runs with mode-0 padding 0 on the explicitly padded window:
+      a CP ``conv_mode_0`` stage as a (g x window) band per channel, merged
+      MobileNet taps as :func:`depthwise_conv`. Each other stage runs as it
+      does on the whole input (:meth:`Depthwise.at`): a ``conv_mode_i``
+      stage along a mode of at most ``_BAND_EXTENT`` as band matrices
+      (:func:`banded_mode_conv`), longer ones as :func:`depthwise_conv`; a
+      frozen batch norm as ``z * a + b``. While the block is in cache, the
+      window planes the next slab shares move to the front of its buffer
+      rows, and its result is written behind them;
+    * one GEMM with the trailing contraction, its K the full rank, reads
+      those results and writes the slab's output columns in place. A
+      trailing skip (and any activation after it) then runs on those
+      columns while they are in cache, when the head keeps the extents.
 
-    Each tile restricts the per-channel stages to its channels once, for
-    the input extents each stage sees (:meth:`Depthwise.at`): a CP or HO-CP
-    ``conv_mode_i`` stage along a mode of at most ``_BAND_EXTENT`` gets its
-    band matrices and runs on each block as one batched matrix product
-    (:func:`banded_mode_conv`); a frozen batch norm becomes ``z * a + b``.
-    Any other depthwise stage (a longer mode, merged MobileNet taps) runs
-    :func:`depthwise_conv`, as flat shifts of the block when it has stride
-    1 and keeps the extents.
+    So each input plane is contracted once, and the per-slab memory is the
+    line buffer. Only when one full-rank plane exceeds ``_TILE_BYTES`` does
+    a slab (then one plane) run in rank tiles, each contracting its whole
+    window and adding its GEMM into the slab's columns; memory stays
+    bounded whatever the rank.
 
-    Tiles run in increasing channel order, so results are bit-reproducible.
     A per-channel stage computes each channel from that channel alone, so
-    blocks change no bit, and when the rank fits one tile the output is
-    bitwise that of the plain fold over the stages. The remaining stages (a
-    skip, or Tucker's whole list, whose core conv mixes channels) then run
-    once on the full output.
+    blocks change no bit. Slabs depend on the shapes alone, so results are
+    bit-reproducible. When one slab covers every plane, the window is the
+    whole input with the first stage's own padding (a view of ``x`` when
+    there is no leading contraction), and the output is bitwise that of
+    the plain fold over the stages. The remaining stages (Tucker's whole
+    list, whose core conv mixes positions and channels) run once on the
+    full output.
     """
     x = _check_activation(x, layer.spec)
     z, rest = x, layer.stages
     head = _channel_local(rest)
     if head is not None:
         lead, per_channel, tail, rest = head
-        rank = tail.matrix.shape[1]
-        extents = [x.shape[1:]]
-        for stage in per_channel:
-            extents.append(stage.out_extents(extents[-1]))
-        volume = max(map(math.prod, extents))
-        step = max(1, _TILE_BYTES // (8 * volume))
-        width = max(1, _BLOCK_BYTES // (8 * volume))
-        for lo in range(0, rank, step):
-            hi = min(lo + step, rank)
-            t = x[lo:hi] if lead is None else conv_1x1(x, lead.matrix[lo:hi])
-            stages = [stage.channels(slice(lo, hi)).at(e) for stage, e in zip(per_channel, extents)]
-            tile = np.empty((hi - lo,) + extents[-1])
-            for b in range(0, hi - lo, width):
-                blk = slice(b, b + width)
-                u = t[blk]
-                for stage in stages:
-                    u = stage.channels(blk).apply(u, x)
-                tile[blk] = u
-            del t  # the tile's input is not held through the trailing contraction
-            if lo == 0:
-                z = conv_1x1(tile, tail.matrix[:, lo:hi])
-            else:
-                z += conv_1x1(tile, tail.matrix[:, lo:hi])
+        z, rest = _stream(x, lead, per_channel, tail, rest)
     for stage in rest:
         z = stage.apply(z, x)
     return z
+
+
+def _stream(x, lead, per_channel, tail, rest):
+    """The slab loop of :func:`forward`: the output of the channel-local head
+    (and of ``rest`` when it runs per slab) and the stages still to run."""
+    rank = tail.matrix.shape[1]
+    extents = [x.shape[1:]]
+    for stage in per_channel:
+        extents.append(stage.out_extents(extents[-1]))
+    out_extents, d_out = extents[-1], extents[-1][0]
+    widest = max(math.prod(e[1:]) for e in extents)
+    g = _TILE_BYTES // (8 * rank * widest)
+    step = rank if g else max(1, _TILE_BYTES // (8 * widest))
+    g = min(max(g, 1), d_out)
+    kernel, stride, padding = _mode_0(per_channel[0])
+    d_in, plane, out_plane = x.shape[1], math.prod(x.shape[2:]), math.prod(out_extents[1:])
+    if g == d_out:  # one slab: the whole input, the first stage's own padding
+        span, carry = d_in, False
+    else:
+        span, carry = (g - 1) * stride + kernel, step == rank
+        if padding:
+            per_channel = (replace(per_channel[0], paddings=(0,) + per_channel[0].paddings[1:]),) + per_channel[1:]
+    view = g == d_out and lead is None
+    # Each buffer row holds the window's planes, then the planes carried to
+    # the next slab followed by the block's result.
+    carried = max(0, span - g * stride) if carry else 0
+    buf = np.empty((step, max(0 if view else span * plane, carried * plane + g * out_plane)))
+    out = np.empty(tail.matrix.shape[:1] + out_extents)
+    flat_x, flat_out = x.reshape(x.shape[0], -1), out.reshape(out.shape[0], -1)
+    per_slab = all(isinstance(s, (Skip, Activate)) for s in rest) and out_extents == x.shape[1:]
+    blocks, bound, kept = None, None, 0  # bound: (channels, window extents) of ``blocks``
+    for y0 in range(0, d_out, g):
+        y1 = min(y0 + g, d_out)
+        a, b = (0, d_in) if g == d_out else (y0 * stride - padding, (y1 - 1) * stride + kernel - padding)
+        shift = g * stride  # the next window starts at plane a + shift
+        moved = max(0, b - a - shift) if carry and y1 < d_out else 0
+        cols = slice(y0 * out_plane, y1 * out_plane)
+        for lo in range(0, rank, step):
+            hi = min(lo + step, rank)
+            lines = buf[:hi - lo]
+            if view:
+                window = x[lo:hi]
+            else:
+                _fill(lines, flat_x, lead, lo, hi, a + kept, b, a, d_in, plane)
+                window = lines[:, :(b - a) * plane].reshape((hi - lo, b - a) + x.shape[2:])
+            if bound != (lo, hi, window.shape[1:]):
+                blocks = None  # free the old band matrices before building new ones
+                width = max(1, _BLOCK_BYTES // (8 * max(window[0].size, (y1 - y0) * widest)))
+                blocks = _bind(per_channel, slice(lo, hi), window.shape[1:], width)
+                bound = (lo, hi, window.shape[1:])
+            _run_blocks(blocks, window, lines, moved, shift, plane, x)
+            res = lines[:, moved * plane:moved * plane + cols.stop - cols.start]
+            if lo:
+                flat_out[:, cols] += np.matmul(tail.matrix[:, lo:hi], res)
+            else:
+                np.matmul(tail.matrix[:, lo:hi], res, out=flat_out[:, cols])
+        kept = moved
+        if per_slab and rest:
+            z = out[:, y0:y1]
+            for stage in rest:
+                z = stage.apply(z, x[:, y0:y1])
+            out[:, y0:y1] = z
+    return out, () if per_slab else rest
+
+
+def _bind(per_channel, sl: slice, extents, width: int) -> list:
+    """The per-channel stages restricted to channels ``sl`` and bound to
+    input ``extents`` (:meth:`Depthwise.at`), as (block, the stages on that
+    block) pairs for blocks of ``width`` channels."""
+    stages = []
+    for stage in per_channel:
+        stages.append(stage.channels(sl).at(extents))
+        extents = stage.out_extents(extents)
+    blocks = [slice(c, c + width) for c in range(0, sl.stop - sl.start, width)]
+    return [(blk, [stage.channels(blk) for stage in stages]) for blk in blocks]
+
+
+def _run_blocks(blocks, window, lines, moved: int, shift: int, plane: int, x) -> None:
+    """Run each block's stages on its channels of ``window``, then move its
+    planes ``[shift, shift + moved)`` to the front of its ``lines`` and write
+    its result behind them."""
+    for blk, stages in blocks:
+        u = window[blk]
+        for stage in stages:
+            u = stage.apply(u, x)
+        for j in range(moved):  # plane by plane: source and target may overlap
+            lines[blk, j * plane:(j + 1) * plane] = lines[blk, (shift + j) * plane:(shift + j + 1) * plane]
+        lines[blk, moved * plane:moved * plane + u[0].size] = u.reshape(len(u), -1)
+
+
+def _fill(lines, flat_x, lead, lo, hi, start, b, a, d_in, plane) -> None:
+    """Write input planes ``[start, b)`` of a window that begins at plane
+    ``a`` into ``lines``: planes outside ``[0, d_in)`` as zeros, the others
+    contracted to channels ``[lo, hi)`` by ``lead``, or copied without it."""
+    r0 = min(max(start, 0), b)
+    r1 = max(min(b, d_in), r0)
+    lines[:, (start - a) * plane:(r0 - a) * plane] = 0.0
+    if r0 < r1:
+        src, dst = flat_x[:, r0 * plane:r1 * plane], lines[:, (r0 - a) * plane:(r1 - a) * plane]
+        if lead is None:
+            dst[...] = src[lo:hi]
+        else:
+            np.matmul(lead.matrix[lo:hi], src, out=dst)
+    lines[:, (r1 - a) * plane:(b - a) * plane] = 0.0
 
 
 def forward_naive(layer, x: np.ndarray, counter: Optional[OpCounter] = None) -> np.ndarray:

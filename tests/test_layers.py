@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -570,6 +571,130 @@ class TestChannelBlocks:
         cp, x = cases["cp"]
         assert layers.forward(cp, x).tobytes() == layers.forward(HoCpConvLayer(cp), x).tobytes()
         assert (cases["hocp"][0].skip is not None) == ((stride, padding) == (1, 1))
+
+
+def trailing_rank(layer) -> int:
+    """The K of the layer's trailing contraction: its rank (C for MobileNet-v1)."""
+    return [s for s in layer.stages if type(s) is layers.Contract][-1].matrix.shape[1]
+
+
+def widest_plane(layer, extents) -> int:
+    """The largest plane volume (the extents past mode 0) the layer's
+    depthwise stages hold."""
+    planes = [math.prod(extents[1:])]
+    for stage in layer.stages:
+        if isinstance(stage, layers.Depthwise):
+            extents = stage.out_extents(extents)
+            planes.append(math.prod(extents[1:]))
+    return max(planes)
+
+
+def slab_budget(layer, x, budget: str) -> int:
+    """``_TILE_BYTES`` giving slabs of one or two output planes, or slabs of
+    one plane in rank tiles of two channels."""
+    plane = 8 * widest_plane(layer, x.shape[1:])
+    return {"one plane": 1, "two planes": 2}.get(budget, 0) * trailing_rank(layer) * plane or 2 * plane
+
+
+@st.composite
+def streamed_cases(draw):
+    """(layer, x): a cp, hocp (activations after any mode, and a skip when
+    the extents are kept) or 2-D MobileNet-v1/v2 layer. Mode 0 has K 1-5,
+    stride 1-3 and padding 0-2 and is up to 9 long, so windows cross slab
+    and border edges; other modes are short."""
+    scheme = draw(st.sampled_from(["cp", "hocp", "mobilenet-v1", "mobilenet-v2"]))
+    n = 2 if scheme.startswith("mobilenet") else draw(st.integers(1, 3))
+    same = draw(st.booleans())  # stride 1 and (K - 1)/2 padding: extents kept
+    kernels, strides, paddings, extents = [], [], [], []
+    for i in range(n):
+        if same:
+            k = draw(st.sampled_from((1, 3, 5) if i == 0 else (1, 3)))
+            s, p = 1, (k - 1) // 2
+        else:
+            k = draw(st.integers(1, 5 if i == 0 else 3))
+            s, p = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        kernels.append(k)
+        strides.append(s)
+        paddings.append(p)
+        extents.append(draw(st.integers(max(1, k - 2 * p), 9 if i == 0 else max(1, k - 2 * p) + 2)))
+    c, t, rank = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((c,) + tuple(extents))
+    spec = ConvSpec(c, t, tuple(kernels), tuple(strides), tuple(paddings))
+    if scheme == "mobilenet-v1":
+        k = random_kruskal(rng, (t, c) + spec.kernel_sizes, c)
+        return build_mobilenet_v1(k, spec.strides, spec.paddings), x
+    if scheme == "mobilenet-v2":
+        k = random_kruskal(rng, (t, c) + spec.kernel_sizes, rank)
+        return build_mobilenet_v2(k, spec.strides, spec.paddings), x
+    cp = CpConvLayer(random_kruskal(rng, (t, c) + spec.kernel_sizes, rank), spec)
+    if scheme == "cp":
+        return cp, x
+    bn = FrozenBatchNorm(
+        mean=tuple(rng.uniform(-0.1, 0.1, rank)), var=tuple(rng.uniform(0.5, 2.0, rank)),
+        scale=(1.5,), shift=(0.2,),
+    )
+    acts = draw(st.lists(st.sampled_from([None, ReLU(), PReLU(0.1), bn]), min_size=n, max_size=n))
+    skip = rng.standard_normal((t, c)) if same else None
+    return HoCpConvLayer(cp, tuple(acts), skip), x
+
+
+class TestSlabs:
+    """``forward`` streams slabs of output planes along mode 0; small budgets
+    force slabs of one or two planes, or rank tiles inside one-plane slabs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(streamed_cases(), st.sampled_from(["one plane", "two planes", "rank tiles"]))
+    def test_matches_naive_and_direct(self, case, budget):
+        layer, x = case
+        before = x.copy()
+        with mock.patch.object(layers, "_TILE_BYTES", slab_budget(layer, x, budget)):
+            out = layers.forward(layer, x)
+            again = layers.forward(layer, x)
+        assert out.tobytes() == again.tobytes()
+        assert x.tobytes() == before.tobytes()
+        assert rel_error(out, layers.forward_naive(layer, x)) <= 1e-10
+        if not any(isinstance(s, (layers.Activate, layers.Skip)) for s in layer.stages):
+            assert rel_error(out, conv_nd_direct(x, layer.dense_kernel(), layer.spec)) <= 1e-10
+
+    def test_each_input_plane_contracted_once(self):
+        # Slabs of two output planes of ten, each window four input planes
+        # (K = 3, padding 1): the leading contraction must see every input
+        # column exactly once, never a padding plane or a shared plane again.
+        rng = np.random.default_rng(160)
+        cp = make_cp_layer(rng, 3, 5, (3, 3, 3), 7, 1, 1)
+        x = rng.standard_normal((5, 10, 4, 3))
+        lead = cp.stages[0].matrix
+        spans, matmul = [], np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            if a.shape == lead.shape:
+                start = (b.ctypes.data - x.ctypes.data) // x.itemsize
+                spans.append((start, start + b.shape[1]))
+            return matmul(a, b, *args, **kwargs)
+
+        with mock.patch.object(layers, "_TILE_BYTES", slab_budget(cp, x, "two planes")), \
+                mock.patch.object(np, "matmul", spy):
+            out = layers.forward(cp, x)
+        assert len(spans) == 5  # one GEMM per slab
+        assert [col for lo, hi in sorted(spans) for col in range(lo, hi)] == list(range(x[0].size))
+        assert rel_error(out, conv_nd_direct(x, cp.dense_kernel(), cp.spec)) <= 1e-10
+
+    def test_column_block_peak_memory(self):
+        # Block 3 of the 3-D column (128 -> 256 channels, rank 768, 32x32x16,
+        # padding 1). With 20 MiB rank tiles, its forward peaked at 100 MB.
+        rng = np.random.default_rng(161)
+        cp = make_cp_layer(rng, 256, 128, (3, 3, 3), 768, 1, 1)
+        x = rng.standard_normal((128, 32, 32, 16))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = layers.forward(cp, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (256, 32, 32, 16)
+        assert peak < 100e6
 
 
 @st.composite
