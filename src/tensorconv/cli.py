@@ -36,6 +36,15 @@ class _UsageError(ValueError):
     """Bad flag combination or unparseable flag value (exit code 3)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors return exit code 3 from :func:`main`
+    rather than leave through ``SystemExit(2)``, the code for malformed input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -91,6 +100,10 @@ def _cmd_decompose(args) -> int:
     print(f"params_factorized={result.cost_after.params}")
     print(f"n_iters={result.n_iters}")
     print(f"converged={'true' if result.converged else 'false'}")
+    for i, error in enumerate(result.restart_errors):
+        print(f"restart.{i}.rel_error={_fmt(error)}")
+    if result.winning_restart is not None:
+        print(f"winning_restart={result.winning_restart}")
     for warning in result.warnings:
         print(f"warning={warning}")
     return EXIT_OK
@@ -279,7 +292,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tensorconv",
         description="Tensor-factorized N-D convolutions: decomposition, "
         "execution, equivalence checks and cost reports.",
@@ -345,7 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_PARAM_ERROR
     try:
         return args.func(args)
     except (RankError, _UsageError) as exc:

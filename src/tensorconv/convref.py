@@ -6,9 +6,11 @@ Two implementations of the same contract live here on purpose:
   an unrolled convolution (im2col) that copies the windows of about 512
   output positions at a time into one column buffer, of at most
   (C + T) * V_out doubles, and runs one GEMM per such slab straight into the
-  output. Each output sums its C * prod(K) terms in BLAS order, so results
-  agree with the loop nest to rounding and are bit-reproducible, as the slabs
-  depend on the shapes alone;
+  output. Zero padding never takes a padded copy of the whole input: the
+  windows come from a small staging buffer of the zero-padded input planes
+  the current slab reads. Each output sums its C * prod(K) terms in BLAS
+  order, so results agree with the loop nest to rounding and are
+  bit-reproducible, as the slabs depend on the shapes alone;
 * :func:`conv_nd_naive` is plain Python loops, the oracle of record. It is slow
   but unambiguous, and optionally tallies multiply-adds into an
   :class:`OpCounter` so the analytic FLOP formulas can be checked against an
@@ -168,6 +170,68 @@ def _slabs(out_spatial: tuple[int, ...], budget: int):
             yield index + (slice(a, b),), (i * extent + a) * row, (i * extent + b) * row
 
 
+def _windows(a: np.ndarray, spec: ConvSpec, out_spatial: tuple[int, ...]) -> np.ndarray:
+    """The windows of ``a`` (C x zero-padded D_0 x ...) at the spec's strides,
+    as a read-only (C, K_0..K_{N-1}, O_0..O_{N-1}) view, for ``out_spatial``
+    output positions."""
+    n = spec.n_spatial
+    windows = np.lib.stride_tricks.sliding_window_view(
+        a, spec.kernel_sizes, axis=tuple(range(1, n + 1))
+    )[(slice(None),) + tuple(slice(0, o * s, s) for o, s in zip(out_spatial, spec.strides))]
+    return np.moveaxis(windows, tuple(range(n + 1, 2 * n + 1)), tuple(range(1, n + 1)))
+
+
+def _mode_0_outputs(index) -> tuple[int, int]:
+    """The output planes ``[y0, y1)`` along mode 0 of a slab key's first entry."""
+    if isinstance(index, slice):
+        return index.start, index.stop
+    return index, index + 1
+
+
+def _slab_windows(x: np.ndarray, spec: ConvSpec, out_spatial: tuple[int, ...], slabs):
+    """Yield ``(view, start, stop)`` per slab: its windows as a (C, K..., slab
+    O...) view, and its output positions ``start:stop``.
+
+    Without padding the views are of ``x``. With padding they are of a
+    zero-bordered staging buffer that holds only the input planes (along
+    mode 0) one slab reads, each plane zero-padded on the other modes: the
+    border strips are zeroed once, planes in the mode-0 padding are written
+    as zeros, and the planes a slab shares with the previous one are carried
+    to the front of the buffer, so each input plane is copied from ``x``
+    once. The
+    buffer is plane-major, so carrying a plane is one contiguous copy with
+    no temporary. Its window view is built once.
+    """
+    n = spec.n_spatial
+    if not any(spec.paddings):
+        windows = _windows(x, spec, out_spatial)
+        for key, start, stop in slabs:
+            yield windows[(slice(None),) * (n + 1) + key], start, stop
+        return
+    k, s, p = spec.kernel_sizes[0], spec.strides[0], spec.paddings[0]
+    d_in, trailing = x.shape[1], tuple(zip(x.shape[2:], spec.paddings[1:]))
+    y0, y1 = _mode_0_outputs(slabs[0][0][0])  # the first slab is a largest one
+    g = y1 - y0
+    buf = np.zeros(((g - 1) * s + k, x.shape[0]) + tuple(d + 2 * q for d, q in trailing))
+    interior = buf[(slice(None), slice(None)) + tuple(slice(q, q + d) for d, q in trailing)]
+    windows = _windows(buf.swapaxes(0, 1), spec, (g,) + out_spatial[1:])
+    a = b = 0  # the buffer holds input planes [a, b), plane a first
+    for key, start, stop in slabs:
+        y0, y1 = _mode_0_outputs(key[0])
+        lo, hi = y0 * s - p, (y1 - 1) * s + k - p
+        if (lo, hi) != (a, b):
+            kept = min(b, hi) - lo if a <= lo < b else 0
+            for j in range(kept):
+                buf[j] = buf[lo - a + j]
+            r0 = min(max(lo + kept, 0), hi)
+            r1 = max(min(hi, d_in), r0)
+            buf[kept:r0 - lo] = 0.0
+            interior[r0 - lo:r1 - lo] = x[:, r0:r1].swapaxes(0, 1)
+            buf[r1 - lo:hi - lo] = 0.0
+            a, b = lo, hi
+        yield windows[(slice(None),) * (n + 1) + (slice(0, y1 - y0),) + key[1:]], start, stop
+
+
 def conv_nd_direct(x: np.ndarray, w: np.ndarray, spec: ConvSpec | None = None) -> np.ndarray:
     """N-D convolution of ``x`` (C x D_0 x ... ) with kernel ``w`` (T x C x K_0 x ...).
 
@@ -178,24 +242,22 @@ def conv_nd_direct(x: np.ndarray, w: np.ndarray, spec: ConvSpec | None = None) -
     Runs as an unrolled convolution (im2col), one slab of about
     ``_SLAB_POSITIONS`` consecutive output positions at a time (see
     :func:`_slabs`). Each slab's windows are copied once from a strided view
-    of the padded input into a column buffer with rows in (channel, offset)
-    order, so the kernel is its own free (T x C*prod(K)) reshape, and one GEMM
-    writes the slab's output columns in place. The buffer holds at most
+    into a column buffer with rows in (channel, offset) order, so the kernel
+    is its own free (T x C*prod(K)) reshape, and one GEMM writes the slab's
+    output columns in place. The view is of ``x`` itself when there is no
+    padding; with padding it is of a staging buffer of the zero-padded input
+    planes along mode 0 that the slab reads (:func:`_slab_windows`), never a
+    padded copy of the whole input. The column buffer holds at most
     (C + T) * V_out doubles for V_out output positions (and never less than
-    one column), so the call needs no more than the padded input, the output
-    and that. Each output is one BLAS dot product over all C*prod(K) terms:
-    its rounding is BLAS's, not a fixed offset-by-offset order, but the slabs
-    are a fixed function of the shapes, so results are bit-reproducible.
+    one column), so the call needs no more than the output, that, and with
+    padding C * ((g - 1) * s_0 + K_0) padded planes for slabs of g output
+    planes along mode 0 (g = 1 when a slab is part of one plane). Each output
+    is one BLAS dot product over all C*prod(K) terms: its rounding is BLAS's,
+    not a fixed offset-by-offset order, but the slabs are a fixed function
+    of the shapes, so results are bit-reproducible.
     """
     x, w, spec = _check_conv_operands(x, w, spec)
     out_spatial = spec.output_extents(x.shape[1:])
-    n = spec.n_spatial
-    xp = _pad_spatial(x, spec.paddings)
-    # Windows as a read-only (C, K_0..K_{N-1}, O_0..O_{N-1}) view of xp.
-    windows = np.lib.stride_tricks.sliding_window_view(
-        xp, spec.kernel_sizes, axis=tuple(range(1, n + 1))
-    )[(slice(None),) + tuple(slice(0, o * s, s) for o, s in zip(out_spatial, spec.strides))]
-    windows = np.moveaxis(windows, tuple(range(n + 1, 2 * n + 1)), tuple(range(1, n + 1)))
     rows = spec.in_channels * math.prod(spec.kernel_sizes)
     kernel = w.reshape(spec.out_channels, rows)
     out = np.empty((spec.out_channels,) + out_spatial)
@@ -204,8 +266,7 @@ def conv_nd_direct(x: np.ndarray, w: np.ndarray, spec: ConvSpec | None = None) -
     budget = max(1, min(_SLAB_POSITIONS, (spec.in_channels + spec.out_channels) * volume // rows))
     slabs = list(_slabs(out_spatial, budget))
     flat = np.empty(rows * slabs[0][2])  # the first slab is a largest one
-    for key, start, stop in slabs:
-        view = windows[(slice(None),) * (n + 1) + key]
+    for view, start, stop in _slab_windows(x, spec, out_spatial, slabs):
         cols = flat[: rows * (stop - start)].reshape(rows, stop - start)
         np.copyto(cols.reshape(view.shape), view)
         np.matmul(kernel, cols, out=out2d[:, start:stop])

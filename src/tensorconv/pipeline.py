@@ -100,7 +100,10 @@ class CompressionResult:
 
     ``n_iters``, ``converged`` and ``error_history`` are those of the ALS run
     that won among the CP restarts, or of the HOOI run; ``warnings`` holds
-    the Tucker rank caps.
+    the Tucker rank caps. For the CP-based schemes ``restart_errors`` holds
+    each restart's final relative kernel error, in restart order, and
+    ``winning_restart`` the index of the one the plan was built from (the
+    first with the smallest error); Tucker has none.
     """
 
     plan: FactorizedPlan
@@ -112,6 +115,8 @@ class CompressionResult:
     converged: bool
     error_history: tuple[float, ...]
     warnings: tuple[str, ...]
+    restart_errors: tuple[float, ...]
+    winning_restart: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -207,12 +212,15 @@ def _normalize_ranks(scheme: str, ranks, kernel_shape) -> tuple[int, ...]:
 
 
 def _best_cp(kernel, rank, max_iters, tol, seed, restarts):
-    best = None
-    for child in np.random.SeedSequence(seed).spawn(max(1, int(restarts))):
+    """The ALS run with the smallest error over the seeded restarts, every
+    restart's error, and the winner's index."""
+    best, errors, winner = None, [], 0
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(max(1, int(restarts)))):
         res = cp_als(kernel, rank, max_iters=max_iters, tol=tol, seed=child)
+        errors.append(res.rel_error)
         if best is None or res.rel_error < best.rel_error:
-            best = res
-    return best
+            best, winner = res, i
+    return best, tuple(errors), winner
 
 
 def compress(
@@ -258,8 +266,11 @@ def compress(
         res = tucker_hooi(kernel, ranks, max_iters=max_iters, tol=tol)
         layer: AnyLayer = TuckerConvLayer.from_tucker(res.tucker, spec)
         warnings = tuple(res.warnings)
+        restart_errors, winning_restart = (), None
     else:
-        res = _best_cp(kernel, ranks[0], max_iters, tol, seed, restarts)
+        res, restart_errors, winning_restart = _best_cp(
+            kernel, ranks[0], max_iters, tol, seed, restarts
+        )
         warnings = ()
         if scheme == "cp":
             layer = CpConvLayer(res.kruskal, spec)
@@ -289,6 +300,8 @@ def compress(
         converged=res.converged,
         error_history=tuple(res.error_history),
         warnings=warnings,
+        restart_errors=restart_errors,
+        winning_restart=winning_restart,
     )
 
 

@@ -75,9 +75,28 @@ class TestDecompose:
         assert [l for l in lines if l.startswith("warning=")] == [
             "warning=rank 6 at mode 0 capped at extent 4"
         ]
+        # Tucker has no restarts.
+        assert not [l for l in lines if l.startswith(("restart.", "winning_restart="))]
         # Telemetry goes to stdout only; the manifest keeps its keys.
         manifest = json.loads((tmp_path / "plan" / "plan.json").read_text())
         assert not {"n_iters", "converged", "warnings", "error_history"} & set(manifest)
+
+    def test_prints_restart_errors_and_winner(self, tmp_path, capsys):
+        rng = np.random.default_rng(54)
+        kernel = tmp_path / "k.tensor"
+        write_tensor(kernel, rng.standard_normal((4, 3, 3, 3)))
+        code = run_cli(
+            "decompose", "--input", kernel, "--scheme", "cp", "--rank", "3",
+            "--out", tmp_path / "plan", "--restarts", "4", "--max-iters", "6",
+            "--tol", "0", "--seed", "2",
+        )
+        assert code == 0
+        keys = dict(l.split("=", 1) for l in capsys.readouterr().out.strip().splitlines())
+        errors = [float(keys[f"restart.{i}.rel_error"]) for i in range(4)]
+        assert "restart.4.rel_error" not in keys
+        winner = int(keys["winning_restart"])
+        assert errors[winner] == min(errors)
+        assert errors[winner] == float(keys["rel_error"])
 
     def test_rank_zero_exits_3(self, synthetic_kernel, tmp_path, capsys):
         kernel, _ = synthetic_kernel
@@ -353,6 +372,37 @@ class TestActivationParameters:
         self.edit(manifest, 1, scale=[1.5], shift=[0.25])
         assert self.run_conv(manifest, x, tmp_path) == 0
         assert np.array_equal(read_tensor(tmp_path / "y.tensor"), scalar)
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 3 (invalid parameters), not its own 2."""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--scheme", "bogus", "--out", "plan"], "invalid choice: 'bogus'"),
+            (["--scheme", "cp"], "required: --out"),
+            (["--scheme", "cp", "--out", "plan", "--seed", "notint"], "invalid int value: 'notint'"),
+        ],
+    )
+    def test_exits_3_with_argparse_message(self, synthetic_kernel, extra, message, capsys):
+        kernel, _ = synthetic_kernel
+        code = run_cli("decompose", "--input", kernel, "--rank", "2", *extra)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "usage: tensorconv decompose" in err
+        assert "tensorconv decompose: error: " in err
+        assert message in err
+
+    def test_out_of_process(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorconv", "decompose", "--input", str(tmp_path / "k"),
+             "--scheme", "bogus", "--rank", "2", "--out", str(tmp_path / "plan")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "invalid choice: 'bogus'" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_module_entry_point_help():

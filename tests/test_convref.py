@@ -195,6 +195,61 @@ class TestSlabs:
         # 16 KiB for Python objects: views, index tuples, the slab generator.
         assert peak <= bound + 2**14
 
+    @pytest.mark.parametrize("slab", [1, 7, 512])
+    @settings(max_examples=150, deadline=None)
+    @given(case=conv_cases())
+    def test_padding_is_zeros_in_the_columns(self, slab, case):
+        x, w, spec = case
+        padded = np.pad(x, [(0, 0)] + [(p, p) for p in spec.paddings])
+        unpadded = ConvSpec(spec.in_channels, spec.out_channels, spec.kernel_sizes, spec.strides, 0)
+        with mock.patch.object(convref, "_SLAB_POSITIONS", slab):
+            out = conv_nd_direct(x, w, spec)
+            expected = conv_nd_direct(padded, w, unpadded)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize(
+        "shape, kernel, stride, padding",
+        [
+            # 64 -> 8 at 16x16x8: the padded input (1.66 MB) outweighs the
+            # column buffer's cap (1.18 MB) and the output (0.13 MB).
+            ((64, 16, 16, 8), (8, 64, 3, 3, 3), 1, 1),
+            # 2-D 16 -> 4 at 128x96, stride 2: a padded input of 1.69 MB
+            # against a cap of 0.49 MB.
+            ((16, 128, 96), (4, 16, 5, 5), 2, 2),
+            # Padding on the trailing modes only, and none at all.
+            ((64, 16, 16, 8), (8, 64, 3, 3, 3), 1, (0, 1, 1)),
+            ((64, 16, 16, 8), (8, 64, 3, 3, 3), 1, 0),
+        ],
+    )
+    def test_peak_memory_has_no_padded_input_term(self, shape, kernel, stride, padding):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal(kernel)
+        spec = ConvSpec.from_kernel(w, stride, padding)
+        out_spatial = spec.output_extents(shape[1:])
+        out_volume = math.prod(out_spatial)
+        cap = (spec.in_channels + spec.out_channels) * out_volume
+        # A slab holds at most _SLAB_POSITIONS positions, so at most g output
+        # planes along mode 0, whose windows read (g - 1) s_0 + K_0 padded
+        # input planes; with no padding the windows are read from x itself.
+        window = 0
+        if any(spec.paddings):
+            g = max(1, min(out_spatial[0], convref._SLAB_POSITIONS // math.prod(out_spatial[1:])))
+            window = shape[0] * ((g - 1) * spec.strides[0] + spec.kernel_sizes[0]) * math.prod(
+                d + 2 * p for d, p in zip(shape[2:], spec.paddings[1:])
+            )
+        bound = 8 * (spec.out_channels * out_volume + cap + window)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv_nd_direct(x, w, spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.size == spec.out_channels * out_volume
+        # 16 KiB for Python objects: views, index tuples, the slab generator.
+        assert peak <= bound + 2**14
+
     @pytest.mark.parametrize("slab", [7, 512])
     @pytest.mark.parametrize(
         "shape, kernel, stride, padding",

@@ -57,6 +57,19 @@ class TestCompress:
         assert min(res.error_history) == pytest.approx(res.kernel_rel_error, rel=1e-9)
         assert res.warnings == ()
 
+    def test_restart_errors_and_winner(self):
+        rng = np.random.default_rng(105)
+        w = rng.standard_normal((4, 3, 3, 3))
+        res = compress(w, "cp", 3, seed=2, max_iters=6, tol=0.0, restarts=4)
+        assert len(res.restart_errors) == 4
+        assert len(set(res.restart_errors)) > 1
+        assert res.restart_errors[res.winning_restart] == min(res.restart_errors)
+        assert res.restart_errors.index(min(res.restart_errors)) == res.winning_restart
+        # The cp plan is the winner's Kruskal tensor, so its error is the same float.
+        assert res.restart_errors[res.winning_restart] == res.kernel_rel_error
+        tucker = compress(w, "tucker", (2, 2), max_iters=5)
+        assert tucker.restart_errors == () and tucker.winning_restart is None
+
     def test_tucker_rank_cap_is_reported(self):
         rng = np.random.default_rng(104)
         res = compress(rng.standard_normal((4, 3, 2, 2)), "tucker", (6, 2), max_iters=50)
