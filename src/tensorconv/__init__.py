@@ -30,7 +30,7 @@ from .decomp import (
     tucker_hooi,
     tucker_to_dense,
 )
-from .dense import fold, khatri_rao, mode_conv_1d, n_mode_product, unfold
+from .dense import fold, khatri_rao, n_mode_product, unfold
 from .errors import ContainerError, DimensionError, RankError
 from .layers import (
     CpConvLayer,
@@ -43,12 +43,8 @@ from .layers import (
     TuckerConvLayer,
     build_mobilenet_v1,
     build_mobilenet_v2,
-    cp_conv_forward,
-    ho_cp_conv_forward,
-    ho_cp_forward_naive,
-    mobilenet_v1_forward,
-    mobilenet_v2_forward,
-    tucker_conv_forward,
+    forward,
+    forward_naive,
 )
 from .pipeline import (
     CompressionResult,

@@ -19,7 +19,6 @@ tallied by the layers' naive stage loops.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
@@ -280,12 +279,6 @@ def write_sweep_csv(rows: Sequence[SweepRow], multipliers: Sequence[int], fp) ->
             [row.in_channels, row.out_channels, row.flops_regular / 1e9]
             + [f / 1e9 for f in row.flops_hocp]
         )
-
-
-def sweep_csv_text(rows: Sequence[SweepRow], multipliers: Sequence[int]) -> str:
-    buf = io.StringIO()
-    write_sweep_csv(rows, multipliers, buf)
-    return buf.getvalue()
 
 
 def example_3d_architecture() -> list[ConvSpec]:

@@ -365,12 +365,15 @@ def tucker_hooi(
     return TuckerResult(tucker, final, n_iters, converged, history, warnings)
 
 
-def absorb_spatial(t: TuckerTensor, spatial_modes: tuple[int, ...] = (2, 3)) -> TuckerTensor:
+def absorb_spatial(t: TuckerTensor, spatial_modes: tuple[int, ...] | None = None) -> TuckerTensor:
     """Contract the given factors into the core, replacing them by identities.
 
+    ``spatial_modes`` defaults to every mode after the two channel modes.
     The dense reconstruction is unchanged; the returned core is the
     absorbed kernel used by bottleneck-style execution.
     """
+    if spatial_modes is None:
+        spatial_modes = range(2, t.core.ndim)
     modes = tuple(int(m) for m in spatial_modes)
     if len(set(modes)) != len(modes):
         raise DimensionError(f"spatial modes must be distinct, got {modes}")
@@ -387,24 +390,29 @@ def absorb_spatial(t: TuckerTensor, spatial_modes: tuple[int, ...] = (2, 3)) -> 
     return TuckerTensor(core, tuple(factors))
 
 
+def _merge_spatial(k: KruskalTensor) -> np.ndarray:
+    """The spatial factors of a Kruskal conv kernel (T, C, K_0, ..., K_{N-1})
+    merged into taps ``spatial[i_0, ..., i_{N-1}, r] = prod_n U_{K_n}[i_n, r]``."""
+    if k.order < 3:
+        raise DimensionError(
+            f"a Kruskal conv kernel needs order >= 3 (T, C, spatial...), got {k.order}"
+        )
+    return khatri_rao(k.factors[2:]).reshape(k.shape[2:] + (k.rank,))
+
+
 def merge_spatial_factors(k: KruskalTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Merge a 4-mode Kruskal kernel into MobileNet-style pieces.
+    """Merge a Kruskal conv kernel (T, C, K_0, ..., K_{N-1}) into MobileNet-style pieces.
 
     Returns ``(pointwise, spatial)`` where ``pointwise[t, c]`` is the product
     of the channel factors (U_out @ U_in.T) and
-    ``spatial[j, i, r] = U_h[j, r] * U_w[i, r]``. Requires the rank to equal
-    the input-channel extent (the depthwise condition).
+    ``spatial[i_0, ..., i_{N-1}, r] = prod_n U_{K_n}[i_n, r]``. Requires the
+    rank to equal the input-channel extent (the depthwise condition).
     """
-    if k.order != 4:
-        raise DimensionError(
-            f"merge_spatial_factors expects a 4-mode Kruskal tensor, got order {k.order}"
-        )
-    u_t, u_c, u_h, u_w = k.factors
+    spatial = _merge_spatial(k)
+    u_t, u_c = k.factors[:2]
     if k.rank != u_c.shape[0]:
         raise RankError(
             f"depthwise merge requires rank == input channels, got rank {k.rank} "
             f"with {u_c.shape[0]} channels"
         )
-    pointwise = u_t @ u_c.T
-    spatial = u_h[:, None, :] * u_w[None, :, :]
-    return pointwise, spatial
+    return u_t @ u_c.T, spatial

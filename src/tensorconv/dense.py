@@ -29,7 +29,6 @@ __all__ = [
     "as_tensor",
     "as_matrix",
     "n_mode_product",
-    "mode_conv_1d",
     "depthwise_conv",
     "band_matrices",
     "banded_mode_conv",
@@ -97,31 +96,6 @@ def conv_output_extent(extent: int, kernel: int, stride: int = 1, padding: int =
     if padding < 0:
         raise DimensionError(f"padding must be >= 0, got {padding}")
     return (padded - kernel) // stride + 1
-
-
-def mode_conv_1d(
-    t: np.ndarray,
-    v: np.ndarray,
-    mode: int,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    """Cross-correlate ``t`` with vector ``v`` along ``mode``.
-
-    ``out[..., i, ...] = sum_k v[k] * t_padded[..., i*stride + k, ...]``
-    with zero padding: :func:`depthwise_conv` with one channel and taps of
-    extent 1 on every other mode.
-    """
-    t = as_tensor(t)
-    v = as_tensor(v)
-    if v.ndim != 1:
-        raise DimensionError(f"1-D kernel expected, got order {v.ndim}")
-    if not 0 <= mode < t.ndim:
-        raise DimensionError(f"mode {mode} out of range for order-{t.ndim} tensor")
-    taps = v.reshape((1,) * mode + v.shape + (1,) * (t.ndim - mode - 1) + (1,))
-    strides = tuple(stride if i == mode else 1 for i in range(t.ndim))
-    paddings = tuple(padding if i == mode else 0 for i in range(t.ndim))
-    return depthwise_conv(t[None], taps, strides, paddings)[0]
 
 
 def depthwise_conv(

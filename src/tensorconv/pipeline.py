@@ -256,12 +256,6 @@ def compress(
     ranks = _normalize_ranks(scheme, ranks, kernel.shape)
     spec = ConvSpec.from_kernel(kernel, stride, padding)
 
-    if scheme in ("mobilenet-v1", "mobilenet-v2") and spec.n_spatial != 2:
-        raise DimensionError(
-            f"{scheme} applies to 4-mode kernels (2 spatial modes), got "
-            f"{spec.n_spatial} spatial modes"
-        )
-
     if scheme == "tucker":
         res = tucker_hooi(kernel, ranks, max_iters=max_iters, tol=tol)
         layer: AnyLayer = TuckerConvLayer.from_tucker(res.tucker, spec)

@@ -27,14 +27,10 @@ from tensorconv import (
     conv_nd_direct,
     conv_nd_naive,
     cp_als,
-    cp_conv_forward,
-    ho_cp_conv_forward,
-    ho_cp_forward_naive,
+    forward,
+    forward_naive,
     kruskal_to_dense,
-    mobilenet_v1_forward,
-    mobilenet_v2_forward,
     read_tensor,
-    tucker_conv_forward,
     tucker_hooi,
     write_tensor,
 )
@@ -72,9 +68,9 @@ def test_criterion_1_oracle_equivalence_suite():
 
         cp_layer = CpConvLayer(random_kruskal(rng, (t, c) + kernels, rank), spec)
         direct = conv_nd_direct(x, cp_layer.dense_kernel(), spec)
-        worst = max(worst, rel_error(cp_conv_forward(cp_layer, x), direct))
+        worst = max(worst, rel_error(forward(cp_layer, x), direct))
         ho = HoCpConvLayer(cp_layer)
-        worst = max(worst, rel_error(ho_cp_conv_forward(ho, x), direct))
+        worst = max(worst, rel_error(forward(ho, x), direct))
         checks += 2
 
         r0, r1 = (int(v) for v in rng.integers(1, 5, 2))
@@ -85,17 +81,16 @@ def test_criterion_1_oracle_equivalence_suite():
             spec,
         )
         direct_tk = conv_nd_direct(x, tucker_layer.dense_kernel(), spec)
-        worst = max(worst, rel_error(tucker_conv_forward(tucker_layer, x), direct_tk))
+        worst = max(worst, rel_error(forward(tucker_layer, x), direct_tk))
         checks += 1
 
-        if n_modes == 2:
-            v1 = build_mobilenet_v1(random_kruskal(rng, (t, c) + kernels, c))
-            direct_v1 = conv_nd_direct(x, v1.dense_kernel(), spec)
-            worst = max(worst, rel_error(mobilenet_v1_forward(v1, x), direct_v1))
-            v2 = build_mobilenet_v2(random_kruskal(rng, (t, c) + kernels, rank))
-            direct_v2 = conv_nd_direct(x, v2.dense_kernel(), spec)
-            worst = max(worst, rel_error(mobilenet_v2_forward(v2, x), direct_v2))
-            checks += 2
+        v1 = build_mobilenet_v1(random_kruskal(rng, (t, c) + kernels, c))
+        direct_v1 = conv_nd_direct(x, v1.dense_kernel(), spec)
+        worst = max(worst, rel_error(forward(v1, x), direct_v1))
+        v2 = build_mobilenet_v2(random_kruskal(rng, (t, c) + kernels, rank))
+        direct_v2 = conv_nd_direct(x, v2.dense_kernel(), spec)
+        worst = max(worst, rel_error(forward(v2, x), direct_v2))
+        checks += 2
 
     elapsed = time.monotonic() - started
     ok = worst < 1e-10 and elapsed < 120.0
@@ -216,7 +211,7 @@ def test_criterion_5_flop_formula_fidelity():
             CpConvLayer(random_kruskal(rng, (t, c) + kernels, rank), spec)
         )
         counter = OpCounter()
-        ho_cp_forward_naive(layer, x, counter)
+        forward_naive(layer, x, counter)
         instances += 1
         if counter.flops != flops_hocp(spec, rank, extents):
             mismatches.append(("hocp", spec, counter.flops))

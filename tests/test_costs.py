@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,11 @@ from tensorconv.costs import (
     report_mobilenet_v2,
     report_regular,
     report_tucker,
-    sweep_csv_text,
+    write_sweep_csv,
 )
 from tensorconv.errors import RankError
 from tensorconv.layers import HoCpConvLayer
-from tensorconv.layers import forward_naive, ho_cp_forward_naive
+from tensorconv.layers import forward_naive
 from tensorconv.pipeline import FactorizedPlan, execute_plan, with_conv_params
 
 from tensorconv import (
@@ -105,7 +107,7 @@ class TestFlops:
             extents = tuple(k + 1 for k in kernels)
             x = rng.standard_normal((c,) + extents)
             counter = OpCounter()
-            ho_cp_forward_naive(layer, x, counter)
+            forward_naive(layer, x, counter)
             assert counter.flops == flops_hocp(spec, rank, extents)
 
     @pytest.mark.parametrize("scheme,stride,padding", [
@@ -213,8 +215,9 @@ class TestSweep:
     def test_empty_pairs(self):
         rows = figure6_sweep(())
         assert rows == []
-        text = sweep_csv_text(rows, (3, 6))
-        lines = text.strip().splitlines()
+        buf = io.StringIO()
+        write_sweep_csv(rows, (3, 6), buf)
+        lines = buf.getvalue().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("in_channels,out_channels,gflops_regular")
 
@@ -241,5 +244,6 @@ class TestSweep:
 
     def test_csv_row_count(self):
         rows = figure6_sweep(((8, 8), (16, 16)))
-        text = sweep_csv_text(rows, (3, 6))
-        assert len(text.strip().splitlines()) == 3
+        buf = io.StringIO()
+        write_sweep_csv(rows, (3, 6), buf)
+        assert len(buf.getvalue().strip().splitlines()) == 3

@@ -318,6 +318,13 @@ class TestAbsorbSpatial:
         assert np.array_equal(merged.factors[2], np.eye(2))
         assert np.array_equal(merged.factors[3], np.eye(2))
 
+    def test_default_is_every_spatial_mode(self):
+        rng = np.random.default_rng(21)
+        t = random_tucker(rng, (4, 5, 3, 2, 3), (2, 3, 2, 2, 3))
+        merged = absorb_spatial(t)
+        assert merged.core.tobytes() == absorb_spatial(t, (2, 3, 4)).core.tobytes()
+        assert merged.core.shape == (2, 3, 3, 2, 3)
+
     def test_bad_modes_rejected(self):
         rng = np.random.default_rng(18)
         t = random_tucker(rng, (3, 3), (2, 2))
@@ -353,10 +360,21 @@ class TestMergeSpatialFactors:
         with pytest.raises(RankError, match="rank == input channels"):
             merge_spatial_factors(k)
 
-    def test_requires_4_modes(self):
+    @pytest.mark.parametrize("kernels", [(3,), (3, 2), (3, 2, 4)])
+    def test_any_number_of_spatial_modes(self, kernels):
         rng = np.random.default_rng(20)
-        with pytest.raises(DimensionError):
-            merge_spatial_factors(random_kruskal(rng, (3, 3, 3), 3))
+        k = random_kruskal(rng, (4, 3) + kernels, 3)
+        pointwise, spatial = merge_spatial_factors(k)
+        assert np.array_equal(pointwise, k.factors[0] @ k.factors[1].T)
+        assert spatial.shape == kernels + (3,)
+        for idx in np.ndindex(*spatial.shape):
+            *offs, r = idx
+            assert spatial[idx] == np.prod([u[i, r] for u, i in zip(k.factors[2:], offs)])
+
+    def test_requires_a_spatial_mode(self):
+        rng = np.random.default_rng(20)
+        with pytest.raises(DimensionError, match="order >= 3"):
+            merge_spatial_factors(random_kruskal(rng, (3, 3), 3))
 
 
 def test_block4_sweeps_in_bounded_memory():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tensorconv import DimensionError, fold, khatri_rao, mode_conv_1d, n_mode_product, unfold
+from tensorconv import DimensionError, fold, khatri_rao, n_mode_product, unfold
 from tensorconv.dense import as_tensor, conv_output_extent, depthwise_conv
 from tensorconv.layers import Depthwise
 
@@ -74,23 +74,34 @@ class TestNModeProduct:
             np.testing.assert_allclose(ab, ba, rtol=1e-12)
 
 
+def conv_along(t, v, mode, stride=1, padding=0):
+    """``t`` cross-correlated with the vector ``v`` along ``mode``:
+    :func:`depthwise_conv` with one channel and taps of extent 1 on the
+    other modes."""
+    n = t.ndim
+    taps = v.reshape((1,) * mode + v.shape + (1,) * (n - mode - 1) + (1,))
+    strides = tuple(stride if i == mode else 1 for i in range(n))
+    paddings = tuple(padding if i == mode else 0 for i in range(n))
+    return depthwise_conv(t[None], taps, strides, paddings)[0]
+
+
 class TestModeConv1d:
     def test_unit_kernel_identity(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(mode_conv_1d(x, np.array([1.0]), 0), x)
+        assert np.array_equal(conv_along(x, np.array([1.0]), 0), x)
 
     def test_hand_sum(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        out = mode_conv_1d(x, np.array([1.0, 1.0]), 0)
+        out = conv_along(x, np.array([1.0, 1.0]), 0)
         assert np.array_equal(out, np.array([3.0, 5.0, 7.0]))
 
     def test_zero_kernel(self):
-        out = mode_conv_1d(np.array([1.0, 2.0, 3.0]), np.zeros(2), 0)
+        out = conv_along(np.array([1.0, 2.0, 3.0]), np.zeros(2), 0)
         assert np.array_equal(out, np.zeros(2))
 
     def test_stride_and_padding_extent(self):
         x = np.arange(5, dtype=np.float64)
-        out = mode_conv_1d(x, np.array([1.0, 1.0, 1.0]), 0, stride=2, padding=1)
+        out = conv_along(x, np.array([1.0, 1.0, 1.0]), 0, stride=2, padding=1)
         # padded [0,0,1,2,3,4,0]: windows at 0,2,4 -> extent (5+2-3)//2+1 = 3
         assert np.array_equal(out, np.array([1.0, 6.0, 7.0]))
 
@@ -98,25 +109,25 @@ class TestModeConv1d:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 5, 3))
         v = rng.standard_normal(2)
-        out = mode_conv_1d(x, v, 1)
+        out = conv_along(x, v, 1)
         assert out.shape == (2, 4, 3)
         expected = v[0] * x[:, :-1, :] + v[1] * x[:, 1:, :]
         np.testing.assert_allclose(out, expected, rtol=1e-15)
 
     def test_kernel_longer_than_padded_extent(self):
         with pytest.raises(DimensionError, match="longer than padded extent"):
-            mode_conv_1d(np.zeros(3), np.ones(5), 0)
+            conv_along(np.zeros(3), np.ones(5), 0)
 
     def test_linear_in_both_arguments(self):
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((2, 4, 6))
         v, w = rng.standard_normal((2, 3))
         a, b = 0.7, -1.3
-        lhs = mode_conv_1d(a * x + b * y, v, 1)
-        rhs = a * mode_conv_1d(x, v, 1) + b * mode_conv_1d(y, v, 1)
+        lhs = conv_along(a * x + b * y, v, 1)
+        rhs = a * conv_along(x, v, 1) + b * conv_along(y, v, 1)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-        lhs = mode_conv_1d(x, a * v + b * w, 1)
-        rhs = a * mode_conv_1d(x, v, 1) + b * mode_conv_1d(x, w, 1)
+        lhs = conv_along(x, a * v + b * w, 1)
+        rhs = a * conv_along(x, v, 1) + b * conv_along(x, w, 1)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_output_extent_formula(self):
@@ -189,7 +200,7 @@ class TestDepthwiseConv:
         shape = (1,) * mode + (k,) + (1,) * (n - mode - 1) + (1,)
         paddings = tuple((k - 1) // 2 if i == mode else 0 for i in range(n))
         expected = Depthwise("mode", v.reshape(shape), (1,) * n, paddings).naive(t[None], t[None], None)[0]
-        got = mode_conv_1d(t, v, mode, 1, (k - 1) // 2)
+        got = conv_along(t, v, mode, 1, (k - 1) // 2)
         assert got.tobytes() == expected.tobytes()
 
 

@@ -17,6 +17,7 @@ from tensorconv import (
     HoCpConvLayer,
     KruskalTensor,
     MobileNetV1Block,
+    MobileNetV2Block,
     OpCounter,
     PReLU,
     RankError,
@@ -27,13 +28,9 @@ from tensorconv import (
     conv_1x1,
     conv_nd_direct,
     cp_als,
-    cp_conv_forward,
-    ho_cp_conv_forward,
-    ho_cp_forward_naive,
-    mobilenet_v1_forward,
-    mobilenet_v2_forward,
+    forward,
+    forward_naive,
     n_mode_product,
-    tucker_conv_forward,
     tucker_hooi,
 )
 from tensorconv.costs import flops_hocp
@@ -52,7 +49,7 @@ class TestCpConvForward:
         spec = ConvSpec(3, 2, (2, 2))
         layer = CpConvLayer(k, spec)
         x = np.ones((3, 4, 4))
-        out = cp_conv_forward(layer, x)
+        out = forward(layer, x)
         from tensorconv import kruskal_to_dense
 
         expected = conv_nd_direct(x, kruskal_to_dense(k), spec)
@@ -66,14 +63,14 @@ class TestCpConvForward:
         spec = ConvSpec(3, 2, (2, 2))
         layer = CpConvLayer(res.kruskal, spec)
         x = rng.standard_normal((3, 5, 5))
-        assert rel_error(cp_conv_forward(layer, x), conv_nd_direct(x, w, spec)) < 1e-6
+        assert rel_error(forward(layer, x), conv_nd_direct(x, w, spec)) < 1e-6
 
     def test_zero_output_factor(self):
         rng = np.random.default_rng(1)
         layer = make_cp_layer(rng, 2, 3, (2,), 4)
         k = KruskalTensor((np.zeros((2, 4)),) + layer.kruskal.factors[1:])
         layer = CpConvLayer(k, layer.spec)
-        out = cp_conv_forward(layer, rng.standard_normal((3, 6)))
+        out = forward(layer, rng.standard_normal((3, 6)))
         assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
@@ -87,14 +84,14 @@ class TestCpConvForward:
             spatial = tuple(k + int(rng.integers(0, 3)) for k in kernels)
             x = rng.standard_normal((c,) + spatial)
             direct = conv_nd_direct(x, layer.dense_kernel(), layer.spec)
-            assert rel_error(cp_conv_forward(layer, x), direct) < 1e-10
+            assert rel_error(forward(layer, x), direct) < 1e-10
 
     def test_stride_padding_equivalence(self):
         rng = np.random.default_rng(2)
         layer = make_cp_layer(rng, 2, 3, (3, 2), 3, stride=(2, 1), padding=(1, 1))
         x = rng.standard_normal((3, 6, 5))
         direct = conv_nd_direct(x, layer.dense_kernel(), layer.spec)
-        assert rel_error(cp_conv_forward(layer, x), direct) < 1e-10
+        assert rel_error(forward(layer, x), direct) < 1e-10
 
     def test_factor_shape_mismatch_rejected(self):
         rng = np.random.default_rng(3)
@@ -106,7 +103,7 @@ class TestCpConvForward:
         rng = np.random.default_rng(4)
         layer = make_cp_layer(rng, 2, 3, (2,), 2)
         with pytest.raises(DimensionError, match="channel"):
-            cp_conv_forward(layer, rng.standard_normal((4, 6)))
+            forward(layer, rng.standard_normal((4, 6)))
 
     def test_spatial_mode_order_invariance(self):
         rng = np.random.default_rng(5)
@@ -114,7 +111,7 @@ class TestCpConvForward:
         x = rng.standard_normal((3, 4, 5, 4))
         contract_in, *modes, contract_out = layer.stages
         assert [s.label for s in modes] == ["conv_mode_0", "conv_mode_1", "conv_mode_2"]
-        base = cp_conv_forward(layer, x)
+        base = forward(layer, x)
         for order in [(2, 1, 0), (1, 0, 2), (2, 0, 1)]:
             z = x
             for stage in [contract_in] + [modes[i] for i in order] + [contract_out]:
@@ -125,8 +122,8 @@ class TestCpConvForward:
         rng = np.random.default_rng(6)
         layer = make_cp_layer(rng, 2, 2, (2, 2), 2)
         x, y = rng.standard_normal((2, 2, 4, 4))
-        lhs = cp_conv_forward(layer, 1.5 * x - 0.5 * y)
-        rhs = 1.5 * cp_conv_forward(layer, x) - 0.5 * cp_conv_forward(layer, y)
+        lhs = forward(layer, 1.5 * x - 0.5 * y)
+        rhs = 1.5 * forward(layer, x) - 0.5 * forward(layer, y)
         assert rel_error(lhs, rhs) < 1e-12
 
 
@@ -138,7 +135,7 @@ class TestTuckerConvForward:
         res = tucker_hooi(w, w.shape)
         layer = TuckerConvLayer.from_tucker(res.tucker, spec)
         x = rng.standard_normal((4, 5, 5))
-        assert rel_error(tucker_conv_forward(layer, x), conv_nd_direct(x, w, spec)) < 1e-6
+        assert rel_error(forward(layer, x), conv_nd_direct(x, w, spec)) < 1e-6
 
     def test_identity_bottleneck_is_direct_conv(self):
         rng = np.random.default_rng(8)
@@ -146,7 +143,7 @@ class TestTuckerConvForward:
         spec = ConvSpec(4, 3, (2, 2))
         layer = TuckerConvLayer(np.eye(4), w, np.eye(3), spec)
         x = rng.standard_normal((4, 5, 5))
-        assert np.array_equal(tucker_conv_forward(layer, x), conv_nd_direct(x, w, spec))
+        assert np.array_equal(forward(layer, x), conv_nd_direct(x, w, spec))
 
     def test_zero_core(self):
         rng = np.random.default_rng(9)
@@ -154,7 +151,7 @@ class TestTuckerConvForward:
         layer = TuckerConvLayer(
             rng.standard_normal((2, 3)), np.zeros((2, 2, 2)), rng.standard_normal((2, 2)), spec
         )
-        assert np.all(tucker_conv_forward(layer, rng.standard_normal((3, 5))) == 0.0)
+        assert np.all(forward(layer, rng.standard_normal((3, 5))) == 0.0)
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     def test_oracle_equivalence(self, n_modes):
@@ -170,7 +167,7 @@ class TestTuckerConvForward:
         )
         x = rng.standard_normal((c,) + tuple(k + 2 for k in kernels))
         direct = conv_nd_direct(x, layer.dense_kernel(), spec)
-        assert rel_error(tucker_conv_forward(layer, x), direct) < 1e-10
+        assert rel_error(forward(layer, x), direct) < 1e-10
 
     def test_linear_in_input(self):
         rng = np.random.default_rng(31)
@@ -182,8 +179,8 @@ class TestTuckerConvForward:
             spec,
         )
         x, y = rng.standard_normal((2, 3, 4, 4))
-        lhs = tucker_conv_forward(layer, 2.0 * x + 3.0 * y)
-        rhs = 2.0 * tucker_conv_forward(layer, x) + 3.0 * tucker_conv_forward(layer, y)
+        lhs = forward(layer, 2.0 * x + 3.0 * y)
+        rhs = 2.0 * forward(layer, x) + 3.0 * forward(layer, y)
         assert rel_error(lhs, rhs) < 1e-12
 
     def test_extent_validation(self):
@@ -202,8 +199,8 @@ class TestHoCpConvForward:
         cp_layer = make_cp_layer(rng, 3, 4, (3, 2, 2), 5)
         ho = HoCpConvLayer(cp_layer)
         x = rng.standard_normal((4, 5, 4, 4))
-        a = ho_cp_conv_forward(ho, x)
-        b = cp_conv_forward(cp_layer, x)
+        a = forward(ho, x)
+        b = forward(cp_layer, x)
         assert a.tobytes() == b.tobytes()
 
     def test_zero_factors_with_skip_reduce_to_skip(self):
@@ -214,7 +211,7 @@ class TestHoCpConvForward:
         skip = rng.standard_normal((c, c))
         ho = HoCpConvLayer(CpConvLayer(k, spec), skip=skip)
         x = rng.standard_normal((c, 6, 6))
-        out = ho_cp_conv_forward(ho, x)
+        out = forward(ho, x)
         assert rel_error(out, n_mode_product(x, skip, 0)) < 1e-15
 
     def test_3d_random_matches_direct(self):
@@ -223,7 +220,7 @@ class TestHoCpConvForward:
         ho = HoCpConvLayer(layer)
         x = rng.standard_normal((2, 5, 5, 5))
         direct = conv_nd_direct(x, ho.dense_kernel(), ho.spec)
-        assert rel_error(ho_cp_conv_forward(ho, x), direct) < 1e-10
+        assert rel_error(forward(ho, x), direct) < 1e-10
 
     def test_relu_transparent_on_nonnegative_data(self):
         rng = np.random.default_rng(13)
@@ -232,15 +229,15 @@ class TestHoCpConvForward:
         cp_layer = CpConvLayer(k, spec)
         ho = HoCpConvLayer(cp_layer, activations=(ReLU(), ReLU()))
         x = rng.uniform(0.0, 1.0, (3, 5, 5))
-        assert np.array_equal(ho_cp_conv_forward(ho, x), cp_conv_forward(cp_layer, x))
+        assert np.array_equal(forward(ho, x), forward(cp_layer, x))
 
     def test_relu_and_prelu_change_generic_output(self):
         rng = np.random.default_rng(14)
         cp_layer = make_cp_layer(rng, 2, 3, (2, 2), 3)
         x = rng.standard_normal((3, 5, 5))
-        plain = cp_conv_forward(cp_layer, x)
-        relu_out = ho_cp_conv_forward(HoCpConvLayer(cp_layer, (ReLU(), None)), x)
-        prelu_out = ho_cp_conv_forward(HoCpConvLayer(cp_layer, (PReLU(0.1), None)), x)
+        plain = forward(cp_layer, x)
+        relu_out = forward(HoCpConvLayer(cp_layer, (ReLU(), None)), x)
+        prelu_out = forward(HoCpConvLayer(cp_layer, (PReLU(0.1), None)), x)
         assert not np.allclose(relu_out, plain)
         assert not np.allclose(prelu_out, plain)
         assert not np.allclose(prelu_out, relu_out)
@@ -260,14 +257,14 @@ class TestHoCpConvForward:
             for r in range(3)
         ])
         expected = n_mode_product(normed, u_out, 0)
-        assert rel_error(ho_cp_conv_forward(ho, x), expected) < 1e-12
+        assert rel_error(forward(ho, x), expected) < 1e-12
 
     def test_skip_requires_preserved_extents(self):
         rng = np.random.default_rng(16)
         cp_layer = make_cp_layer(rng, 3, 3, (3, 3), 2)  # valid conv shrinks extents
         ho = HoCpConvLayer(cp_layer, skip=np.eye(3))
         with pytest.raises(DimensionError, match="preserved spatial extents"):
-            ho_cp_conv_forward(ho, rng.standard_normal((3, 6, 6)))
+            forward(ho, rng.standard_normal((3, 6, 6)))
 
     def test_skip_shape_validated(self):
         rng = np.random.default_rng(17)
@@ -287,8 +284,8 @@ class TestHoCpConvForward:
         skip = rng.standard_normal((4, 3))
         ho = HoCpConvLayer(cp_layer, skip=skip)
         x = rng.standard_normal((3, 5, 5))
-        expected = cp_conv_forward(cp_layer, x) + n_mode_product(x, skip, 0)
-        assert rel_error(ho_cp_conv_forward(ho, x), expected) < 1e-14
+        expected = forward(cp_layer, x) + n_mode_product(x, skip, 0)
+        assert rel_error(forward(ho, x), expected) < 1e-14
 
 
 class TestHoCpNaive:
@@ -298,11 +295,11 @@ class TestHoCpNaive:
         skip = rng.standard_normal((2, 3))
         ho = HoCpConvLayer(cp_layer, activations=(ReLU(), PReLU(0.2)), skip=None)
         x = rng.standard_normal((3, 4, 4))
-        assert rel_error(ho_cp_forward_naive(ho, x), ho_cp_conv_forward(ho, x)) < 1e-12
+        assert rel_error(forward_naive(ho, x), forward(ho, x)) < 1e-12
 
         ho_skip = HoCpConvLayer(make_cp_layer(rng, 3, 3, (3, 3), 2, padding=1), skip=np.eye(3))
         xs = rng.standard_normal((3, 4, 4))
-        assert rel_error(ho_cp_forward_naive(ho_skip, xs), ho_cp_conv_forward(ho_skip, xs)) < 1e-12
+        assert rel_error(forward_naive(ho_skip, xs), forward(ho_skip, xs)) < 1e-12
 
     def test_counter_matches_formula(self):
         rng = np.random.default_rng(21)
@@ -310,7 +307,7 @@ class TestHoCpNaive:
         ho = HoCpConvLayer(cp_layer)
         x = rng.standard_normal((3, 4, 7))
         counter = OpCounter()
-        ho_cp_forward_naive(ho, x, counter)
+        forward_naive(ho, x, counter)
         assert counter.flops == flops_hocp(cp_layer.spec, 4, (4, 7))
 
 
@@ -331,7 +328,7 @@ class TestMobileNetV1:
         block = build_mobilenet_v1(k)
         cp_layer = CpConvLayer(k, block.spec)
         x = rng.standard_normal((c, 6, 6))
-        assert rel_error(mobilenet_v1_forward(block, x), cp_conv_forward(cp_layer, x)) < 1e-10
+        assert rel_error(forward(block, x), forward(cp_layer, x)) < 1e-10
 
     def test_forward_matches_direct_with_block_kernel(self):
         rng = np.random.default_rng(23)
@@ -340,7 +337,7 @@ class TestMobileNetV1:
         block = build_mobilenet_v1(k, stride=(2, 1), padding=(0, 1))
         x = rng.standard_normal((c, 6, 7))
         direct = conv_nd_direct(x, block.dense_kernel(), block.spec)
-        assert rel_error(mobilenet_v1_forward(block, x), direct) < 1e-10
+        assert rel_error(forward(block, x), direct) < 1e-10
 
     def test_unit_spatial_extent_degenerates_to_pointwise(self):
         rng = np.random.default_rng(24)
@@ -350,7 +347,7 @@ class TestMobileNetV1:
         x = rng.standard_normal((c, 4, 4))
         gains = block.spatial[0, 0, :]
         expected = conv_1x1(x, block.pointwise @ np.diag(gains))
-        assert rel_error(mobilenet_v1_forward(block, x), expected) < 1e-12
+        assert rel_error(forward(block, x), expected) < 1e-12
 
     def test_rank_mismatch_rejected(self):
         rng = np.random.default_rng(25)
@@ -370,7 +367,7 @@ class TestMobileNetV2:
         block = build_mobilenet_v2(k, padding=1)
         cp_layer = CpConvLayer(k, block.spec)
         x = rng.standard_normal((c, 6, 6))
-        assert rel_error(mobilenet_v2_forward(block, x), cp_conv_forward(cp_layer, x)) < 1e-10
+        assert rel_error(forward(block, x), forward(cp_layer, x)) < 1e-10
 
     def test_rank_one_path(self):
         rng = np.random.default_rng(27)
@@ -378,7 +375,7 @@ class TestMobileNetV2:
         block = build_mobilenet_v2(k)
         cp_layer = CpConvLayer(k, block.spec)
         x = rng.standard_normal((4, 5, 5))
-        assert rel_error(mobilenet_v2_forward(block, x), cp_conv_forward(cp_layer, x)) < 1e-10
+        assert rel_error(forward(block, x), forward(cp_layer, x)) < 1e-10
 
     def test_zero_down_gives_zero(self):
         rng = np.random.default_rng(28)
@@ -391,7 +388,7 @@ class TestMobileNetV2:
             )
         )
         block = build_mobilenet_v2(k)
-        out = mobilenet_v2_forward(block, rng.standard_normal((4, 5, 5)))
+        out = forward(block, rng.standard_normal((4, 5, 5)))
         assert np.all(out == 0.0)
 
     def test_forward_matches_direct_with_block_kernel(self):
@@ -400,12 +397,23 @@ class TestMobileNetV2:
         block = build_mobilenet_v2(k, stride=(1, 2), padding=(1, 0))
         x = rng.standard_normal((3, 5, 6))
         direct = conv_nd_direct(x, block.dense_kernel(), block.spec)
-        assert rel_error(mobilenet_v2_forward(block, x), direct) < 1e-10
+        assert rel_error(forward(block, x), direct) < 1e-10
 
-    def test_requires_two_spatial_modes(self):
+    def test_3d_matches_cp_forward(self):
         rng = np.random.default_rng(30)
-        with pytest.raises(DimensionError):
-            build_mobilenet_v2(random_kruskal(rng, (2, 3, 3), 2))
+        k = random_kruskal(rng, (2, 3, 3, 2, 3), 5)
+        block = build_mobilenet_v2(k, stride=(1, 2, 1), padding=1)
+        assert block.spatial.shape == (3, 2, 3, 5)
+        x = rng.standard_normal((3, 6, 5, 4))
+        assert rel_error(forward(block, x), forward(CpConvLayer(k, block.spec), x)) < 1e-10
+
+    def test_requires_a_spatial_mode(self):
+        rng = np.random.default_rng(30)
+        for build in (build_mobilenet_v1, build_mobilenet_v2):
+            with pytest.raises(DimensionError, match="order >= 3"):
+                build(random_kruskal(rng, (3, 3), 3))
+        with pytest.raises(DimensionError, match="merged spatial factor"):
+            MobileNetV2Block(np.eye(2), np.zeros((3, 3, 2)), np.eye(2), ConvSpec(2, 2, (3, 3, 3)))
 
 
 def untiled_fold(layer, x):
@@ -445,22 +453,22 @@ class TestRankTiling:
         rng = np.random.default_rng(70 + 10 * stride + padding)
         cp, x = self.make(rng, stride, padding)
         direct = conv_nd_direct(x, cp.dense_kernel(), cp.spec)
-        assert rel_error(cp_conv_forward(cp, x), direct) <= 1e-10
+        assert rel_error(forward(cp, x), direct) <= 1e-10
 
     @pytest.mark.parametrize("stride,padding", GEOMETRIES)
     def test_hocp_matches_untiled_fold(self, three_channel_tiles, stride, padding):
         rng = np.random.default_rng(80 + 10 * stride + padding)
         ho, x = self.make(rng, stride, padding, extras=True)
-        out = ho_cp_conv_forward(ho, x)
+        out = forward(ho, x)
         assert rel_error(out, untiled_fold(ho, x)) <= 1e-10
-        assert out.tobytes() == ho_cp_conv_forward(ho, x).tobytes()
+        assert out.tobytes() == forward(ho, x).tobytes()
         assert (ho.skip is not None) == ((stride, padding) == (1, 1))
 
     @pytest.mark.parametrize("stride,padding", GEOMETRIES)
     def test_cp_bitwise_equal_to_plain_hocp(self, three_channel_tiles, stride, padding):
         rng = np.random.default_rng(90 + 10 * stride + padding)
         cp, x = self.make(rng, stride, padding)
-        assert cp_conv_forward(cp, x).tobytes() == ho_cp_conv_forward(HoCpConvLayer(cp), x).tobytes()
+        assert forward(cp, x).tobytes() == forward(HoCpConvLayer(cp), x).tobytes()
 
     def test_single_tile_is_bitwise_the_plain_fold(self):
         rng = np.random.default_rng(100)
@@ -489,7 +497,7 @@ class TestRankTiling:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = cp_conv_forward(cp, x)
+            out = forward(cp, x)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -511,7 +519,7 @@ class TestRankTiling:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = cp_conv_forward(cp, x)
+            out = forward(cp, x)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -599,11 +607,11 @@ def slab_budget(layer, x, budget: str) -> int:
 @st.composite
 def streamed_cases(draw):
     """(layer, x): a cp, hocp (activations after any mode, and a skip when
-    the extents are kept) or 2-D MobileNet-v1/v2 layer. Mode 0 has K 1-5,
+    the extents are kept) or MobileNet-v1/v2 layer of 1-3 spatial modes. Mode 0 has K 1-5,
     stride 1-3 and padding 0-2 and is up to 9 long, so windows cross slab
     and border edges; other modes are short."""
     scheme = draw(st.sampled_from(["cp", "hocp", "mobilenet-v1", "mobilenet-v2"]))
-    n = 2 if scheme.startswith("mobilenet") else draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
     same = draw(st.booleans())  # stride 1 and (K - 1)/2 padding: extents kept
     kernels, strides, paddings, extents = [], [], [], []
     for i in range(n):

@@ -14,7 +14,9 @@ from tensorconv import (
     RankError,
     ReLU,
     compress,
+    conv_nd_direct,
     execute_plan,
+    forward,
     kruskal_to_dense,
     load_plan,
     save_plan,
@@ -153,8 +155,22 @@ class TestCompress:
             compress(w, "tucker", (2, 2, 2))
         with pytest.raises(DimensionError):
             compress(rng.standard_normal((3, 4)), "cp", 2)
-        with pytest.raises(DimensionError, match="4-mode"):
-            compress(rng.standard_normal((3, 4, 2, 2, 2)), "mobilenet-v1", 4)
+        with pytest.raises(DimensionError, match="order >= 3"):
+            compress(rng.standard_normal((3, 4)), "mobilenet-v2", 2)
+
+    @pytest.mark.parametrize("scheme", ["mobilenet-v1", "mobilenet-v2"])
+    def test_mobilenet_on_3d_kernel(self, tmp_path, scheme):
+        rng = np.random.default_rng(111)
+        w = rng.standard_normal((3, 4, 3, 2, 3))
+        res = compress(w, scheme, 4, seed=0, max_iters=30, padding=1)
+        plan = res.plan
+        x = rng.standard_normal((4, 7, 5, 6))
+        out = execute_plan(plan, x)
+        assert rel_error(out, conv_nd_direct(x, plan.layer.dense_kernel(), plan.spec)) <= 1e-10
+        loaded = load_plan(save_plan(plan, tmp_path))
+        assert execute_plan(loaded, x).tobytes() == out.tobytes()
+        for (role, a), (_, b) in zip(loaded.layer.factors, plan.layer.factors):
+            assert a.tobytes() == b.tobytes(), role
 
     def test_plan_stage_labels_match_scheme(self):
         rng = np.random.default_rng(110)
@@ -271,11 +287,7 @@ class TestPlanSerialization:
         plan = FactorizedPlan("hocp", layer, report_hocp(spec, 4, (6, 6), include_skip=True), (6, 6))
         loaded = load_plan(save_plan(plan, tmp_path))
         x = rng.standard_normal((3, 6, 6))
-        from tensorconv import ho_cp_conv_forward
-
-        assert np.array_equal(
-            ho_cp_conv_forward(loaded.layer, x), ho_cp_conv_forward(layer, x)
-        )
+        assert np.array_equal(forward(loaded.layer, x), forward(layer, x))
         assert isinstance(loaded.layer.activations[0], ReLU)
         assert isinstance(loaded.layer.activations[1], FrozenBatchNorm)
 
@@ -308,7 +320,5 @@ class TestWithConvParams:
         x = rng.standard_normal((3, 6, 6))
         out = execute_plan(plan_same, x)
         assert out.shape == (2, 6, 6)
-        from tensorconv import conv_nd_direct
-
         direct = conv_nd_direct(x, plan_same.layer.dense_kernel(), plan_same.spec)
         assert rel_error(out, direct) < 1e-10
