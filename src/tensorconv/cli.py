@@ -116,6 +116,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_conv(args) -> int:
     stride, padding = _parse_stride_padding(args)
     x = read_finite_tensor(args.input)
+    cost_lines = []
     if args.plan:
         plan = load_plan(args.plan)
         if stride is not None or padding is not None:
@@ -125,6 +126,8 @@ def _cmd_conv(args) -> int:
                 plan.spec.paddings if padding is None else padding,
             )
         y = execute_plan(plan, x)
+        # The plan's analytic cost on this input's extents, stage by stage.
+        cost_lines = costs.report(plan.layer.stages, x.shape[1:]).lines()
     else:
         if not args.kernel:
             raise _UsageError("conv requires --kernel (direct) or --plan (factorized)")
@@ -136,6 +139,8 @@ def _cmd_conv(args) -> int:
     write_tensor(args.out, y)
     print(f"output_shape={','.join(str(e) for e in y.shape)}")
     print(f"output_file={args.out}")
+    for line in cost_lines:
+        print(line)
     return EXIT_OK
 
 

@@ -2,8 +2,9 @@
 
 Dense tensors are plain ``numpy.ndarray`` values in row-major (C) order with
 64-bit float elements; :func:`as_tensor` is the single validation/coercion
-point. All operations here are pure functions: inputs are never mutated and
-outputs are freshly allocated, so values can be shared freely across threads.
+point. Inputs are never mutated, and outputs are freshly allocated unless
+the caller passes its own ``out`` (or asks :func:`band_diagonals` for views
+into its band workspace), so values can be shared freely across threads.
 
 Conventions, fixed once for the whole package:
 
@@ -22,6 +23,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError
 
@@ -31,6 +33,7 @@ __all__ = [
     "n_mode_product",
     "depthwise_conv",
     "band_matrices",
+    "band_diagonals",
     "banded_mode_conv",
     "conv_output_extent",
     "unfold",
@@ -103,6 +106,7 @@ def depthwise_conv(
     taps: np.ndarray,
     strides: Sequence[int],
     paddings: Sequence[int],
+    out=None,
 ) -> np.ndarray:
     """Per-channel N-D cross-correlation with zero padding.
 
@@ -125,12 +129,18 @@ def depthwise_conv(
     in row-major order on both paths. The flat path also adds +0.0 for the
     others, which leaves the bits of a sum that starts at +0.0 unchanged, so
     the paths agree bitwise.
+
+    ``out``, when given, receives the result; each of its channel rows must
+    be one contiguous run.
     """
     kernel_sizes = taps.shape[:-1]
     extents = z.shape[1:]
     out_extents = tuple(map(conv_output_extent, extents, kernel_sizes, strides, paddings))
-    out = np.zeros((taps.shape[-1],) + out_extents)
-    product = np.empty_like(out)
+    if out is None:
+        out = np.zeros((taps.shape[-1],) + out_extents)
+    else:
+        out[...] = 0.0
+    product = np.empty(out.shape)
     if out_extents == extents and all(s == 1 for s in strides):
         _add_flat_shifts(out, product, z, taps, paddings)
         return out
@@ -180,31 +190,60 @@ def band_matrices(taps: np.ndarray, extent: int, stride: int = 1, padding: int =
     the matrix and nothing is padded.
     """
     kernel, rank = taps.shape
-    out_extent = conv_output_extent(extent, kernel, stride, padding)
-    cols = np.arange(out_extent)[:, None] * stride - padding + np.arange(kernel)
-    rows, ks = np.nonzero((cols >= 0) & (cols < extent))
-    bands = np.zeros((rank, out_extent, extent))
-    bands[:, rows, cols[rows, ks]] = taps[ks].T
+    bands = np.zeros((rank, conv_output_extent(extent, kernel, stride, padding), extent))
+    for k, diagonal in band_diagonals(bands, kernel, stride, padding):
+        diagonal[...] = taps[k][:, None]
     return bands
 
 
-def banded_mode_conv(z: np.ndarray, bands: np.ndarray, mode: int) -> np.ndarray:
+def band_diagonals(bands: np.ndarray, kernel: int, stride: int, padding: int) -> list:
+    """(k, view) for each tap k of a K-tap band that lands in some row of
+    ``bands`` (R x D_out x D, any strides): the writable (R x rows) view of
+    the entries that hold tap k, one strided diagonal. Since these positions
+    depend on the geometry alone, a band workspace holding zeros elsewhere
+    takes new taps in K writes."""
+    out_extent, extent = bands.shape[1:]
+    r_step, y_step, d_step = bands.strides
+    diagonals = []
+    for k in range(kernel):
+        box = _valid_box(k, stride, padding, extent, out_extent)
+        if box is not None:
+            ys, cols = box
+            shape, strides = (len(bands), ys.stop - ys.start), (r_step, y_step + stride * d_step)
+            diagonals.append((k, as_strided(bands[:, ys.start, cols.start], shape, strides)))
+    return diagonals
+
+
+def banded_mode_conv(z: np.ndarray, bands: np.ndarray, mode: int, out=None) -> np.ndarray:
     """Apply channel r's band matrix ``bands[r]`` along ``mode`` of ``z[r]``.
 
     ``z`` is (R x D_0 x ... x D_{N-1}) and ``bands`` (R x D_out x D_mode),
     as :func:`band_matrices` builds them: one batched matrix product over
     the channels, and over the modes before ``mode`` unless it is the last.
+    Along the last mode the product takes the bands transposed, as a
+    contiguous (R x D_mode x D_out) array: OpenBLAS runs such products about
+    twice as fast as on the transposed view, and can round them differently
+    in the last bits, so every layout is multiplied in this one. Bands kept
+    as the transpose of a contiguous array cost no copy here.
     Each output sums over the whole band row, zeros included, so it is the
     loop nest's sum up to rounding, not bitwise; a non-finite input spreads
     NaN (0 x inf) along its whole row instead of K outputs.
+
+    ``out``, when given, receives the result; each of its channel rows must
+    be one contiguous run.
     """
     rank, extents = z.shape[0], z.shape[1:]
     before, after = math.prod(extents[:mode]), math.prod(extents[mode + 1:])
+    shape = (rank,) + extents[:mode] + bands.shape[1:2] + extents[mode + 1:]
+    if out is None:
+        out = np.empty(shape)
     if after == 1:
-        out = np.matmul(z.reshape(rank, before, extents[mode]), bands.transpose(0, 2, 1))
+        np.matmul(z.reshape(rank, before, extents[mode]), np.ascontiguousarray(bands.transpose(0, 2, 1)),
+                  out=out.reshape(rank, before, bands.shape[1]))
     else:
-        out = np.matmul(bands[:, None], z.reshape(rank, before, extents[mode], after))
-    return out.reshape((rank,) + extents[:mode] + bands.shape[1:2] + extents[mode + 1:])
+        np.matmul(bands[:, None], z.reshape(rank, before, extents[mode], after),
+                  out=out.reshape(rank, before, bands.shape[1], after))
+    return out
 
 
 def _valid_box(offset: int, stride: int, padding: int, extent: int, out_extent: int):

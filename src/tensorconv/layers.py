@@ -41,7 +41,7 @@ from .decomp import (
 from .dense import (
     as_matrix,
     as_tensor,
-    band_matrices,
+    band_diagonals,
     banded_mode_conv,
     conv_output_extent,
     depthwise_conv,
@@ -78,11 +78,13 @@ __all__ = [
 class Activation:
     """Base class; subclasses implement ``apply`` on (channels x spatial...) arrays.
 
-    ``check(rank)`` rejects parameters that do not fit ``rank`` channels or are
-    not finite; ``channels(sl)`` is the activation of channels ``sl`` alone.
+    ``apply(z, out)`` writes the result into ``out`` when given, which may be
+    ``z`` itself. ``check(rank)`` rejects parameters that do not fit ``rank``
+    channels or are not finite; ``channels(sl)`` is the activation of
+    channels ``sl`` alone.
     """
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
 
     def check(self, rank: int) -> None:
@@ -94,8 +96,8 @@ class Activation:
 
 @dataclass(frozen=True)
 class ReLU(Activation):
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(z, 0.0)
+    def apply(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.maximum(z, 0.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -104,14 +106,18 @@ class PReLU(Activation):
 
     slope: float = 0.25
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         if 0.0 < self.slope <= 1.0:
             # Then slope * z <= z exactly where z >= 0, so this is bitwise the
             # np.where below, for +-0, +-inf, NaN and subnormals too, without
             # the mask. Slope 0 (0 * inf), > 1 and < 0 break that.
-            out = np.multiply(z, self.slope)
-            return np.maximum(z, out, out=out)
-        return np.where(z >= 0.0, z, self.slope * z)
+            product = np.multiply(z, self.slope)
+            return np.maximum(z, product, out=product if out is None else out)
+        result = np.where(z >= 0.0, z, self.slope * z)
+        if out is None:
+            return result
+        out[...] = result
+        return out
 
     def check(self, rank: int) -> None:
         if not math.isfinite(self.slope):
@@ -160,8 +166,8 @@ class FrozenBatchNorm(Activation):
     def channels(self, sl: slice) -> "_Affine":
         return self._affine().channels(sl)
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        return self._affine().apply(z)
+    def apply(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self._affine().apply(z, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +179,7 @@ class _Affine(Activation):
     a: np.ndarray
     b: np.ndarray
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         a, b = (p.reshape(p.shape + (1,) * (z.ndim - 1)) if p.ndim else p for p in (self.a, self.b))
         # Per-channel a and b broadcast along rows shorter than numpy's ufunc
         # buffer (8192 elements by default) go through buffered copies, 3-4x
@@ -182,7 +188,7 @@ class _Affine(Activation):
         # being elementwise, changes no bit.
         old = np.setbufsize(max(16, min(np.getbufsize(), z[0].size // 16 * 16)))
         try:
-            out = np.multiply(z, a)
+            out = np.multiply(z, a, out=out)
             out += b
         finally:
             np.setbufsize(old)
@@ -217,8 +223,9 @@ class _Stage:
     def out_extents(self, extents) -> tuple[int, ...]:
         return tuple(extents)
 
-    def at(self, extents) -> "_Stage":
-        """The stage as it runs on inputs of spatial ``extents``."""
+    def at(self, extents, width: Optional[int] = None) -> "_Stage":
+        """The stage as it runs on inputs of spatial ``extents``, in blocks of
+        at most ``width`` channels (the whole rank by default)."""
         return self
 
 
@@ -316,21 +323,29 @@ class Depthwise(_Stage):
             return moving[0]
         return None
 
-    def at(self, extents) -> "Depthwise | _Banded":
-        """The stage with its band matrices built for inputs of ``extents``
-        when :meth:`band_mode` names a mode, else itself."""
+    def at(self, extents, width: Optional[int] = None) -> "Depthwise | _Banded":
+        """When :meth:`band_mode` names a mode on inputs of ``extents``, the
+        stage bound to them with a band workspace of ``width`` channels (the
+        whole rank by default); else itself."""
         mode = self.band_mode(extents)
         if mode is None:
             return self
-        taps = self.taps.reshape(-1, self.taps.shape[-1])
-        bands = band_matrices(taps, extents[mode], self.strides[mode], self.paddings[mode])
-        return _Banded(self.label, bands, mode)
+        kernel, rank = self.taps.shape[mode], self.taps.shape[-1]
+        stride, padding = self.strides[mode], self.paddings[mode]
+        d, rows = extents[mode], width or rank
+        d_out = conv_output_extent(d, kernel, stride, padding)
+        if mode == len(extents) - 1:  # kept transposed, as banded_mode_conv multiplies it
+            bands = np.zeros((rows, d, d_out)).transpose(0, 2, 1)
+        else:
+            bands = np.zeros((rows, d_out, d))
+        diagonals = band_diagonals(bands, kernel, stride, padding)
+        return _Banded(self.label, self.taps.reshape(kernel, rank), bands, diagonals, mode)
 
-    def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         stage = self.at(z.shape[1:])
         if stage is not self:
-            return stage.apply(z, x)
-        return depthwise_conv(z, self.taps, self.strides, self.paddings)
+            return stage.apply(z, x, out)
+        return depthwise_conv(z, self.taps, self.strides, self.paddings, out)
 
     def channels(self, sl: slice) -> "Depthwise":
         """The stage restricted to channels ``sl``."""
@@ -352,19 +367,28 @@ class Depthwise(_Stage):
 
 @dataclass(frozen=True, eq=False)
 class _Banded:
-    """A 1-D :class:`Depthwise` stage bound to its input extents: per-channel
-    band matrices (R x D_out x D) along ``mode``. Only :func:`forward`'s
-    channel blocks run it."""
+    """A 1-D :class:`Depthwise` stage bound to its input extents along
+    ``mode``: its taps (K x R) and a band workspace of at least R channels
+    (:func:`band_matrices` layout, zeros off the band) with the diagonals
+    that hold each tap (:func:`band_diagonals`). Each ``apply`` writes the
+    taps into the workspace, K strided writes, then runs
+    :func:`banded_mode_conv`. The channel blocks of :func:`forward` share
+    one workspace of block width, so no band matrices outlive their block."""
 
     label: str
+    taps: np.ndarray
     bands: np.ndarray
+    diagonals: list
     mode: int
 
-    def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return banded_mode_conv(z, self.bands, self.mode)
+    def apply(self, z: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        n = self.taps.shape[1]
+        for k, diagonal in self.diagonals:
+            diagonal[:n] = self.taps[k][:, None]
+        return banded_mode_conv(z, self.bands[:n], self.mode, out)
 
     def channels(self, sl: slice) -> "_Banded":
-        return replace(self, bands=self.bands[sl])
+        return replace(self, taps=self.taps[:, sl])
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,8 +429,8 @@ class Activate(_Stage):
     def label(self) -> str:
         return f"activation_{self.mode}"
 
-    def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.activation.apply(z)
+    def apply(self, z: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self.activation.apply(z, out)
 
     def naive(self, z: np.ndarray, x: np.ndarray, counter: Optional[OpCounter]) -> np.ndarray:
         return self.activation.apply(z)
@@ -814,9 +838,11 @@ def _check_activation(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
 # which sets the slab height g. The line buffer holds K - s planes more than
 # the slab. At 20 MiB the column's blocks 2-4 (32x32x16 inputs, rank 6C)
 # take slabs of 13, 6 and 3 planes, and their cp and hocp forwards peak at
-# 46-55, 68-76 and 82-87 MB (tracemalloc; 30 MiB put block 4's hocp forward
-# at 104 MB for no clear gain). Rank 32 on a 320x240 image fits one slab, so
-# small-rank 2-D layers run as the plain fold.
+# 41-47, 60-65 and 66-69 MB (tracemalloc), mostly line buffer and output.
+# 30 MiB, when band matrices were still held for the whole rank, put block
+# 4's hocp forward at 104 MB for no clear gain; with per-block band
+# workspaces it peaks at 83 MB. Rank 32 on a 320x240 image fits one slab,
+# so small-rank 2-D layers run as the plain fold.
 _TILE_BYTES = 20 * 2**20
 
 # Bytes of one channel block of the per-channel stages inside a slab, on the
@@ -876,16 +902,22 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
       does on the whole input (:meth:`Depthwise.at`): a ``conv_mode_i``
       stage along a mode of at most ``_BAND_EXTENT`` as band matrices
       (:func:`banded_mode_conv`), longer ones as :func:`depthwise_conv`; a
-      frozen batch norm as ``z * a + b``. While the block is in cache, the
-      window planes the next slab shares move to the front of its buffer
-      rows, and its result is written behind them;
+      frozen batch norm as ``z * a + b``, in place on the chain's own
+      intermediates. A banded stage keeps one band workspace of block
+      width, and each block writes its taps into it before the product,
+      so band matrices are held for one block at a time, never for the
+      rank. While the block is in cache, the window planes the next slab
+      shares move to the front of its buffer rows, and the last stage
+      writes its result straight behind them;
     * one GEMM with the trailing contraction, its K the full rank, reads
-      those results and writes the slab's output columns in place. A
-      trailing skip (and any activation after it) then runs on those
-      columns while they are in cache, when the head keeps the extents.
+      those results and writes the slab's output columns in place. When
+      the head keeps the extents, a trailing skip's GEMM then reads x's
+      columns in place and adds into those output columns, and any
+      activation after it runs on them in place, while they are in cache.
 
     So each input plane is contracted once, and the per-slab memory is the
-    line buffer. Only when one full-rank plane exceeds ``_TILE_BYTES`` does
+    line buffer plus one block's intermediates and band workspaces, which
+    do not grow with the rank. Only when one full-rank plane exceeds ``_TILE_BYTES`` does
     a slab (then one plane) run in rank tiles, each contracting its whole
     window and adding its GEMM into the slab's columns; memory stays
     bounded whatever the rank.
@@ -938,7 +970,7 @@ def _stream(x, lead, per_channel, tail, rest):
     out = np.empty(tail.matrix.shape[:1] + out_extents)
     flat_x, flat_out = x.reshape(x.shape[0], -1), out.reshape(out.shape[0], -1)
     per_slab = all(isinstance(s, (Skip, Activate)) for s in rest) and out_extents == x.shape[1:]
-    blocks, bound, kept = None, None, 0  # bound: (channels, window extents) of ``blocks``
+    chain, bound, kept = None, None, 0  # bound: (channels, window extents) of ``chain``
     for y0 in range(0, d_out, g):
         y1 = min(y0 + g, d_out)
         a, b = (0, d_in) if g == d_out else (y0 * stride - padding, (y1 - 1) * stride + kernel - padding)
@@ -954,11 +986,11 @@ def _stream(x, lead, per_channel, tail, rest):
                 _fill(lines, flat_x, lead, lo, hi, a + kept, b, a, d_in, plane)
                 window = lines[:, :(b - a) * plane].reshape((hi - lo, b - a) + x.shape[2:])
             if bound != (lo, hi, window.shape[1:]):
-                blocks = None  # free the old band matrices before building new ones
+                chain = None  # free the old band workspaces before making new ones
                 width = max(1, _BLOCK_BYTES // (8 * max(window[0].size, (y1 - y0) * widest)))
-                blocks = _bind(per_channel, slice(lo, hi), window.shape[1:], width)
+                chain = _bind(per_channel, slice(lo, hi), window.shape[1:], width)
                 bound = (lo, hi, window.shape[1:])
-            _run_blocks(blocks, window, lines, moved, shift, plane, x)
+            _run_blocks(*chain, window, lines, moved, shift, plane, x)
             res = lines[:, moved * plane:moved * plane + cols.stop - cols.start]
             if lo:
                 flat_out[:, cols] += np.matmul(tail.matrix[:, lo:hi], res)
@@ -966,36 +998,62 @@ def _stream(x, lead, per_channel, tail, rest):
                 np.matmul(tail.matrix[:, lo:hi], res, out=flat_out[:, cols])
         kept = moved
         if per_slab and rest:
-            z = out[:, y0:y1]
+            slab = out[:, y0:y1]
             for stage in rest:
-                z = stage.apply(z, x[:, y0:y1])
-            out[:, y0:y1] = z
+                if isinstance(stage, Skip):  # reads x's columns in place, adds into the output's
+                    np.add(np.matmul(stage.matrix, flat_x[:, cols]), flat_out[:, cols], out=flat_out[:, cols])
+                else:
+                    stage.apply(slab, x, slab)
     return out, () if per_slab else rest
 
 
-def _bind(per_channel, sl: slice, extents, width: int) -> list:
+def _bind(per_channel, sl: slice, extents, width: int):
     """The per-channel stages restricted to channels ``sl`` and bound to
-    input ``extents`` (:meth:`Depthwise.at`), as (block, the stages on that
-    block) pairs for blocks of ``width`` channels."""
+    input ``extents`` (:meth:`Depthwise.at`, each banded stage with one
+    workspace for the blocks), as (block, the stages on that block) pairs
+    for blocks of ``width`` channels; and the extents of the chain's result."""
     stages = []
     for stage in per_channel:
-        stages.append(stage.channels(sl).at(extents))
+        stages.append(stage.channels(sl).at(extents, min(width, sl.stop - sl.start)))
         extents = stage.out_extents(extents)
     blocks = [slice(c, c + width) for c in range(0, sl.stop - sl.start, width)]
-    return [(blk, [stage.channels(blk) for stage in stages]) for blk in blocks]
+    return [(blk, [stage.channels(blk) for stage in stages]) for blk in blocks], extents
 
 
-def _run_blocks(blocks, window, lines, moved: int, shift: int, plane: int, x) -> None:
-    """Run each block's stages on its channels of ``window``, then move its
-    planes ``[shift, shift + moved)`` to the front of its ``lines`` and write
-    its result behind them."""
+def _run_blocks(blocks, extents, window, lines, moved: int, shift: int, plane: int, x) -> None:
+    """Run each block's stages on its channels of ``window``, move its planes
+    ``[shift, shift + moved)`` to the front of its ``lines`` rows, and write
+    its result, of spatial ``extents``, behind them.
+
+    Every stage after the first reads an intermediate of the chain's own, so
+    activations there run in place, and the last stage writes straight into
+    ``lines`` once the planes have moved: the window is dead by then. Only a
+    chain of one stage, whose input is the window, has its result copied in.
+    """
+    size = math.prod(extents)
     for blk, stages in blocks:
         u = window[blk]
-        for stage in stages:
-            u = stage.apply(u, x)
-        for j in range(moved):  # plane by plane: source and target may overlap
-            lines[blk, j * plane:(j + 1) * plane] = lines[blk, (shift + j) * plane:(shift + j + 1) * plane]
-        lines[blk, moved * plane:moved * plane + u[0].size] = u.reshape(len(u), -1)
+        for i, stage in enumerate(stages[:-1]):
+            u = stage.apply(u, x, u if i and isinstance(stage, Activate) else None)
+        if len(stages) == 1:
+            u = stages[0].apply(u, x)
+        _carry(lines[blk], moved, shift, plane)
+        res = lines[blk, moved * plane:moved * plane + size].reshape((len(u),) + extents)
+        if len(stages) == 1:
+            res[...] = u
+        else:
+            stages[-1].apply(u, x, res)
+
+
+def _carry(rows: np.ndarray, moved: int, shift: int, plane: int) -> None:
+    """Move planes ``[shift, shift + moved)`` of each of the C-contiguous
+    ``rows`` to its front, one memmove per row through a byte view. numpy
+    would copy the block through a temporary: the rows of source and target
+    interleave in memory, whether or not their planes overlap."""
+    if moved:
+        view, size, src = memoryview(rows).cast("B"), moved * plane * 8, shift * plane * 8
+        for row in range(0, rows.nbytes, rows.strides[0]):
+            view[row:row + size] = view[row + src:row + src + size]
 
 
 def _fill(lines, flat_x, lead, lo, hi, start, b, a, d_in, plane) -> None:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from tensorconv import (
-    ConvSpec, CpConvLayer, FrozenBatchNorm, HoCpConvLayer, PReLU, kruskal_to_dense, read_tensor,
-    write_tensor,
+    ConvSpec, CpConvLayer, FrozenBatchNorm, HoCpConvLayer, PReLU, costs, kruskal_to_dense, load_plan,
+    read_tensor, write_tensor,
 )
 from tensorconv.cli import main
 from tensorconv.costs import report_hocp
@@ -163,6 +163,25 @@ class TestConv:
         a, b = read_tensor(y_plan), read_tensor(y_direct)
         assert a.shape == b.shape
         assert rel_error(a, b) < 1e-10
+
+    def test_plan_prints_its_cost_on_the_input(self, synthetic_kernel, tmp_path, capsys):
+        kernel, _ = synthetic_kernel
+        x = np.random.default_rng(56).standard_normal((4, 11, 6))
+        xp = tmp_path / "x.tensor"
+        write_tensor(xp, x)
+        manifest = tmp_path / "plan" / "plan.json"
+        assert run_cli(
+            "decompose", "--input", kernel, "--scheme", "hocp", "--rank", "2", "--out", tmp_path / "plan",
+        ) == 0
+        capsys.readouterr()
+        assert run_cli("conv", "--input", xp, "--plan", manifest, "--out", tmp_path / "y.tensor") == 0
+        lines = capsys.readouterr().out.splitlines()
+        keys = dict(line.split("=", 1) for line in lines if "=" in line and not line.startswith("#"))
+        plan = load_plan(manifest)
+        expected = costs.report(plan.layer.stages, x.shape[1:])
+        assert int(keys["flops"]) == expected.flops
+        assert expected.flops != plan.cost.flops  # the input's extents, not the plan's reference
+        assert lines[2:] == expected.lines()
 
     def test_channel_mismatch_exits_2_naming_extents(self, synthetic_kernel, tmp_path, capsys):
         kernel, _ = synthetic_kernel

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tensorconv import DimensionError, fold, khatri_rao, n_mode_product, unfold
-from tensorconv.dense import as_tensor, conv_output_extent, depthwise_conv
+from tensorconv.dense import (
+    as_tensor, band_diagonals, band_matrices, banded_mode_conv, conv_output_extent, depthwise_conv,
+)
 from tensorconv.layers import Depthwise
 
 small_tensors = hnp.arrays(
@@ -202,6 +204,48 @@ class TestDepthwiseConv:
         expected = Depthwise("mode", v.reshape(shape), (1,) * n, paddings).naive(t[None], t[None], None)[0]
         got = conv_along(t, v, mode, 1, (k - 1) // 2)
         assert got.tobytes() == expected.tobytes()
+
+
+class TestBandedModeConv:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("rank,before,extent", [(25, 96, 16), (8, 3, 48)])
+    def test_pretransposed_last_mode_bands_bitwise(self, rank, before, extent, stride, padding):
+        # The streamed forward keeps last-mode bands as the transpose of a
+        # contiguous (R x D x D_out) array. OpenBLAS rounds the product with
+        # the transposed view of band_matrices' layout differently in the last
+        # bits on some of these shapes, so banded_mode_conv always multiplies
+        # the contiguous transpose, and the layouts give the same bits.
+        rng = np.random.default_rng(40 + 3 * stride + padding)
+        z = rng.standard_normal((rank, before, extent))
+        bands = band_matrices(rng.standard_normal((3, rank)), extent, stride, padding)
+        kept = np.ascontiguousarray(bands.transpose(0, 2, 1)).transpose(0, 2, 1)
+        expected = banded_mode_conv(z, bands, 1)
+        assert banded_mode_conv(z, kept, 1).tobytes() == expected.tobytes()
+        # Written into rows of a wider buffer, as into a line buffer.
+        rows = np.full((rank, 7 + expected[0].size), np.nan)
+        banded_mode_conv(z, kept, 1, rows[:, 7:].reshape(expected.shape))
+        assert rows[:, 7:].tobytes() == expected.reshape(rank, -1).tobytes()
+        loops = np.einsum("ryd,rbd->rby", bands, z)
+        assert np.abs(expected - loops).max() <= 1e-12 * np.abs(z).max() * np.abs(bands).sum(axis=2).max()
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_diagonals_refill_a_workspace(self, stride, padding, transposed):
+        rng = np.random.default_rng(45)
+        extent = 11
+        out_extent = conv_output_extent(extent, 3, stride, padding)
+        if transposed:
+            workspace = np.zeros((6, extent, out_extent)).transpose(0, 2, 1)
+        else:
+            workspace = np.zeros((6, out_extent, extent))
+        diagonals = band_diagonals(workspace, 3, stride, padding)
+        for _ in range(2):  # the second taps overwrite the first's entries
+            taps = rng.standard_normal((3, 4))
+            for k, diagonal in diagonals:
+                diagonal[:4] = taps[k][:, None]
+            assert np.array_equal(workspace[:4], band_matrices(taps, extent, stride, padding))
+        assert not workspace[4:].any()
 
 
 class TestUnfoldFold:

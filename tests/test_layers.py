@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -786,6 +787,69 @@ class TestBandedDepthwise:
         out = layers.forward(cp, x)
         assert calls == {"depthwise_conv": 0, "banded_mode_conv": 3}
         assert rel_error(out, conv_nd_direct(x, cp.dense_kernel(), cp.spec)) <= 1e-10
+
+
+class TestBandWorkspace:
+    """The streamed forward holds band matrices for one channel block at a time."""
+
+    def test_peak_does_not_grow_with_band_storage(self):
+        # One full-rank slab of a (8, 4, 32, 32) input, with modes 1 and 2
+        # banded. Bands for the whole rank would hold rank x 2 x 32 x 32
+        # doubles: 4 MiB at rank 256, 8 MiB at 512. Besides the line buffer
+        # (the rank's contracted input planes) and the output, the forward
+        # holds one block's chain: a stage's input and output, each at most
+        # _BLOCK_BYTES at this geometry, and the block's band workspaces
+        # (0.25 MiB). That excess must not grow with the rank.
+        excess = {}
+        for rank in (256, 512):
+            rng = np.random.default_rng(170)
+            cp = make_cp_layer(rng, 8, 8, (3, 3, 3), rank, 1, 1)
+            x = rng.standard_normal((8, 4, 32, 32))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = layers.forward(cp, x)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            excess[rank] = peak - 8 * rank * x[0].size - out.nbytes
+            assert rel_error(out, conv_nd_direct(x, cp.dense_kernel(), cp.spec)) <= 1e-10
+        assert excess[256] < 3 * layers._BLOCK_BYTES
+        assert excess[512] < excess[256] + 2**16
+
+    @pytest.mark.parametrize("moved,shift", [(2, 3), (2, 2), (3, 1)])
+    def test_carry_allocates_nothing(self, moved, shift):
+        # 32 rows of 5 planes of 612: the plane-by-plane 2-D self-assignment
+        # copied each moved plane (32 x 612 doubles, 157 kB) through a
+        # temporary, since source and target rows interleave in memory.
+        plane = 612
+        rows = np.random.default_rng(171).standard_normal((32, 5 * plane))
+        expected = rows.copy()
+        expected[:, :moved * plane] = rows[:, shift * plane:(shift + moved) * plane]
+        tracemalloc.start()
+        try:
+            layers._carry(rows, moved, shift, plane)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.tobytes() == expected.tobytes()
+        assert peak < 8 * plane  # a byte view, not one row's plane
+
+    def test_activations_never_write_into_x_or_the_window(self):
+        # Without a leading contraction the one-slab window is a view of x,
+        # so a ReLU first in the chain must not run in place.
+        rng = np.random.default_rng(172)
+        stages = (
+            layers.Activate(0, ReLU()),
+            layers.Depthwise("conv_mode_1", rng.standard_normal((1, 3, 4)), (1, 1), (0, 1)),
+            layers.Contract("contract_out", rng.standard_normal((3, 4))),
+        )
+        layer = types.SimpleNamespace(stages=stages, spec=ConvSpec(4, 3, (1, 3), 1, (0, 1)))
+        x = rng.standard_normal((4, 9, 8))
+        before = x.copy()
+        out = layers.forward(layer, x)
+        assert x.tobytes() == before.tobytes()
+        assert out.tobytes() == untiled_fold(layer, x).tobytes()
 
 
 def exponent_range_values(rng, count):
