@@ -117,11 +117,13 @@ def depthwise_conv(
     exactly the zero terms a padded input would add:
 
     * flat shifts, when every stride is 1 and the output keeps the input
-      extents (K odd and padding (K - 1)/2 on every mode: every stage of a
-      CP or MobileNet layer with stride 1 and same padding). Each offset is
-      one constant shift of the (R x D_0*...*D_{N-1}) view: one contiguous
-      multiply, then zeroing the products whose window wrapped across a mode
-      boundary, then one contiguous add;
+      extents past mode 0 (K odd and padding (K - 1)/2 on modes 1 to N-1:
+      every stage of a CP or MobileNet layer with stride 1 and same
+      padding, also on a window of mode-0 planes with its padding made
+      explicit). Planes are whole, so each offset is one constant shift of
+      the (R x D_0*...*D_{N-1}) view whatever mode 0's padding: one
+      contiguous multiply, then zeroing the products whose window left the
+      input along some mode, then one contiguous add;
     * boxes, for every other geometry: each offset adds its products only to
       the output box whose window lies inside ``z``.
 
@@ -141,7 +143,7 @@ def depthwise_conv(
     else:
         out[...] = 0.0
     product = np.empty(out.shape)
-    if out_extents == extents and all(s == 1 for s in strides):
+    if out_extents[1:] == extents[1:] and all(s == 1 for s in strides):
         _add_flat_shifts(out, product, z, taps, paddings)
         return out
     gain_shape = (taps.shape[-1],) + (1,) * len(kernel_sizes)
@@ -157,27 +159,31 @@ def depthwise_conv(
 
 
 def _add_flat_shifts(out, product, z, taps, paddings) -> None:
-    """The stride-1, extent-keeping path of :func:`depthwise_conv`: adds every
-    offset's products to ``out`` (zeros), through the buffer ``product``; both
-    have the shape of ``z``."""
-    rank, extents = z.shape[0], z.shape[1:]
-    volume = math.prod(extents)
+    """The stride-1 path of :func:`depthwise_conv` for outputs that keep the
+    extents past mode 0: adds every offset's products to ``out`` (zeros),
+    through the buffer ``product`` of the same shape."""
+    rank, extents, out_extents = z.shape[0], z.shape[1:], out.shape[1:]
+    volume, out_volume = math.prod(extents), math.prod(out_extents)
     steps = [math.prod(extents[i + 1:]) for i in range(len(extents))]
     flat_z, flat_out = z.reshape(rank, -1), out.reshape(rank, -1)
     flat_product = product.reshape(rank, -1)
     for offs in np.ndindex(*taps.shape[:-1]):
         shifts = [o - p for o, p in zip(offs, paddings)]
-        if any(abs(d) >= e for d, e in zip(shifts, extents)):
+        # Along each mode, the outputs y whose input y + d lies in [0, e).
+        inside = [(max(0, -d), min(f, e - d)) for d, e, f in zip(shifts, extents, out_extents)]
+        if any(a >= b for a, b in inside):
             continue
         s = sum(d * step for d, step in zip(shifts, steps))
-        lo, hi = max(0, -s), min(volume, volume - s)
+        lo, hi = max(0, -s), min(out_volume, volume - s)
         np.multiply(taps[offs].reshape(rank, 1), flat_z[:, lo + s:hi + s], out=flat_product[:, lo:hi])
         # Outputs whose window leaves the input along some mode; this covers
-        # [0, lo) and [hi, volume) too, whose products were not written.
-        for i, (d, e) in enumerate(zip(shifts, extents)):
-            if d:
-                wrapped = slice(None, -d) if d < 0 else slice(e - d, None)
-                product[(slice(None),) * (i + 1) + (wrapped,)] = 0.0
+        # [0, lo) and [hi, out_volume) too, whose products were not written.
+        for i, ((a, b), f) in enumerate(zip(inside, out_extents)):
+            mode = (slice(None),) * (i + 1)
+            if a:
+                product[mode + (slice(None, a),)] = 0.0
+            if b < f:
+                product[mode + (slice(b, None),)] = 0.0
         flat_out += flat_product
 
 

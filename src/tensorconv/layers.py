@@ -181,17 +181,8 @@ class _Affine(Activation):
 
     def apply(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         a, b = (p.reshape(p.shape + (1,) * (z.ndim - 1)) if p.ndim else p for p in (self.a, self.b))
-        # Per-channel a and b broadcast along rows shorter than numpy's ufunc
-        # buffer (8192 elements by default) go through buffered copies, 3-4x
-        # slower per element; a slab's channel rows can be 1536 long. A
-        # buffer no longer than a row avoids the copies and, the operation
-        # being elementwise, changes no bit.
-        old = np.setbufsize(max(16, min(np.getbufsize(), z[0].size // 16 * 16)))
-        try:
-            out = np.multiply(z, a, out=out)
-            out += b
-        finally:
-            np.setbufsize(old)
+        out = np.multiply(z, a, out=out)
+        out += b
         return out
 
     def channels(self, sl: slice) -> "_Affine":
@@ -363,6 +354,17 @@ class Depthwise(_Stage):
                     counter.madds += 1
             out[idx] = acc
         return out
+
+
+class _Unbanded(Depthwise):
+    """A :class:`Depthwise` stage held to :func:`depthwise_conv` on any
+    extents: the first stage on a slab's window, when the whole mode 0 the
+    window is cut from is too long for bands. A band product is not bitwise
+    the flat shifts the whole input takes, and a window of a few dozen
+    planes would pass :meth:`band_mode`."""
+
+    def band_mode(self, extents) -> None:
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -835,20 +837,31 @@ def _check_activation(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
 
 # Bytes of one slab's largest per-channel intermediate at full rank (rank x
 # g planes x the largest plane volume of the per-channel chain, float64),
-# which sets the slab height g. The line buffer holds K - s planes more than
-# the slab. At 20 MiB the column's blocks 2-4 (32x32x16 inputs, rank 6C)
-# take slabs of 13, 6 and 3 planes, and their cp and hocp forwards peak at
-# 41-47, 60-65 and 66-69 MB (tracemalloc), mostly line buffer and output.
+# which bounds the slab height g. The line buffer holds K - s planes more
+# than the slab. At 20 MiB the column's blocks 2-4 (32x32x16 inputs, rank
+# 6C) take slabs of 13, 6 and 3 planes, and their cp and hocp forwards peak
+# at 41-47, 60-65 and 66-69 MB (tracemalloc), mostly line buffer and output.
 # 30 MiB, when band matrices were still held for the whole rank, put block
 # 4's hocp forward at 104 MB for no clear gain; with per-block band
-# workspaces it peaks at 83 MB. Rank 32 on a 320x240 image fits one slab,
-# so small-rank 2-D layers run as the plain fold.
+# workspaces it peaks at 83 MB.
 _TILE_BYTES = 20 * 2**20
 
 # Bytes of one channel block of the per-channel stages inside a slab, on the
 # same measure. A depthwise stage holds its block's input, product buffer and
 # output at once, so 0.5 MiB blocks keep all three within a 2 MiB per-core L2.
 _BLOCK_BYTES = 2**19
+
+# The most columns (g x the largest plane volume) a slab holds per channel,
+# whatever the rank: 8192, a 64 KiB channel row, so a block holds about 8
+# channels of it. Without it a small rank fits the whole image in one slab,
+# and the forward holds a rank x image intermediate: 19.7 MB for rank 32 on
+# 320x240, on top of the output. On the CLI benchmark's 2-D layers (ranks
+# 12-32, 320x240 and 192x384; 2 vCPUs, OpenBLAS 0.3.31) caps of 2048 to
+# 32768 columns ran the forwards within noise of each other and of one slab
+# (rank 32 at 320x240: 30-38 ms), while the memory above the output grew
+# from 1.4 MiB (2048) over 3.0 (8192) and 9.0 (32768) to 19.9 MiB (one
+# slab). The column's slabs of 13, 6 and 3 planes of 512 stay below it.
+_SLAB_COLUMNS = _BLOCK_BYTES // 64
 
 
 def _mode_0(stage) -> tuple[int, int, int]:
@@ -884,10 +897,13 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
 
     The channel-local head of the list (optional leading contraction,
     per-channel depthwise and activation stages, trailing contraction)
-    streams over slabs of g output planes along spatial mode 0, g set by
-    ``_TILE_BYTES`` from the rank and the largest plane volume the
-    per-channel stages hold (padding can make it larger than the input's).
-    For each slab, in increasing plane order:
+    streams over slabs of g output planes along spatial mode 0. g is the
+    largest that keeps rank x g planes within ``_TILE_BYTES`` and g planes
+    within ``_SLAB_COLUMNS`` columns per channel, both counted on the
+    largest plane volume the per-channel stages hold (padding can make it
+    larger than the input's): slabs of a few dozen planes on a small-rank
+    2-D image, so no intermediate of the whole image is held. For each
+    slab, in increasing plane order:
 
     * the leading contraction writes the input planes the slab's window
       needs into a line buffer, one GEMM for the planes the previous slab
@@ -896,19 +912,22 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
     * the per-channel stages run on the window in channel blocks of
       ``_BLOCK_BYTES``, sized for the L2 cache, so a block's data stays in
       cache through the chain. The first stage, the only one that may move
-      mode 0, runs with mode-0 padding 0 on the explicitly padded window:
-      a CP ``conv_mode_0`` stage as a (g x window) band per channel, merged
-      MobileNet taps as :func:`depthwise_conv`. Each other stage runs as it
-      does on the whole input (:meth:`Depthwise.at`): a ``conv_mode_i``
-      stage along a mode of at most ``_BAND_EXTENT`` as band matrices
-      (:func:`banded_mode_conv`), longer ones as :func:`depthwise_conv`; a
-      frozen batch norm as ``z * a + b``, in place on the chain's own
-      intermediates. A banded stage keeps one band workspace of block
-      width, and each block writes its taps into it before the product,
-      so band matrices are held for one block at a time, never for the
-      rank. While the block is in cache, the window planes the next slab
-      shares move to the front of its buffer rows, and the last stage
-      writes its result straight behind them;
+      mode 0, runs with mode-0 padding 0 on the explicitly padded window,
+      on the path the whole input takes: a CP ``conv_mode_0`` stage as a
+      (g x window) band per channel when mode 0 is at most
+      ``_BAND_EXTENT`` long, else, as merged MobileNet taps always, as
+      :func:`depthwise_conv`, whose flat shifts take a mode 0 that shrinks.
+      Each other stage runs as it does on the whole input
+      (:meth:`Depthwise.at`): a ``conv_mode_i`` stage along a mode of at
+      most ``_BAND_EXTENT`` as band matrices (:func:`banded_mode_conv`),
+      longer ones as :func:`depthwise_conv`; a frozen batch norm as
+      ``z * a + b``, in place on the chain's own intermediates. A banded
+      stage keeps one band workspace of block width, and each block writes
+      its taps into it before the product, so band matrices are held for
+      one block at a time, never for the rank. While the block is in
+      cache, the window planes the next slab shares move to the front of
+      its buffer rows, and the last stage writes its result straight
+      behind them;
     * one GEMM with the trailing contraction, its K the full rank, reads
       those results and writes the slab's output columns in place. When
       the head keeps the extents, a trailing skip's GEMM then reads x's
@@ -917,26 +936,43 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
 
     So each input plane is contracted once, and the per-slab memory is the
     line buffer plus one block's intermediates and band workspaces, which
-    do not grow with the rank. Only when one full-rank plane exceeds ``_TILE_BYTES`` does
-    a slab (then one plane) run in rank tiles, each contracting its whole
-    window and adding its GEMM into the slab's columns; memory stays
-    bounded whatever the rank.
+    do not grow with the rank. Only when one full-rank plane exceeds
+    ``_TILE_BYTES`` does a slab (then one plane) run in rank tiles, each
+    contracting its whole window and adding its GEMM into the slab's
+    columns; memory stays bounded whatever the rank.
 
     A per-channel stage computes each channel from that channel alone, so
     blocks change no bit. Slabs depend on the shapes alone, so results are
-    bit-reproducible. When one slab covers every plane, the window is the
-    whole input with the first stage's own padding (a view of ``x`` when
-    there is no leading contraction), and the output is bitwise that of
-    the plain fold over the stages. The remaining stages (Tucker's whole
-    list, whose core conv mixes positions and channels) run once on the
-    full output.
+    bit-reproducible. The output is bitwise that of the plain fold over the
+    stages with one slab, whose window is the whole input with the first
+    stage's own padding (a view of ``x`` when there is no leading
+    contraction), and with many slabs when no stage takes bands (every mode
+    a stage moves is longer than ``_BAND_EXTENT``, as on the CLI
+    benchmark's 2-D images): each window then takes the flat shifts or
+    boxes the whole input takes, every depthwise sum adds the same terms in
+    the same order (a padding plane adds products of finite taps and
+    zeros, which change no bit), and each GEMM column is one dot product
+    over the rank, as in one slab (tests compare the bits). A band sums
+    whole rows, so a (g x window) band, or one batched over fewer planes,
+    can round differently in the last bits. The remaining stages (Tucker's
+    whole list, whose core conv mixes positions and channels) run once on
+    the full output.
     """
     x = _check_activation(x, layer.spec)
     z, rest = x, layer.stages
     head = _channel_local(rest)
     if head is not None:
         lead, per_channel, tail, rest = head
-        z, rest = _stream(x, lead, per_channel, tail, rest)
+        # Per-channel batch-norm parameters broadcast along rows shorter than
+        # numpy's ufunc buffer (8192 elements by default) go through buffered
+        # copies, 3-4x slower per element; a slab's channel rows can be 1536
+        # long. A buffer of 16 elements avoids the copies and, every operation
+        # of the slab loop being elementwise or a GEMM, changes no bit.
+        default = np.setbufsize(16)
+        try:
+            z, rest = _stream(x, lead, per_channel, tail, rest)
+        finally:
+            np.setbufsize(default)
     for stage in rest:
         z = stage.apply(z, x)
     return z
@@ -951,17 +987,20 @@ def _stream(x, lead, per_channel, tail, rest):
         extents.append(stage.out_extents(extents[-1]))
     out_extents, d_out = extents[-1], extents[-1][0]
     widest = max(math.prod(e[1:]) for e in extents)
-    g = _TILE_BYTES // (8 * rank * widest)
-    step = rank if g else max(1, _TILE_BYTES // (8 * widest))
-    g = min(max(g, 1), d_out)
-    kernel, stride, padding = _mode_0(per_channel[0])
+    fit = _TILE_BYTES // (8 * rank * widest)  # full-rank planes in the budget
+    step = rank if fit else max(1, _TILE_BYTES // (8 * widest))
+    g = min(max(1, min(fit, _SLAB_COLUMNS // widest)), d_out)
+    first = per_channel[0]
+    kernel, stride, padding = _mode_0(first)
     d_in, plane, out_plane = x.shape[1], math.prod(x.shape[2:]), math.prod(out_extents[1:])
     if g == d_out:  # one slab: the whole input, the first stage's own padding
         span, carry = d_in, False
-    else:
+    else:  # the window holds mode 0's padding; bands only where the whole input takes them
         span, carry = (g - 1) * stride + kernel, step == rank
-        if padding:
-            per_channel = (replace(per_channel[0], paddings=(0,) + per_channel[0].paddings[1:]),) + per_channel[1:]
+        if isinstance(first, Depthwise):
+            kind = Depthwise if first.band_mode(x.shape[1:]) is not None else _Unbanded
+            first = kind(first.label, first.taps, first.strides, (0,) + first.paddings[1:])
+            per_channel = (first,) + per_channel[1:]
     view = g == d_out and lead is None
     # Each buffer row holds the window's planes, then the planes carried to
     # the next slab followed by the block's result.

@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tensorconv import DimensionError, fold, khatri_rao, n_mode_product, unfold
+from tensorconv import DimensionError, dense, fold, khatri_rao, n_mode_product, unfold
 from tensorconv.dense import (
     as_tensor, band_diagonals, band_matrices, banded_mode_conv, conv_output_extent, depthwise_conv,
 )
@@ -172,6 +174,25 @@ def same_padded_cases(draw):
     return z, taps, (1,) * n, paddings
 
 
+@st.composite
+def mode_0_resized_cases(draw):
+    """(z, taps, strides, paddings) at stride 1 that keep every extent past
+    mode 0 (K in {1, 3, 5}, padding (K - 1)/2) while mode 0 has K in
+    {1, 2, 3, 5} and any padding 0..K - 1: padding 0 shrinks it, as on a
+    slab's window whose padding planes are explicit zeros, more padding than
+    (K - 1)/2 grows it. Inputs hold exact zeros of both signs."""
+    z, taps, strides, paddings = draw(same_padded_cases())
+    k = draw(st.sampled_from((1, 2, 3, 5)))
+    p = draw(st.integers(0, k - 1))
+    d = draw(st.integers(max(1, k - 2 * p), 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((z.shape[0], d) + z.shape[2:])
+    z[rng.random(z.shape) < 0.2] = 0.0
+    z[rng.random(z.shape) < 0.1] = -0.0
+    taps = rng.standard_normal((k,) + taps.shape[1:])
+    return z, taps, strides, (p,) + paddings[1:]
+
+
 class TestDepthwiseConv:
     @settings(max_examples=60, deadline=None)
     @given(depthwise_cases())
@@ -182,14 +203,16 @@ class TestDepthwiseConv:
         got = depthwise_conv(z, taps, strides, paddings)
         assert got.tobytes() == expected.tobytes()
 
-    @settings(max_examples=80, deadline=None)
-    @given(same_padded_cases())
+    @settings(max_examples=160, deadline=None)
+    @given(st.one_of(same_padded_cases(), mode_0_resized_cases()))
     def test_flat_shifts_bitwise_equal_to_loop_nest(self, case):
-        # Stride 1 with extents kept: each offset is one shift of the flat view.
+        # Stride 1 with the extents past mode 0 kept: each offset is one shift
+        # of the flat view, whatever mode 0's padding. The box path is not used.
         z, taps, strides, paddings = case
         expected = Depthwise("depthwise", taps, strides, paddings).naive(z, z, None)
-        got = depthwise_conv(z, taps, strides, paddings)
-        assert got.shape == z.shape
+        with mock.patch.object(dense, "_valid_box", side_effect=AssertionError("box path")):
+            got = depthwise_conv(z, taps, strides, paddings)
+        assert got.shape == expected.shape and got.shape[2:] == z.shape[2:]
         assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=40, deadline=None)

@@ -706,6 +706,108 @@ class TestSlabs:
         assert peak < 100e6
 
 
+class TestSmallRankSlabs:
+    """Small-rank layers on large 2-D images stream in slabs of at most
+    ``_SLAB_COLUMNS`` columns, so no full-image intermediate is held, and
+    the first stage on each window keeps the path the whole input takes."""
+
+    def peak_over_output(self, layer, x) -> float:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = layers.forward(layer, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rel_error(out, conv_nd_direct(x, layer.dense_kernel(), layer.spec)) <= 1e-10
+        return peak - out.nbytes
+
+    @pytest.mark.parametrize("scheme", ["mobilenet-v1", "mobilenet-v2"])
+    def test_peak_stays_near_the_output(self, scheme):
+        # Rank 32 (v1) and 16 (v2) on 200 x 240 planes. One slab held the
+        # rank x 200 x 240 intermediate, 12.3 and 6.1 MB; slabs of 34 planes
+        # hold a line buffer of 36 planes and one block's chain.
+        rng = np.random.default_rng(180)
+        if scheme == "mobilenet-v1":
+            layer = build_mobilenet_v1(random_kruskal(rng, (8, 32, 3, 3), 32), 1, 1)
+        else:
+            layer = build_mobilenet_v2(random_kruskal(rng, (8, 8, 3, 3), 16), 1, 1)
+        x = rng.standard_normal((layer.spec.in_channels, 200, 240))
+        assert self.peak_over_output(layer, x) < 4 * 2**20
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (1, 0), (2, 1)])
+    def test_slabs_are_bitwise_one_slab(self, stride, padding):
+        # Mode 0 (150) is longer than _BAND_EXTENT, so the whole input takes
+        # flat shifts (or boxes) along it, and so must every window (36
+        # planes at stride 1), which bands would round differently. Mode 1
+        # (240) is long too, so no stage takes bands.
+        rng = np.random.default_rng(181 + 10 * stride + padding)
+        x = rng.standard_normal((4, 150, 240))
+        assert x.shape[1] > layers._BAND_EXTENT and x[0].size > 2 * layers._SLAB_COLUMNS
+        k = random_kruskal(rng, (3, 4, 3, 3), 4)
+        cp = CpConvLayer(random_kruskal(rng, (3, 4, 3, 3), 5), ConvSpec(4, 3, (3, 3), stride, padding))
+        bn = FrozenBatchNorm(mean=tuple(rng.uniform(-0.1, 0.1, 5)), var=tuple(rng.uniform(0.5, 2.0, 5)))
+        skip = rng.standard_normal((3, 4)) if (stride, padding) == (1, 1) else None
+        cases = {
+            "cp": cp,
+            "hocp": HoCpConvLayer(cp, (PReLU(0.1), bn), skip),
+            "mobilenet-v1": build_mobilenet_v1(k, stride, padding),
+            "mobilenet-v2": build_mobilenet_v2(random_kruskal(rng, (3, 4, 3, 3), 6), stride, padding),
+        }
+        for scheme, layer in cases.items():
+            before = x.copy()
+            out = layers.forward(layer, x)
+            with mock.patch.object(layers, "_SLAB_COLUMNS", 2**62):
+                whole = layers.forward(layer, x)
+            assert out.tobytes() == whole.tobytes(), scheme
+            assert x.tobytes() == before.tobytes(), scheme
+
+    def test_column_block_keeps_its_slabs(self):
+        # Block 2 of the 3-D column (64 -> 128, rank 384, 32x32x16): the
+        # rank sets slabs of 13 planes of 512 columns, under the column cap,
+        # so the forward still runs 3 trailing GEMMs (13 + 13 + 6 planes).
+        rng = np.random.default_rng(182)
+        cp = make_cp_layer(rng, 128, 64, (3, 3, 3), 384, 1, 1)
+        x = rng.standard_normal((64, 32, 32, 16))
+        tail = cp.stages[-1].matrix
+        columns, matmul = [], np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            if a.shape == tail.shape:
+                columns.append(b.shape[1])
+            return matmul(a, b, *args, **kwargs)
+
+        with mock.patch.object(np, "matmul", spy):
+            out = layers.forward(cp, x)
+        assert columns == [13 * 512, 13 * 512, 6 * 512]
+        assert rel_error(out, conv_nd_direct(x, cp.dense_kernel(), cp.spec)) <= 1e-10
+
+    def test_ufunc_buffer_set_once_per_forward(self):
+        # A per-channel batch norm on one block of one slab, then on blocks of
+        # one channel in slabs of two planes (6 x 20 block runs): numpy's
+        # ufunc buffer is set once per forward and restored, and its size
+        # changes no bit.
+        rng = np.random.default_rng(183)
+        cp = make_cp_layer(rng, 3, 4, (3, 3), 6, 1, 1)
+        bn = FrozenBatchNorm(mean=tuple(rng.uniform(-0.1, 0.1, 6)), var=tuple(rng.uniform(0.5, 2.0, 6)))
+        layer = HoCpConvLayer(cp, (ReLU(), bn), rng.standard_normal((3, 4)))
+        x = rng.standard_normal((4, 40, 32))
+        default, setbufsize = np.getbufsize(), np.setbufsize
+        for columns, block in [(2**62, 2**62), (64, 8)]:
+            calls = []
+            with mock.patch.object(layers, "_SLAB_COLUMNS", columns), \
+                    mock.patch.object(layers, "_BLOCK_BYTES", block), \
+                    mock.patch.object(np, "setbufsize", lambda size: calls.append(size) or setbufsize(size)):
+                out = layers.forward(layer, x)
+            assert calls[1:] == [default] and len(calls) == 2  # set, then restore
+            assert np.getbufsize() == default
+            with mock.patch.object(layers, "_SLAB_COLUMNS", columns), \
+                    mock.patch.object(layers, "_BLOCK_BYTES", block), \
+                    mock.patch.object(np, "setbufsize", lambda size: default):
+                assert layers.forward(layer, x).tobytes() == out.tobytes()  # numpy's default buffer
+            assert rel_error(out, untiled_fold(layer, x)) <= 1e-10
+
+
 @st.composite
 def one_mode_cases(draw):
     """(stage, z): a 1-D depthwise stage on mode i of a 1-D to 3-D input,
@@ -785,7 +887,8 @@ class TestBandedDepthwise:
         cp = make_cp_layer(rng, 3, 2, (3, 3, 3), 4, 1, 1)
         x = rng.standard_normal((2, 32, 32, 16))
         out = layers.forward(cp, x)
-        assert calls == {"depthwise_conv": 0, "banded_mode_conv": 3}
+        # Two slabs of 16 planes of 32 x 16 (8192 columns), three banded stages each.
+        assert calls == {"depthwise_conv": 0, "banded_mode_conv": 6}
         assert rel_error(out, conv_nd_direct(x, cp.dense_kernel(), cp.spec)) <= 1e-10
 
 
