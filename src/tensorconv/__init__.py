@@ -25,8 +25,8 @@ from .decomp import (
     TuckerTensor,
     absorb_spatial,
     cp_als,
+    depthwise_separable,
     kruskal_to_dense,
-    merge_spatial_factors,
     tucker_hooi,
     tucker_to_dense,
 )
@@ -41,7 +41,6 @@ from .layers import (
     PReLU,
     ReLU,
     TuckerConvLayer,
-    build_mobilenet_v1,
     build_mobilenet_v2,
     forward,
     forward_naive,

@@ -309,10 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.add_argument("--rank", required=True, help="rank R, or R0,R1 channel ranks for tucker")
     p.add_argument("--out", required=True, help="output directory for factors + plan.json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0, help="seeds probes and ALS (cp, hocp, mobilenet-v2)")
+    p.add_argument("--tol", type=float, default=1e-8, help="sweep tolerance (all but mobilenet-v1)")
+    p.add_argument("--max-iters", type=int, default=500, help="sweep cap (all but mobilenet-v1)")
+    p.add_argument("--restarts", type=int, default=3, help="ALS restarts (cp, hocp, mobilenet-v2)")
     p.add_argument("--probes", type=int, default=8)
     p.add_argument("--probe-extent", type=int, default=16)
     p.add_argument("--stride", default=None)

@@ -4,7 +4,8 @@ CP fitting uses alternating least squares with seeded uniform random
 initialization (HOSVD-based init available as an option); Tucker fitting uses
 HOSVD initialization followed by HOOI sweeps. Non-convergence is not an
 error: both return the best iterate found together with its relative
-reconstruction error and the full error history.
+reconstruction error and the full error history. The MobileNet-v1 fit
+(:func:`depthwise_separable`) is closed form: one batched SVD.
 
 Memory is bounded by the factors, not by their Khatri-Rao product: no step
 allocates much more than ``|X| * R / max_extent`` elements for a tensor X
@@ -45,7 +46,7 @@ __all__ = [
     "cp_als",
     "tucker_hooi",
     "absorb_spatial",
-    "merge_spatial_factors",
+    "depthwise_separable",
     "PINV_RCOND",
 ]
 
@@ -400,19 +401,22 @@ def _merge_spatial(k: KruskalTensor) -> np.ndarray:
     return khatri_rao(k.factors[2:]).reshape(k.shape[2:] + (k.rank,))
 
 
-def merge_spatial_factors(k: KruskalTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Merge a Kruskal conv kernel (T, C, K_0, ..., K_{N-1}) into MobileNet-style pieces.
+def depthwise_separable(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closest MobileNet-v1 ``(pointwise, spatial)`` to a conv kernel (T, C, K...).
 
-    Returns ``(pointwise, spatial)`` where ``pointwise[t, c]`` is the product
-    of the channel factors (U_out @ U_in.T) and
-    ``spatial[i_0, ..., i_{N-1}, r] = prod_n U_{K_n}[i_n, r]``. Requires the
-    rank to equal the input-channel extent (the depthwise condition).
+    A v1 block's kernel ``pointwise[t, c] * spatial[..., c]`` is CP with the
+    identity as input-channel factor, so the fit splits into one rank-1 fit
+    per channel of ``W[:, c]`` as a T x prod(K) matrix, solved by its leading
+    singular pair (Eckart-Young); one batched SVD makes all C. ``pointwise``
+    carries the singular values, and each channel's taps have unit norm.
     """
-    spatial = _merge_spatial(k)
-    u_t, u_c = k.factors[:2]
-    if k.rank != u_c.shape[0]:
-        raise RankError(
-            f"depthwise merge requires rank == input channels, got rank {k.rank} "
-            f"with {u_c.shape[0]} channels"
+    w = as_tensor(kernel)
+    if w.ndim < 3:
+        raise DimensionError(
+            f"a conv kernel needs order >= 3 (T, C, spatial...), got {w.ndim}"
         )
-    return u_t @ u_c.T, spatial
+    t, c = w.shape[:2]
+    u, s, vt = np.linalg.svd(np.moveaxis(w.reshape(t, c, -1), 1, 0), full_matrices=False)
+    pointwise = np.ascontiguousarray((u[:, :, 0] * s[:, :1]).T)
+    spatial = np.ascontiguousarray(vt[:, 0].T).reshape(w.shape[2:] + (c,))
+    return pointwise, spatial

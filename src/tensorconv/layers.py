@@ -3,7 +3,7 @@
 A layer's ``stages`` run in order on a (channels x spatial...) array:
 :class:`Contract` (1x1 convolution), :class:`Depthwise` (per-channel N-D
 convolution; a CP ``conv_mode_i`` stage has taps of extent K on mode i and 1
-elsewhere, a MobileNet ``depthwise`` stage the merged spatial kernel),
+elsewhere, a MobileNet ``depthwise`` stage full N-D taps),
 :class:`DenseConv` (the Tucker core), :class:`Activate` and :class:`Skip`.
 Each stage has a vectorized ``apply``, a loop-nest ``naive`` that can tally
 multiply-adds into an :class:`~tensorconv.convref.OpCounter`, its
@@ -36,7 +36,6 @@ from .decomp import (
     _merge_spatial,
     absorb_spatial,
     kruskal_to_dense,
-    merge_spatial_factors,
 )
 from .dense import (
     as_matrix,
@@ -66,7 +65,6 @@ __all__ = [
     "MobileNetV2Block",
     "forward",
     "forward_naive",
-    "build_mobilenet_v1",
     "build_mobilenet_v2",
 ]
 
@@ -286,7 +284,7 @@ class Depthwise(_Stage):
     CP ``conv_mode_i`` stage) runs, when that mode's extent is at most
     ``_BAND_EXTENT``, as one batched product of per-channel band matrices
     (:func:`banded_mode_conv`), which carry its stride and padding. Every
-    other stage (long modes, merged MobileNet taps) runs
+    other stage (long modes, N-D MobileNet taps) runs
     :func:`depthwise_conv`.
     """
 
@@ -697,7 +695,7 @@ class HoCpConvLayer(_Layer):
 
 @dataclass(frozen=True)
 class MobileNetV1Block(_Layer):
-    """Depthwise conv with one merged N-D spatial kernel per channel, then a
+    """Depthwise conv with one N-D spatial kernel per channel, then a
     pointwise conv. Channel count equals the depthwise multiplicity (R == C).
     """
 
@@ -789,21 +787,6 @@ class MobileNetV2Block(_Layer):
 # ---------------------------------------------------------------------------
 # MobileNet constructions
 # ---------------------------------------------------------------------------
-
-def build_mobilenet_v1(k: KruskalTensor, stride=1, padding=0) -> MobileNetV1Block:
-    """Depthwise-separable block from a Kruskal conv kernel with R == C.
-
-    The merged spatial factor pairs rank components with input channels, so
-    the block reproduces the source CP convolution exactly when the
-    input-channel factor is the identity (the "first 1x1 is dropped" reading);
-    for a general channel factor the block implements its own Kruskal kernel
-    (pointwise, identity, spatial columns), available via ``dense_kernel``.
-    """
-    pointwise, spatial = merge_spatial_factors(k)
-    u_t, u_c = k.factors[0], k.factors[1]
-    spec = ConvSpec(u_c.shape[0], u_t.shape[0], k.shape[2:], stride, padding)
-    return MobileNetV1Block(spatial, pointwise, spec)
-
 
 def build_mobilenet_v2(k: KruskalTensor, stride=1, padding=0) -> MobileNetV2Block:
     """Inverted-bottleneck block from a Kruskal conv kernel (any rank).
@@ -915,7 +898,7 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
       mode 0, runs with mode-0 padding 0 on the explicitly padded window,
       on the path the whole input takes: a CP ``conv_mode_0`` stage as a
       (g x window) band per channel when mode 0 is at most
-      ``_BAND_EXTENT`` long, else, as merged MobileNet taps always, as
+      ``_BAND_EXTENT`` long, else, as N-D MobileNet taps always, as
       :func:`depthwise_conv`, whose flat shifts take a mode 0 that shrinks.
       Each other stage runs as it does on the whole input
       (:meth:`Depthwise.at`): a ``conv_mode_i`` stage along a mode of at

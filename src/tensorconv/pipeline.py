@@ -23,7 +23,7 @@ import numpy as np
 from . import costs
 from .container import read_finite_tensor, write_tensor
 from .convref import ConvSpec, conv_nd_direct
-from .decomp import cp_als, tucker_hooi
+from .decomp import cp_als, depthwise_separable, tucker_hooi
 from .dense import as_tensor
 from .errors import ContainerError, DimensionError, RankError
 from .layers import (
@@ -36,7 +36,6 @@ from .layers import (
     PReLU,
     ReLU,
     TuckerConvLayer,
-    build_mobilenet_v1,
     build_mobilenet_v2,
     forward,
 )
@@ -103,7 +102,8 @@ class CompressionResult:
     the Tucker rank caps. For the CP-based schemes ``restart_errors`` holds
     each restart's final relative kernel error, in restart order, and
     ``winning_restart`` the index of the one the plan was built from (the
-    first with the smallest error); Tucker has none.
+    first with the smallest error); Tucker has none. ``mobilenet-v1`` is closed
+    form: ``n_iters=0``, ``converged=True``, no error history, no restarts.
     """
 
     plan: FactorizedPlan
@@ -243,8 +243,15 @@ def compress(
     Frobenius error of the dense kernel the plan implements;
     ``output_rel_error`` is the worst relative forward deviation against the
     direct convolution over ``probe_count`` seeded standard-normal probes.
+    ``tol``, ``max_iters`` and ``restarts`` drive ALS and HOOI; ``mobilenet-v1``
+    is closed form (:func:`~tensorconv.decomp.depthwise_separable`) and uses
+    ``seed`` for the probes only. A kernel holding NaN or infinite values
+    raises ``ValueError`` before any decomposition.
     """
     kernel = as_tensor(kernel)
+    # min and max propagate NaN and expose +-inf without a full-size mask.
+    if not (np.isfinite(kernel.min()) and np.isfinite(kernel.max())):
+        raise ValueError("kernel holds NaN or infinite values")
     if kernel.ndim < 3:
         raise DimensionError(
             f"conv kernel needs order >= 3 (T, C, spatial...), got {kernel.ndim}"
@@ -256,22 +263,23 @@ def compress(
     ranks = _normalize_ranks(scheme, ranks, kernel.shape)
     spec = ConvSpec.from_kernel(kernel, stride, padding)
 
-    if scheme == "tucker":
+    res = None  # the ALS or HOOI run; mobilenet-v1 is closed form
+    warnings, restart_errors, winning_restart = (), (), None
+    if scheme == "mobilenet-v1":
+        pointwise, spatial = depthwise_separable(kernel)
+        layer: AnyLayer = MobileNetV1Block(spatial, pointwise, spec)
+    elif scheme == "tucker":
         res = tucker_hooi(kernel, ranks, max_iters=max_iters, tol=tol)
-        layer: AnyLayer = TuckerConvLayer.from_tucker(res.tucker, spec)
+        layer = TuckerConvLayer.from_tucker(res.tucker, spec)
         warnings = tuple(res.warnings)
-        restart_errors, winning_restart = (), None
     else:
         res, restart_errors, winning_restart = _best_cp(
             kernel, ranks[0], max_iters, tol, seed, restarts
         )
-        warnings = ()
         if scheme == "cp":
             layer = CpConvLayer(res.kruskal, spec)
         elif scheme == "hocp":
             layer = HoCpConvLayer(CpConvLayer(res.kruskal, spec))
-        elif scheme == "mobilenet-v1":
-            layer = build_mobilenet_v1(res.kruskal, spec.strides, spec.paddings)
         else:
             layer = build_mobilenet_v2(res.kruskal, spec.strides, spec.paddings)
 
@@ -290,9 +298,9 @@ def compress(
         output_rel_error=worst,
         cost_before=costs.report_regular(spec, extents),
         cost_after=plan.cost,
-        n_iters=res.n_iters,
-        converged=res.converged,
-        error_history=tuple(res.error_history),
+        n_iters=0 if res is None else res.n_iters,
+        converged=True if res is None else res.converged,
+        error_history=() if res is None else tuple(res.error_history),
         warnings=warnings,
         restart_errors=restart_errors,
         winning_restart=winning_restart,

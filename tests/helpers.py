@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from tensorconv import ConvSpec, KruskalTensor, TuckerTensor
+from tensorconv import ConvSpec, KruskalTensor, MobileNetV1Block, TuckerTensor
 
 
 def rel_error(actual, expected) -> float:
@@ -18,6 +18,13 @@ def rel_error(actual, expected) -> float:
 
 def random_kruskal(rng, shape, rank, low=-1.0, high=1.0) -> KruskalTensor:
     return KruskalTensor(tuple(rng.uniform(low, high, (e, rank)) for e in shape))
+
+
+def random_mobilenet_v1(rng, t, c, kernels, stride=1, padding=0) -> MobileNetV1Block:
+    """A MobileNet-v1 block with uniform random taps (K..., C) and pointwise (T, C)."""
+    spatial = rng.uniform(-1.0, 1.0, tuple(kernels) + (c,))
+    pointwise = rng.uniform(-1.0, 1.0, (t, c))
+    return MobileNetV1Block(spatial, pointwise, ConvSpec(c, t, tuple(kernels), stride, padding))
 
 
 def orthonormal_factor(rng, rows, cols) -> np.ndarray:

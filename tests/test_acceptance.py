@@ -22,7 +22,6 @@ from tensorconv import (
     KruskalTensor,
     OpCounter,
     TuckerConvLayer,
-    build_mobilenet_v1,
     build_mobilenet_v2,
     conv_nd_direct,
     conv_nd_naive,
@@ -45,7 +44,7 @@ from tensorconv.costs import (
     report_hocp,
 )
 
-from helpers import orthonormal_factor, random_kruskal, rel_error
+from helpers import orthonormal_factor, random_kruskal, random_mobilenet_v1, rel_error
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -84,7 +83,7 @@ def test_criterion_1_oracle_equivalence_suite():
         worst = max(worst, rel_error(forward(tucker_layer, x), direct_tk))
         checks += 1
 
-        v1 = build_mobilenet_v1(random_kruskal(rng, (t, c) + kernels, c))
+        v1 = random_mobilenet_v1(rng, t, c, kernels)
         direct_v1 = conv_nd_direct(x, v1.dense_kernel(), spec)
         worst = max(worst, rel_error(forward(v1, x), direct_v1))
         v2 = build_mobilenet_v2(random_kruskal(rng, (t, c) + kernels, rank))

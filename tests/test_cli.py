@@ -130,6 +130,30 @@ class TestDecompose:
         )
         assert code == 3
 
+    def test_mobilenet_v1_planted_kernel(self, tmp_path, capsys):
+        # A depthwise-separable kernel: v1's closed-form fit is exact, with
+        # no iteration and no restart to report.
+        rng = np.random.default_rng(55)
+        w = np.einsum("tc,hwc->tchw", rng.standard_normal((3, 4)), rng.standard_normal((3, 3, 4)))
+        kernel = tmp_path / "k.tensor"
+        write_tensor(kernel, w)
+        code = run_cli(
+            "decompose", "--input", kernel, "--scheme", "mobilenet-v1", "--rank", "4",
+            "--out", tmp_path / "plan", "--padding", "1",
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        keys = dict(l.split("=", 1) for l in lines)
+        assert float(keys["rel_error"]) <= 1e-14
+        assert (keys["n_iters"], keys["converged"]) == ("0", "true")
+        assert not [l for l in lines if l.startswith(("restart.", "winning_restart="))]
+        code = run_cli(
+            "verify", "--plan", tmp_path / "plan" / "plan.json", "--kernel", kernel,
+            "--tolerance", "1e-10",
+        )
+        assert code == 0
+        assert "pass=true" in capsys.readouterr().out.splitlines()
+
 
 class TestConv:
     def test_unit_pointwise_kernel_identity(self, tmp_path, capsys):

@@ -31,11 +31,10 @@ from tensorconv import (
     CpConvLayer,
     ReLU,
     TuckerConvLayer,
-    build_mobilenet_v1,
     build_mobilenet_v2,
 )
 
-from helpers import random_kruskal, rel_error
+from helpers import random_kruskal, random_mobilenet_v1, rel_error
 
 
 class TestParams:
@@ -130,7 +129,7 @@ class TestFlops:
                 rng.standard_normal((2, 3)), rng.standard_normal((3, 2, 3, 3)),
                 rng.standard_normal((2, 3)), spec,
             ),
-            "mobilenet-v1": lambda: build_mobilenet_v1(random_kruskal(rng, (2, 3, 3, 3), 3)),
+            "mobilenet-v1": lambda: random_mobilenet_v1(rng, 2, 3, (3, 3)),
             "mobilenet-v2": lambda: build_mobilenet_v2(k),
         }[scheme]()
         extents = (5, 6)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,10 @@ from tensorconv import (
     RankError,
     TuckerTensor,
     absorb_spatial,
+    compress,
     cp_als,
+    depthwise_separable,
     kruskal_to_dense,
-    merge_spatial_factors,
     n_mode_product,
     tucker_hooi,
     tucker_to_dense,
@@ -334,47 +336,54 @@ class TestAbsorbSpatial:
             absorb_spatial(t, (1, 1))
 
 
-class TestMergeSpatialFactors:
-    def test_all_ones_factors(self):
-        c = 3
-        k = KruskalTensor(tuple(np.ones((e, c)) for e in (4, c, 3, 3)))
-        pointwise, spatial = merge_spatial_factors(k)
-        assert np.array_equal(spatial, np.ones((3, 3, c)))
-        assert np.array_equal(pointwise, c * np.ones((4, c)))
-
-    def test_hand_2x2_case(self):
-        u_t = np.array([[1.0, 0.0], [0.0, 1.0]])
-        u_c = np.array([[1.0, 2.0], [3.0, 4.0]])
-        u_h = np.array([[1.0, -1.0], [2.0, 1.0]])
-        u_w = np.array([[0.5, 1.0], [1.0, 3.0]])
-        pointwise, spatial = merge_spatial_factors(KruskalTensor((u_t, u_c, u_h, u_w)))
-        assert np.array_equal(pointwise, u_t @ u_c.T)
-        for j in range(2):
-            for i in range(2):
-                for r in range(2):
-                    assert spatial[j, i, r] == u_h[j, r] * u_w[i, r]
-
-    def test_rank_mismatch_rejected(self):
-        rng = np.random.default_rng(19)
-        k = random_kruskal(rng, (4, 3, 3, 3), 5)
-        with pytest.raises(RankError, match="rank == input channels"):
-            merge_spatial_factors(k)
-
+class TestDepthwiseSeparable:
     @pytest.mark.parametrize("kernels", [(3,), (3, 2), (3, 2, 4)])
     def test_any_number_of_spatial_modes(self, kernels):
+        # A CP kernel whose input-channel factor is the identity, a
+        # permutation or diagonal is depthwise separable: recovered exactly.
         rng = np.random.default_rng(20)
-        k = random_kruskal(rng, (4, 3) + kernels, 3)
-        pointwise, spatial = merge_spatial_factors(k)
-        assert np.array_equal(pointwise, k.factors[0] @ k.factors[1].T)
-        assert spatial.shape == kernels + (3,)
-        for idx in np.ndindex(*spatial.shape):
-            *offs, r = idx
-            assert spatial[idx] == np.prod([u[i, r] for u, i in zip(k.factors[2:], offs)])
+        c = 3
+        for u_c in (np.eye(c), np.eye(c)[[2, 0, 1]], np.diag([2.5, -0.5, 1e-3])):
+            k = KruskalTensor(
+                (rng.standard_normal((4, c)), u_c)
+                + tuple(rng.standard_normal((e, c)) for e in kernels)
+            )
+            w = kruskal_to_dense(k)
+            pointwise, spatial = depthwise_separable(w)
+            assert pointwise.shape == (4, c) and spatial.shape == kernels + (c,)
+            assert rel_error(np.einsum("tc,...c->tc...", pointwise, spatial), w) <= 1e-14
+
+    def test_taps_have_unit_norm_and_pointwise_the_singular_value(self):
+        rng = np.random.default_rng(21)
+        w = rng.standard_normal((5, 4, 3, 2))
+        pointwise, spatial = depthwise_separable(w)
+        assert np.abs(np.linalg.norm(spatial.reshape(-1, 4), axis=0) - 1.0).max() <= 1e-14
+        for c in range(4):
+            s = np.linalg.svd(w[:, c].reshape(5, -1), compute_uv=False)
+            assert abs(np.linalg.norm(pointwise[:, c]) - s[0]) <= 1e-12 * s[0]
+
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (6, 3, 3, 3), (3, 4, 2, 3, 2)])
+    def test_error_is_the_eckart_young_residual(self, shape):
+        # No v1 block is closer: the residual is every channel's singular
+        # values past the first.
+        w = np.random.default_rng(22).standard_normal(shape)
+        tail = sum(
+            np.sum(np.linalg.svd(w[:, c].reshape(shape[0], -1), compute_uv=False)[1:] ** 2)
+            for c in range(shape[1])
+        )
+        residual = math.sqrt(tail) / np.linalg.norm(w)
+        assert abs(compress(w, "mobilenet-v1", None).kernel_rel_error - residual) <= 1e-12
+
+    def test_zero_channel_gives_zero_pointwise_and_finite_taps(self):
+        w = np.random.default_rng(23).standard_normal((4, 3, 3, 3))
+        w[:, 1] = 0.0
+        pointwise, spatial = depthwise_separable(w)
+        assert np.all(pointwise[:, 1] == 0.0)
+        assert np.all(np.isfinite(spatial))
 
     def test_requires_a_spatial_mode(self):
-        rng = np.random.default_rng(20)
         with pytest.raises(DimensionError, match="order >= 3"):
-            merge_spatial_factors(random_kruskal(rng, (3, 3), 3))
+            depthwise_separable(np.ones((3, 3)))
 
 
 def test_block4_sweeps_in_bounded_memory():

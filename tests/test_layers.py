@@ -24,19 +24,20 @@ from tensorconv import (
     RankError,
     ReLU,
     TuckerConvLayer,
-    build_mobilenet_v1,
     build_mobilenet_v2,
     conv_1x1,
     conv_nd_direct,
     cp_als,
+    depthwise_separable,
     forward,
     forward_naive,
+    kruskal_to_dense,
     n_mode_product,
     tucker_hooi,
 )
 from tensorconv.costs import flops_hocp
 
-from helpers import random_kruskal, rel_error
+from helpers import random_kruskal, random_mobilenet_v1, rel_error
 
 
 def make_cp_layer(rng, t, c, kernels, rank, stride=1, padding=0):
@@ -314,8 +315,8 @@ class TestHoCpNaive:
 
 class TestMobileNetV1:
     def test_matches_cp_forward_for_identity_channel_factor(self):
-        # The depthwise rewrite drops the first 1x1 stage, so it reproduces
-        # the CP convolution exactly when the channel factor is the identity.
+        # A CP kernel whose channel factor is the identity is depthwise
+        # separable, so the closed-form v1 fit reproduces its convolution.
         rng = np.random.default_rng(22)
         c, t = 4, 3
         k = KruskalTensor(
@@ -326,16 +327,17 @@ class TestMobileNetV1:
                 rng.uniform(-1, 1, (3, c)),
             )
         )
-        block = build_mobilenet_v1(k)
-        cp_layer = CpConvLayer(k, block.spec)
+        spec = ConvSpec(c, t, (3, 3))
+        pointwise, spatial = depthwise_separable(kruskal_to_dense(k))
+        block = MobileNetV1Block(spatial, pointwise, spec)
+        cp_layer = CpConvLayer(k, spec)
         x = rng.standard_normal((c, 6, 6))
         assert rel_error(forward(block, x), forward(cp_layer, x)) < 1e-10
 
     def test_forward_matches_direct_with_block_kernel(self):
         rng = np.random.default_rng(23)
         c = 5
-        k = random_kruskal(rng, (3, c, 2, 3), c)
-        block = build_mobilenet_v1(k, stride=(2, 1), padding=(0, 1))
+        block = random_mobilenet_v1(rng, 3, c, (2, 3), stride=(2, 1), padding=(0, 1))
         x = rng.standard_normal((c, 6, 7))
         direct = conv_nd_direct(x, block.dense_kernel(), block.spec)
         assert rel_error(forward(block, x), direct) < 1e-10
@@ -343,8 +345,7 @@ class TestMobileNetV1:
     def test_unit_spatial_extent_degenerates_to_pointwise(self):
         rng = np.random.default_rng(24)
         c = 3
-        k = random_kruskal(rng, (2, c, 1, 1), c)
-        block = build_mobilenet_v1(k)
+        block = random_mobilenet_v1(rng, 2, c, (1, 1))
         x = rng.standard_normal((c, 4, 4))
         gains = block.spatial[0, 0, :]
         expected = conv_1x1(x, block.pointwise @ np.diag(gains))
@@ -353,7 +354,9 @@ class TestMobileNetV1:
     def test_rank_mismatch_rejected(self):
         rng = np.random.default_rng(25)
         with pytest.raises(RankError, match="rank == input channels"):
-            build_mobilenet_v1(random_kruskal(rng, (2, 3, 3, 3), 4))
+            MobileNetV1Block(
+                rng.uniform(-1, 1, (3, 3, 4)), rng.uniform(-1, 1, (2, 3)), ConvSpec(3, 2, (3, 3))
+            )
 
     def test_direct_block_construction_validates(self):
         with pytest.raises(RankError):
@@ -410,9 +413,10 @@ class TestMobileNetV2:
 
     def test_requires_a_spatial_mode(self):
         rng = np.random.default_rng(30)
-        for build in (build_mobilenet_v1, build_mobilenet_v2):
-            with pytest.raises(DimensionError, match="order >= 3"):
-                build(random_kruskal(rng, (3, 3), 3))
+        with pytest.raises(DimensionError, match="order >= 3"):
+            depthwise_separable(rng.standard_normal((3, 3)))
+        with pytest.raises(DimensionError, match="order >= 3"):
+            build_mobilenet_v2(random_kruskal(rng, (3, 3), 3))
         with pytest.raises(DimensionError, match="merged spatial factor"):
             MobileNetV2Block(np.eye(2), np.zeros((3, 3, 2)), np.eye(2), ConvSpec(2, 2, (3, 3, 3)))
 
@@ -483,7 +487,7 @@ class TestRankTiling:
         )
         for layer, x in [
             (cp, x3), (ho, x3), (tucker, x3),
-            (build_mobilenet_v1(k4, 2, 1), x2), (build_mobilenet_v2(k4, 1, 1), x2),
+            (random_mobilenet_v1(rng, 5, 3, (3, 3), 2, 1), x2), (build_mobilenet_v2(k4, 1, 1), x2),
         ]:
             assert layers.forward(layer, x).tobytes() == untiled_fold(layer, x).tobytes()
 
@@ -561,7 +565,7 @@ class TestChannelBlocks:
         return {
             "cp": (cp, x3),
             "hocp": (ho, x3),
-            "mobilenet-v1": (build_mobilenet_v1(random_kruskal(rng, (5, r, 3, 3), r), stride, padding), x2),
+            "mobilenet-v1": (random_mobilenet_v1(rng, 5, r, (3, 3), stride, padding), x2),
             "mobilenet-v2": (build_mobilenet_v2(random_kruskal(rng, (5, 3, 3, 3), r), stride, padding), x2[:3]),
             "tucker": (tucker, x3),
         }
@@ -631,8 +635,7 @@ def streamed_cases(draw):
     x = rng.standard_normal((c,) + tuple(extents))
     spec = ConvSpec(c, t, tuple(kernels), tuple(strides), tuple(paddings))
     if scheme == "mobilenet-v1":
-        k = random_kruskal(rng, (t, c) + spec.kernel_sizes, c)
-        return build_mobilenet_v1(k, spec.strides, spec.paddings), x
+        return random_mobilenet_v1(rng, t, c, spec.kernel_sizes, spec.strides, spec.paddings), x
     if scheme == "mobilenet-v2":
         k = random_kruskal(rng, (t, c) + spec.kernel_sizes, rank)
         return build_mobilenet_v2(k, spec.strides, spec.paddings), x
@@ -729,7 +732,7 @@ class TestSmallRankSlabs:
         # hold a line buffer of 36 planes and one block's chain.
         rng = np.random.default_rng(180)
         if scheme == "mobilenet-v1":
-            layer = build_mobilenet_v1(random_kruskal(rng, (8, 32, 3, 3), 32), 1, 1)
+            layer = random_mobilenet_v1(rng, 8, 32, (3, 3), 1, 1)
         else:
             layer = build_mobilenet_v2(random_kruskal(rng, (8, 8, 3, 3), 16), 1, 1)
         x = rng.standard_normal((layer.spec.in_channels, 200, 240))
@@ -744,14 +747,13 @@ class TestSmallRankSlabs:
         rng = np.random.default_rng(181 + 10 * stride + padding)
         x = rng.standard_normal((4, 150, 240))
         assert x.shape[1] > layers._BAND_EXTENT and x[0].size > 2 * layers._SLAB_COLUMNS
-        k = random_kruskal(rng, (3, 4, 3, 3), 4)
         cp = CpConvLayer(random_kruskal(rng, (3, 4, 3, 3), 5), ConvSpec(4, 3, (3, 3), stride, padding))
         bn = FrozenBatchNorm(mean=tuple(rng.uniform(-0.1, 0.1, 5)), var=tuple(rng.uniform(0.5, 2.0, 5)))
         skip = rng.standard_normal((3, 4)) if (stride, padding) == (1, 1) else None
         cases = {
             "cp": cp,
             "hocp": HoCpConvLayer(cp, (PReLU(0.1), bn), skip),
-            "mobilenet-v1": build_mobilenet_v1(k, stride, padding),
+            "mobilenet-v1": random_mobilenet_v1(rng, 3, 4, (3, 3), stride, padding),
             "mobilenet-v2": build_mobilenet_v2(random_kruskal(rng, (3, 4, 3, 3), 6), stride, padding),
         }
         for scheme, layer in cases.items():
@@ -878,7 +880,7 @@ class TestBandedDepthwise:
         rng = np.random.default_rng(141)
         k = random_kruskal(rng, (3, 4, 3, 3), 4)
         x = rng.standard_normal((4, 8, 8))
-        for block in (build_mobilenet_v1(k, 1, 1), build_mobilenet_v2(k, 2, 0)):
+        for block in (random_mobilenet_v1(rng, 3, 4, (3, 3), 1, 1), build_mobilenet_v2(k, 2, 0)):
             layers.forward(block, x)
         assert calls == {"depthwise_conv": 2, "banded_mode_conv": 0}
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +134,39 @@ class TestCompress:
         w = rng.standard_normal((3, 4, 2, 2))
         res = compress(w, "mobilenet-v1", None, seed=0, max_iters=30)
         assert res.plan.layer.rank == 4
+
+    def test_mobilenet_v1_is_closed_form(self):
+        # No ALS: the plan is the same whatever the seed, restarts and sweep
+        # cap, and the telemetry says no iteration and no restart ran.
+        w = np.random.default_rng(112).standard_normal((3, 4, 3, 3))
+        runs = [
+            compress(w, "mobilenet-v1", 4, seed=seed, restarts=restarts, max_iters=max_iters)
+            for seed, restarts, max_iters in ((0, 3, 500), (9, 1, 1), (5, 7, 30))
+        ]
+        for res in runs:
+            assert (res.n_iters, res.converged, res.error_history) == (0, True, ())
+            assert res.restart_errors == () and res.winning_restart is None
+            for (role, a), (_, b) in zip(res.plan.layer.factors, runs[0].plan.layer.factors):
+                assert a.tobytes() == b.tobytes(), role
+
+    @pytest.mark.parametrize("seed,als_error", [(11, 1.602), (21, 1.539), (22, 1.567), (23, 1.673)])
+    def test_mobilenet_v1_beats_als_on_a_random_2d_kernel(self, seed, als_error):
+        # The benchmark's (48, 32, 3, 3) kernel draw. CP-ALS paired with
+        # channels by index (15 sweeps, 1 restart) ended at ``als_error``,
+        # worse than the zero kernel.
+        w = np.random.default_rng(seed).standard_normal((48, 32, 3, 3)) / math.sqrt(32 * 9)
+        err = compress(w, "mobilenet-v1", 32, seed=seed, padding=1).kernel_rel_error
+        assert err < 1.0 and err <= als_error
+
+    @pytest.mark.parametrize("scheme,ranks", [
+        ("cp", 2), ("tucker", (2, 2)), ("mobilenet-v1", None), ("mobilenet-v2", 2), ("hocp", 2),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kernel_raises(self, scheme, ranks, bad):
+        w = np.random.default_rng(113).standard_normal((3, 4, 3, 3))
+        w[1, 2, 0, 1] = bad
+        with pytest.raises(ValueError, match="kernel holds NaN or infinite values"):
+            compress(w, scheme, ranks)
 
     def test_hocp_plan_runs_like_cp(self):
         rng = np.random.default_rng(108)
