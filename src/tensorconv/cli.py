@@ -100,8 +100,11 @@ def _cmd_decompose(args) -> int:
     print(f"params_factorized={result.cost_after.params}")
     print(f"n_iters={result.n_iters}")
     print(f"converged={'true' if result.converged else 'false'}")
-    for i, error in enumerate(result.restart_errors):
+    restarts = zip(result.restart_errors, result.restart_iters, result.restart_converged)
+    for i, (error, iters, converged) in enumerate(restarts):
         print(f"restart.{i}.rel_error={_fmt(error)}")
+        print(f"restart.{i}.n_iters={iters}")
+        print(f"restart.{i}.converged={'true' if converged else 'false'}")
     if result.winning_restart is not None:
         print(f"winning_restart={result.winning_restart}")
     for warning in result.warnings:

@@ -7,13 +7,21 @@ error: both return the best iterate found together with its relative
 reconstruction error and the full error history. The MobileNet-v1 fit
 (:func:`depthwise_separable`) is closed form: one batched SVD.
 
+Seeded CP restarts run in lockstep: the J restarts' factors sit side by side,
+mode n as one I_n x (J*R) matrix, so each mode update is one MTTKRP, one
+batched Gram and one batched normal-equation solve for all of them, and each
+sweep's exact residuals come from one Khatri-Rao product and one stacked
+GEMM. Every restart stops at its own ``tol``; :func:`cp_als` is the case
+J = 1.
+
 Memory is bounded by the factors, not by their Khatri-Rao product: no step
-allocates much more than ``|X| * R / max_extent`` elements for a tensor X
-fitted at rank R. The MTTKRP of an ALS sweep contracts X with the factor of
-its largest other mode in one GEMM, then folds in the remaining factors one
-at a time over the shared rank index; :func:`kruskal_to_dense` is one GEMM of
-the largest mode's factor with the Khatri-Rao product of the others. HOSVD
-factors come from thin SVDs (left singular vectors only). HOOI neither
+allocates much more than ``|X| * J * R / max_extent`` elements for a tensor X
+fitted at rank R by J restarts in lockstep (J = 1 for :func:`cp_als`). The
+MTTKRP of an ALS sweep contracts X with the factor of its largest other mode
+in one GEMM, then folds in the remaining factors one at a time over the
+shared rank index; :func:`kruskal_to_dense` is one GEMM of the largest mode's
+factor with the Khatri-Rao product of the others. HOSVD factors come from
+thin SVDs (left singular vectors only). HOOI neither
 solves again nor projects onto a mode kept at full rank, whose HOSVD factor
 is already an orthonormal basis of the whole mode (typically the spatial
 modes of a conv kernel); its sweeps touch the truncated modes only.
@@ -23,7 +31,11 @@ Cholesky factorization has shown the R x R Hadamard Gram positive definite
 and no worse conditioned than ``1 / PINV_RCOND``. A rank-deficient Gram
 (duplicated or collinear factor columns, overcomplete ranks) goes through a
 pseudo-inverse with singular values below ``PINV_RCOND`` (relative to the
-largest) treated as zero instead, so such problems degrade gracefully.
+largest) treated as zero instead, so such problems degrade gracefully. A
+restart whose Gram needs it takes that path alone; the others keep theirs.
+
+Tensors holding NaN or infinite values are rejected with ``ValueError``
+before any SVD, which may not return on an infinite entry.
 """
 
 from __future__ import annotations
@@ -221,6 +233,56 @@ def _mttkrp(t: np.ndarray, factors, n: int) -> np.ndarray:
     return y
 
 
+def _require_finite(t: np.ndarray) -> None:
+    # min and max propagate NaN and expose +-inf without a full-size mask; an
+    # SVD of a matrix holding an inf may never return.
+    if not (np.isfinite(t.min()) and np.isfinite(t.max())):
+        raise ValueError("tensor holds NaN or infinite values")
+
+
+def _solve_normal_stack(rhs: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """:func:`_solve_normal` for J restarts at once: ``rhs`` is I x (J*R) with
+    restart j in columns j*R to (j+1)*R - 1, ``grams`` the (J, R, R) stack.
+
+    One batched Cholesky check and one batched solve when every Gram passes;
+    otherwise each restart goes through :func:`_solve_normal` alone, which
+    solves the passing ones the same way and the others by pseudo-inverse.
+    """
+    j, r, _ = grams.shape
+    rhs3 = rhs.reshape(rhs.shape[0], j, r)
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(grams), axis1=1, axis2=2) ** 2
+        passed = bool(np.all(pivots.min(axis=1) >= PINV_RCOND * pivots.max(axis=1)))
+    except np.linalg.LinAlgError:
+        passed = False
+    if not passed:
+        return np.hstack([_solve_normal(rhs3[:, i], grams[i]) for i in range(j)])
+    out = np.linalg.solve(grams, rhs3.transpose(1, 2, 0))  # (J, R, I)
+    return out.transpose(2, 0, 1).reshape(rhs.shape)
+
+
+def _stacked_grams(f: np.ndarray, rank: int) -> np.ndarray:
+    """The (J, R, R) stack of ``U_j.T @ U_j`` for the restarts side by side in ``f``."""
+    f3 = f.reshape(f.shape[0], -1, rank)
+    return np.matmul(f3.transpose(1, 2, 0), f3.transpose(1, 0, 2))
+
+
+def _restart_errors(t: np.ndarray, factors, rank: int, norm_t: float) -> list[float]:
+    """Each restart's exact relative residual, bitwise :func:`_rel_error` of
+    its :func:`kruskal_to_dense`: one Khatri-Rao product of the non-largest
+    modes for all restarts, one stacked GEMM for the J reconstructions, and
+    the residuals written over them, each summed in row-major order."""
+    m = int(np.argmax(t.shape))
+    kr = khatri_rao([f for i, f in enumerate(factors) if i != m])
+    j = kr.shape[1] // rank
+    dense = np.matmul(factors[m].reshape(-1, j, rank).transpose(1, 0, 2),
+                      kr.reshape(-1, j, rank).transpose(1, 2, 0))
+    rest = t.shape[:m] + t.shape[m + 1 :]
+    diff = np.moveaxis(dense.reshape((j, t.shape[m]) + rest), 1, m + 1)
+    np.subtract(t, diff, out=diff)
+    return [float(np.linalg.norm(d.ravel()) / norm_t) for d in diff]
+
+
 def cp_als(
     t: np.ndarray,
     rank: int,
@@ -238,7 +300,21 @@ def cp_als(
     ``init`` is ``"random"`` (uniform in [-1, 1], seeded) or ``"hosvd"``
     (leading left singular vectors per mode, padded with random columns when
     the rank exceeds a mode extent). Ranks larger than the extents are allowed
-    (overcomplete CP).
+    (overcomplete CP). A tensor holding NaN or infinite values raises
+    ``ValueError``.
+    """
+    return _cp_als_lockstep(t, rank, [seed], max_iters, tol, init)[0]
+
+
+def _cp_als_lockstep(t, rank, seeds, max_iters, tol, init) -> list[CpResult]:
+    """:func:`cp_als` from each of ``seeds``, all J restarts in one ALS loop.
+
+    Mode n's factors sit side by side as one I_n x (J*R) matrix, restart j in
+    columns j*R to (j+1)*R - 1. MTTKRP works column by column, so one
+    :func:`_mttkrp` serves every restart; the Hadamard Grams form a (J, R, R)
+    stack for one batched solve; one stacked GEMM makes the reconstructions
+    for the exact residuals. Each restart stops at its own ``tol`` and then
+    leaves the loop, so its result is that of a solo run up to rounding.
     """
     t = as_tensor(t)
     if t.ndim < 2:
@@ -247,56 +323,65 @@ def cp_als(
         raise RankError(f"CP rank must be >= 1, got {rank}")
     if init not in ("random", "hosvd"):
         raise ValueError(f"unknown init {init!r}; expected 'random' or 'hosvd'")
+    _require_finite(t)
 
-    rng = np.random.default_rng(seed)
     norm_t = float(np.linalg.norm(t.ravel()))
     if norm_t == 0.0:
-        zeros = tuple(np.zeros((e, rank)) for e in t.shape)
-        return CpResult(KruskalTensor(zeros), 0.0, 0, True, [0.0])
+        return [
+            CpResult(KruskalTensor(tuple(np.zeros((e, rank)) for e in t.shape)), 0.0, 0, True, [0.0])
+            for _ in seeds
+        ]
 
-    factors = []
-    for mode, extent in enumerate(t.shape):
-        if init == "hosvd":
-            f = _hosvd_factor(t, mode, min(rank, extent))
-            if f.shape[1] < rank:
+    hosvd = [_hosvd_factor(t, mode, min(rank, extent)) if init == "hosvd" else None
+             for mode, extent in enumerate(t.shape)]
+    starts = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        start = []
+        for f, extent in zip(hosvd, t.shape):
+            if f is None:
+                f = rng.uniform(-1.0, 1.0, (extent, rank))
+            elif f.shape[1] < rank:
                 f = np.hstack([f, rng.uniform(-1.0, 1.0, (extent, rank - f.shape[1]))])
-        else:
-            f = rng.uniform(-1.0, 1.0, (extent, rank))
-        factors.append(f)
+            start.append(f)
+        starts.append(start)
+    factors = [np.hstack(fs) for fs in zip(*starts)]
+    grams = [_stacked_grams(f, rank) for f in factors]
 
-    grams = [f.T @ f for f in factors]
-
-    history: list[float] = []
-    best_err = np.inf
-    best_factors = [f.copy() for f in factors]
-    prev_err = np.inf
-    converged = False
-    n_iters = 0
-
+    runs = [CpResult(KruskalTensor(tuple(fs)), np.inf, 0, False) for fs in starts]
+    active = list(range(len(runs)))  # restart at each column block of `factors`
     for it in range(max_iters):
-        n_iters = it + 1
         for n in range(t.ndim):
-            gram = np.ones((rank, rank))
-            for k in range(t.ndim):
-                if k != n:
-                    gram *= grams[k]
-            rhs = _mttkrp(t, factors, n)
-            factors[n] = _solve_normal(rhs, gram)
-            grams[n] = factors[n].T @ factors[n]
+            others = [k for k in range(t.ndim) if k != n]
+            gram = grams[others[0]].copy()
+            for k in others[1:]:
+                gram *= grams[k]
+            factors[n] = _solve_normal_stack(_mttkrp(t, factors, n), gram)
+            grams[n] = _stacked_grams(factors[n], rank)
 
-        err = _rel_error(t, kruskal_to_dense(KruskalTensor(tuple(factors))), norm_t)
-        history.append(err)
-        if err < best_err:
-            best_err = err
-            best_factors = [f.copy() for f in factors]
-        if abs(prev_err - err) < tol:
-            converged = True
+        keep = []
+        for p, err in enumerate(_restart_errors(t, factors, rank, norm_t)):
+            run = runs[active[p]]
+            prev_err = run.error_history[-1] if run.error_history else np.inf
+            run.n_iters = it + 1
+            run.error_history.append(err)
+            if err < run.rel_error:
+                run.rel_error = err
+                run.kruskal = KruskalTensor(
+                    tuple(f[:, p * rank : (p + 1) * rank].copy() for f in factors)
+                )
+            if abs(prev_err - err) < tol:
+                run.converged = True
+            else:
+                keep.append(p)
+        if not keep:
             break
-        prev_err = err
-
-    return CpResult(
-        KruskalTensor(tuple(best_factors)), best_err, n_iters, converged, history
-    )
+        if len(keep) < len(active):
+            active = [active[p] for p in keep]
+            factors = [f.reshape(f.shape[0], -1, rank)[:, keep].reshape(f.shape[0], -1)
+                       for f in factors]
+            grams = [g[keep] for g in grams]
+    return runs
 
 
 def tucker_hooi(
@@ -310,7 +395,8 @@ def tucker_hooi(
     Factor columns are orthonormal throughout. Requested ranks larger than a
     mode extent are capped at the extent, with a note in ``result.warnings``.
     A mode whose rank equals its extent keeps its HOSVD factor, an
-    orthonormal basis of the whole mode, and sweeps leave it out.
+    orthonormal basis of the whole mode, and sweeps leave it out. A tensor
+    holding NaN or infinite values raises ``ValueError``.
     """
     t = as_tensor(t)
     req = tuple(int(r) for r in ranks)
@@ -320,6 +406,7 @@ def tucker_hooi(
         )
     if any(r < 1 for r in req):
         raise RankError(f"Tucker ranks must all be >= 1, got {req}")
+    _require_finite(t)
 
     warnings: list[str] = []
     eff = []
@@ -349,9 +436,11 @@ def tucker_hooi(
     for it in range(max_iters):
         n_iters = it + 1
         for n in solved:
-            factors[n] = _hosvd_factor(project(m for m in solved if m != n), n, eff[n])
-
-        approx = project(solved)
+            partial = project(m for m in solved if m != n)
+            factors[n] = _hosvd_factor(partial, n, eff[n])
+        # The last partial left out only mode n, so projecting it there gives
+        # project(solved) in the same order of products.
+        approx = n_mode_product(partial, factors[n].T, n) if solved else t
         for mode in solved:
             approx = n_mode_product(approx, factors[mode], mode)
         err = _rel_error(t, approx, norm_t)

@@ -23,7 +23,7 @@ import numpy as np
 from . import costs
 from .container import read_finite_tensor, write_tensor
 from .convref import ConvSpec, conv_nd_direct
-from .decomp import cp_als, depthwise_separable, tucker_hooi
+from .decomp import _cp_als_lockstep, depthwise_separable, tucker_hooi
 from .dense import as_tensor
 from .errors import ContainerError, DimensionError, RankError
 from .layers import (
@@ -99,8 +99,9 @@ class CompressionResult:
 
     ``n_iters``, ``converged`` and ``error_history`` are those of the ALS run
     that won among the CP restarts, or of the HOOI run; ``warnings`` holds
-    the Tucker rank caps. For the CP-based schemes ``restart_errors`` holds
-    each restart's final relative kernel error, in restart order, and
+    the Tucker rank caps. For the CP-based schemes ``restart_errors``,
+    ``restart_iters`` and ``restart_converged`` hold each restart's final
+    relative kernel error, sweep count and convergence, in restart order, and
     ``winning_restart`` the index of the one the plan was built from (the
     first with the smallest error); Tucker has none. ``mobilenet-v1`` is closed
     form: ``n_iters=0``, ``converged=True``, no error history, no restarts.
@@ -116,6 +117,8 @@ class CompressionResult:
     error_history: tuple[float, ...]
     warnings: tuple[str, ...]
     restart_errors: tuple[float, ...]
+    restart_iters: tuple[int, ...]
+    restart_converged: tuple[bool, ...]
     winning_restart: Optional[int]
 
 
@@ -162,11 +165,12 @@ def _worst_probe(
     for s in np.random.SeedSequence(seed).spawn(probe_count):
         x = np.random.default_rng(s).standard_normal((spec.in_channels,) + tuple(extents))
         direct = conv_nd_direct(x, kernel, spec)
-        factorized = execute_plan(plan, x)
+        deviation = execute_plan(plan, x)
+        deviation -= direct
         devs.append(_rel(
-            float(np.linalg.norm((factorized - direct).ravel())),
-            float(np.linalg.norm(direct.ravel())),
+            float(np.linalg.norm(deviation.ravel())), float(np.linalg.norm(direct.ravel()))
         ))
+        del deviation  # not held while the next probe's direct output is computed
     i = int(np.argmax(devs))
     return devs[i], i
 
@@ -212,15 +216,11 @@ def _normalize_ranks(scheme: str, ranks, kernel_shape) -> tuple[int, ...]:
 
 
 def _best_cp(kernel, rank, max_iters, tol, seed, restarts):
-    """The ALS run with the smallest error over the seeded restarts, every
-    restart's error, and the winner's index."""
-    best, errors, winner = None, [], 0
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(max(1, int(restarts)))):
-        res = cp_als(kernel, rank, max_iters=max_iters, tol=tol, seed=child)
-        errors.append(res.rel_error)
-        if best is None or res.rel_error < best.rel_error:
-            best, winner = res, i
-    return best, tuple(errors), winner
+    """Every seeded restart's ALS run, fitted in lockstep, and the index of
+    the winner: the first with the smallest error."""
+    seeds = np.random.SeedSequence(seed).spawn(max(1, int(restarts)))
+    runs = _cp_als_lockstep(kernel, rank, seeds, max_iters, tol, "random")
+    return runs, min(range(len(runs)), key=lambda i: runs[i].rel_error)
 
 
 def compress(
@@ -264,7 +264,7 @@ def compress(
     spec = ConvSpec.from_kernel(kernel, stride, padding)
 
     res = None  # the ALS or HOOI run; mobilenet-v1 is closed form
-    warnings, restart_errors, winning_restart = (), (), None
+    warnings, runs, winning_restart = (), [], None
     if scheme == "mobilenet-v1":
         pointwise, spatial = depthwise_separable(kernel)
         layer: AnyLayer = MobileNetV1Block(spatial, pointwise, spec)
@@ -273,9 +273,8 @@ def compress(
         layer = TuckerConvLayer.from_tucker(res.tucker, spec)
         warnings = tuple(res.warnings)
     else:
-        res, restart_errors, winning_restart = _best_cp(
-            kernel, ranks[0], max_iters, tol, seed, restarts
-        )
+        runs, winning_restart = _best_cp(kernel, ranks[0], max_iters, tol, seed, restarts)
+        res = runs[winning_restart]
         if scheme == "cp":
             layer = CpConvLayer(res.kruskal, spec)
         elif scheme == "hocp":
@@ -302,7 +301,9 @@ def compress(
         converged=True if res is None else res.converged,
         error_history=() if res is None else tuple(res.error_history),
         warnings=warnings,
-        restart_errors=restart_errors,
+        restart_errors=tuple(r.rel_error for r in runs),
+        restart_iters=tuple(r.n_iters for r in runs),
+        restart_converged=tuple(r.converged for r in runs),
         winning_restart=winning_restart,
     )
 

@@ -98,6 +98,25 @@ class TestDecompose:
         assert errors[winner] == min(errors)
         assert errors[winner] == float(keys["rel_error"])
 
+    def test_prints_each_restarts_sweeps_and_convergence(self, tmp_path, capsys):
+        rng = np.random.default_rng(54)
+        kernel = tmp_path / "k.tensor"
+        write_tensor(kernel, rng.standard_normal((4, 3, 3, 3)))
+        code = run_cli(
+            "decompose", "--input", kernel, "--scheme", "cp", "--rank", "3",
+            "--out", tmp_path / "plan", "--restarts", "3", "--max-iters", "300",
+            "--tol", "1e-6", "--seed", "0",
+        )
+        assert code == 0
+        keys = dict(l.split("=", 1) for l in capsys.readouterr().out.strip().splitlines())
+        iters = [int(keys[f"restart.{i}.n_iters"]) for i in range(3)]
+        converged = [keys[f"restart.{i}.converged"] for i in range(3)]
+        assert len(set(iters)) == 3  # each restart stopped at its own sweep
+        assert all(n < 300 for n in iters) and converged == ["true"] * 3
+        winner = int(keys["winning_restart"])
+        assert iters[winner] == int(keys["n_iters"])
+        assert converged[winner] == keys["converged"]
+
     def test_rank_zero_exits_3(self, synthetic_kernel, tmp_path, capsys):
         kernel, _ = synthetic_kernel
         code = run_cli(

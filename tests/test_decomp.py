@@ -228,6 +228,119 @@ class TestNormalEquations:
         assert np.isfinite(res.rel_error) and res.rel_error < 1e-6
 
 
+class TestLockstep:
+    """``_cp_als_lockstep`` fits J seeded restarts in one ALS loop; each
+    restart's result is its solo ``cp_als`` run up to rounding."""
+
+    @staticmethod
+    def assert_matches_solo(t, rank, seeds, runs, max_iters, tol):
+        assert len(runs) == len(seeds)
+        for seed, run in zip(seeds, runs):
+            solo = cp_als(t, rank, max_iters=max_iters, tol=tol, seed=seed)
+            assert run.n_iters == solo.n_iters
+            assert run.converged == solo.converged
+            assert len(run.error_history) == len(solo.error_history)
+            np.testing.assert_allclose(run.error_history, solo.error_history, rtol=0, atol=1e-12)
+            assert rel_error(kruskal_to_dense(run.kruskal), kruskal_to_dense(solo.kruskal)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "shape, rank, max_iters, tol",
+        [((32, 16, 3, 3, 3), 4, 30, 0.0), ((3, 9, 4), 4, 25, 0.0), ((8, 4, 3, 3), 2, 200, 1e-10)],
+        ids=["compress-shape", "largest-mode-1", "tol-stops"],
+    )
+    def test_every_restart_matches_its_solo_run(self, shape, rank, max_iters, tol):
+        t = np.random.default_rng(40).standard_normal(shape)
+        seeds = np.random.SeedSequence(7).spawn(4)
+        runs = decomp._cp_als_lockstep(t, rank, seeds, max_iters, tol, "random")
+        if tol > 0:  # restarts stop at different sweeps, one runs to the cap
+            assert len({run.n_iters for run in runs}) == 4
+            assert max(run.n_iters for run in runs) == max_iters
+            assert all(run.converged == (run.n_iters < max_iters) for run in runs)
+        self.assert_matches_solo(t, rank, seeds, runs, max_iters, tol)
+
+    @pytest.mark.parametrize("shape", [(6, 4, 3), (3, 9, 4), (3, 4, 7)])
+    def test_restart_error_is_the_exact_residual_of_its_factors(self, shape):
+        # Bitwise, whichever mode is largest: compress reports the winner's
+        # restart error and recomputes the plan's kernel error from its factors.
+        t = np.random.default_rng(41).standard_normal(shape)
+        norm_t = float(np.linalg.norm(t.ravel()))
+        runs = decomp._cp_als_lockstep(t, 3, np.random.SeedSequence(3).spawn(3), 12, 0.0, "random")
+        for run in runs:
+            assert run.rel_error == decomp._rel_error(t, kruskal_to_dense(run.kruskal), norm_t)
+            assert run.rel_error == min(run.error_history)
+
+    def test_one_restart_takes_the_pinv_fallback(self, monkeypatch):
+        t = np.random.default_rng(42).standard_normal((4, 5, 3))
+        seeds = np.random.SeedSequence(8).spawn(3)
+        default_rng = np.random.default_rng
+
+        class DuplicatingRng:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def uniform(self, low, high, size):
+                f = self._rng.uniform(low, high, size)
+                f[:, 2] = f[:, 0]
+                return f
+
+        def rng_for(seed):  # restart 1 starts with column 2 equal to column 0
+            return DuplicatingRng(seed) if seed is seeds[1] else default_rng(seed)
+
+        pinv_calls = []
+        pinv = np.linalg.pinv
+
+        def spy(*args, **kwargs):
+            pinv_calls.append(args[0].shape)
+            return pinv(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", rng_for)
+        monkeypatch.setattr(np.linalg, "pinv", spy)
+        runs = decomp._cp_als_lockstep(t, 3, seeds, 20, 0.0, "random")
+        assert pinv_calls[:3] == [(3, 3)] * 3
+        for seed in seeds:
+            del pinv_calls[:]
+            cp_als(t, 3, max_iters=20, tol=0.0, seed=seed)
+            assert bool(pinv_calls) == (seed is seeds[1])
+        self.assert_matches_solo(t, 3, seeds, runs, 20, 0.0)
+
+    def test_zero_tensor_gives_a_zero_result_per_restart(self):
+        runs = decomp._cp_als_lockstep(np.zeros((3, 4, 2)), 2, [0, 1, 2], 10, 1e-8, "random")
+        assert len(runs) == 3
+        for run in runs:
+            assert run.rel_error == 0.0 and run.n_iters == 0 and run.converged
+            assert np.all(kruskal_to_dense(run.kruskal) == 0.0)
+
+    def test_three_restarts_peak_at_most_three_times_one(self):
+        t = np.random.default_rng(25).standard_normal((64, 32, 3, 3, 3))
+        seeds = np.random.SeedSequence(0).spawn(3)
+        peaks = []
+        for j in (1, 3):
+            tracemalloc.start()
+            try:
+                decomp._cp_als_lockstep(t, 192, seeds[:j], 1, 0.0, "random")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 3 * peaks[0] + 2**20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda t: cp_als(t, 2, max_iters=3),
+        lambda t: cp_als(t, 2, max_iters=3, init="hosvd"),
+        lambda t: tucker_hooi(t, (2, 2, 2, 2), max_iters=3),
+    ],
+    ids=["cp-random", "cp-hosvd", "tucker"],
+)
+def test_non_finite_tensor_raises(fit, bad):
+    t = np.random.default_rng(43).standard_normal((3, 4, 3, 3))
+    t[1, 2, 0, 1] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        fit(t)
+
+
 class TestTuckerHooi:
     def test_full_ranks_exact(self):
         rng = np.random.default_rng(10)
@@ -285,6 +398,31 @@ class TestTuckerHooi:
         res = tucker_hooi(target, (2, 2, 3, 3), max_iters=4, tol=0.0)
         for mode in (2, 3):
             assert np.array_equal(res.tucker.factors[mode], decomp._hosvd_factor(target, mode, 3))
+
+
+    def test_sweep_error_reuses_the_last_partial_projection(self, monkeypatch):
+        # With s truncated modes a sweep makes s*(s-1) products for the
+        # partial projections and s + 1 for the reconstruction; the error is
+        # bitwise that of projecting every truncated mode afresh.
+        t = np.random.default_rng(44).standard_normal((12, 8, 3, 3))
+        calls = []
+        product = decomp.n_mode_product
+
+        def spy(*args):
+            calls.append(args[2])
+            return product(*args)
+
+        monkeypatch.setattr(decomp, "n_mode_product", spy)
+        res = tucker_hooi(t, (4, 3, 3, 3), max_iters=3, tol=0.0)
+        assert len(calls) == 3 * (2 + 3) + 4  # three sweeps, then the core
+        core = t
+        for mode in (0, 1):
+            core = product(core, res.tucker.factors[mode].T, mode)
+        approx = core
+        for mode in (0, 1):
+            approx = product(approx, res.tucker.factors[mode], mode)
+        norm_t = float(np.linalg.norm(t.ravel()))
+        assert res.error_history[-1] == decomp._rel_error(t, approx, norm_t)
 
 
 class TestAbsorbSpatial:

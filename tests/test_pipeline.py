@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,19 @@ class TestCompress:
         assert res.restart_errors[res.winning_restart] == res.kernel_rel_error
         tucker = compress(w, "tucker", (2, 2), max_iters=5)
         assert tucker.restart_errors == () and tucker.winning_restart is None
+
+    def test_restart_sweeps_and_convergence(self):
+        # Each restart stops at its own tol; the winner's are the result's own.
+        w = np.random.default_rng(54).standard_normal((4, 3, 3, 3))
+        res = compress(w, "cp", 3, seed=0, max_iters=300, tol=1e-6, restarts=3)
+        assert len(set(res.restart_iters)) == 3
+        assert res.restart_converged == (True, True, True)
+        assert res.restart_iters[res.winning_restart] == res.n_iters
+        assert len(res.error_history) == res.n_iters
+        capped = compress(w, "cp", 3, seed=0, max_iters=5, tol=1e-6, restarts=2)
+        assert capped.restart_iters == (5, 5) and capped.restart_converged == (False, False)
+        tucker = compress(w, "tucker", (2, 2), max_iters=5)
+        assert tucker.restart_iters == () and tucker.restart_converged == ()
 
     def test_tucker_rank_cap_is_reported(self):
         rng = np.random.default_rng(104)
@@ -270,6 +284,19 @@ class TestVerifyEquivalence:
             assert not report.passed
             assert np.isnan(report.max_rel_deviation)
             assert report.worst_probe_index == 0
+
+    def test_one_probe_at_a_time(self):
+        # The plan's output of one probe is freed before the next probe runs.
+        plan, kernel = self._exact_plan_and_kernel()
+        peaks = []
+        for count in (1, 4):
+            tracemalloc.start()
+            try:
+                verify_equivalence(plan, kernel, tolerance=1e-10, probe_count=count, probe_extent=64)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 64 * 1024  # one (4, 64, 64) probe is 128 KiB
 
     def test_kernel_shape_must_match_plan(self):
         plan, _ = self._exact_plan_and_kernel()
