@@ -65,6 +65,18 @@ def _parse_stride_padding(args) -> tuple:
     return stride, padding
 
 
+def _load_plan(path, stride, padding):
+    """The plan at ``path``, with the ``--stride``/``--padding`` given (not None) in place of its own."""
+    plan = load_plan(path)
+    if stride is None and padding is None:
+        return plan
+    return with_conv_params(
+        plan,
+        plan.spec.strides if stride is None else stride,
+        plan.spec.paddings if padding is None else padding,
+    )
+
+
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -121,13 +133,7 @@ def _cmd_conv(args) -> int:
     x = read_finite_tensor(args.input)
     cost_lines = []
     if args.plan:
-        plan = load_plan(args.plan)
-        if stride is not None or padding is not None:
-            plan = with_conv_params(
-                plan,
-                plan.spec.strides if stride is None else stride,
-                plan.spec.paddings if padding is None else padding,
-            )
+        plan = _load_plan(args.plan, stride, padding)
         y = execute_plan(plan, x)
         # The plan's analytic cost on this input's extents, stage by stage.
         cost_lines = costs.report(plan.layer.stages, x.shape[1:]).lines()
@@ -154,7 +160,7 @@ def _cmd_conv(args) -> int:
 def _load_cost_layers(path) -> list[dict]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ContainerError(f"{path}: cannot read cost spec: {exc}") from exc
     if isinstance(doc, dict) and "layers" in doc:
         layers = doc["layers"]
@@ -188,14 +194,14 @@ def _cmd_cost(args) -> int:
                 entry.get("stride", 1),
                 entry.get("padding", 0),
             )
+            rank = int(entry["rank"]) if "rank" in entry else None
         except KeyError as exc:
             raise ContainerError(f"cost spec layer {i} is missing {exc}") from exc
-        if "rank" in entry:
-            rank = int(entry["rank"])
-        elif args.rank is not None:
-            rank = args.rank
-        else:
-            rank = args.rank_multiplier * spec.in_channels
+        # DimensionError is a ValueError.
+        except (TypeError, ValueError) as exc:
+            raise ContainerError(f"cost spec layer {i} is malformed: {exc}") from exc
+        if rank is None:
+            rank = args.rank if args.rank is not None else args.rank_multiplier * spec.in_channels
         if rank < 1:
             raise RankError(f"cost spec layer {i}: rank must be >= 1, got {rank}")
 
@@ -270,14 +276,7 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    stride, padding = _parse_stride_padding(args)
-    plan = load_plan(args.plan)
-    if stride is not None or padding is not None:
-        plan = with_conv_params(
-            plan,
-            plan.spec.strides if stride is None else stride,
-            plan.spec.paddings if padding is None else padding,
-        )
+    plan = _load_plan(args.plan, *_parse_stride_padding(args))
     kernel = read_finite_tensor(args.kernel)
     report = verify_equivalence(
         plan,

@@ -455,26 +455,16 @@ def tucker_hooi(
     return TuckerResult(tucker, final, n_iters, converged, history, warnings)
 
 
-def absorb_spatial(t: TuckerTensor, spatial_modes: tuple[int, ...] | None = None) -> TuckerTensor:
-    """Contract the given factors into the core, replacing them by identities.
+def absorb_spatial(t: TuckerTensor) -> TuckerTensor:
+    """Contract the spatial factors, every mode after the two channel modes,
+    into the core, replacing them by identities.
 
-    ``spatial_modes`` defaults to every mode after the two channel modes.
     The dense reconstruction is unchanged; the returned core is the
     absorbed kernel used by bottleneck-style execution.
     """
-    if spatial_modes is None:
-        spatial_modes = range(2, t.core.ndim)
-    modes = tuple(int(m) for m in spatial_modes)
-    if len(set(modes)) != len(modes):
-        raise DimensionError(f"spatial modes must be distinct, got {modes}")
-    for m in modes:
-        if not 0 <= m < t.core.ndim:
-            raise DimensionError(
-                f"spatial mode {m} out of range for order-{t.core.ndim} Tucker core"
-            )
     core = t.core
     factors = list(t.factors)
-    for m in modes:
+    for m in range(2, t.core.ndim):
         core = n_mode_product(core, factors[m], m)
         factors[m] = np.eye(factors[m].shape[0])
     return TuckerTensor(core, tuple(factors))

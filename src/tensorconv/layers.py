@@ -12,13 +12,13 @@ multiply-adds into an :class:`~tensorconv.convref.OpCounter`, its
 :func:`forward` streams the channel-local stages over slabs of output planes
 along mode 0, the per-channel ones in cache-sized channel blocks.
 
-Each layer class holds what is particular to its scheme: validation, its
-stage list (``stages_for``, which the cost model also calls on shape-only
-factors), its named factors for a plan manifest (``factors``, inverted by
-``from_factors``) and ``dense_kernel()``, so every forward is checkable
-against ``conv_nd_direct(x, layer.dense_kernel(), layer.spec)``. CP and HO-CP
-share one stage builder, so with no activations and no skip the two are
-bitwise identical.
+Each layer class holds what is particular to its scheme: its factors'
+coercions, its stage builder (``stages_for``, which the cost model also calls
+on shape-only factors) and its factors' roles in a plan manifest (``factors``,
+inverted by ``from_factors``). Its kernel ``dense_kernel()`` and its shape
+checks are walks over the stages, so every forward is checkable against
+``conv_nd_direct(x, layer.dense_kernel(), layer.spec)``. CP and HO-CP share
+one stage builder: with no activations and no skip they are bitwise equal.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .decomp import (
     TuckerTensor,
     _merge_spatial,
     absorb_spatial,
-    kruskal_to_dense,
 )
 from .dense import (
     as_matrix,
@@ -44,7 +43,6 @@ from .dense import (
     banded_mode_conv,
     conv_output_extent,
     depthwise_conv,
-    n_mode_product,
 )
 from .errors import DimensionError, RankError
 
@@ -440,22 +438,6 @@ class Activate(_Stage):
         return replace(self, activation=self.activation.channels(sl))
 
 
-def _merged_spatial(spatial, spec: ConvSpec) -> np.ndarray:
-    """Validate a MobileNet merged spatial factor (K_0, ..., K_{N-1}, R)."""
-    spatial = as_tensor(spatial)
-    if spatial.ndim != spec.n_spatial + 1:
-        raise DimensionError(
-            f"merged spatial factor must have order {spec.n_spatial + 1} "
-            f"(K_0, ..., K_{spec.n_spatial - 1}, R), got order {spatial.ndim}"
-        )
-    if spatial.shape[:-1] != spec.kernel_sizes:
-        raise DimensionError(
-            f"spatial factor extents {spatial.shape[:-1]} do not match "
-            f"kernel sizes {spec.kernel_sizes}"
-        )
-    return spatial
-
-
 # ---------------------------------------------------------------------------
 # Layer types
 # ---------------------------------------------------------------------------
@@ -485,6 +467,65 @@ class _Layer:
         """The same factors under another geometry (stride, padding)."""
         return replace(self, spec=spec)
 
+    def __post_init__(self):
+        self._check_stages()
+
+    def _check_stages(self) -> None:
+        """Raise :class:`DimensionError`, naming the stage, unless the stages
+        chain: each takes the channels the one before gives, from the spec's
+        C to its T, a skip is (T x C), and the taps compose to the spec's
+        kernel sizes. Each activation checks its parameters against the
+        channels it receives."""
+        spec = self.spec
+        skip, end = (spec.out_channels, spec.in_channels), (spec.out_channels, spec.kernel_sizes)
+        channels, sizes = spec.in_channels, (1,) * spec.n_spatial
+        for stage in self.stages:
+            if isinstance(stage, Activate):
+                stage.activation.check(channels)
+                continue
+            # ``dims``: the stage as a dense kernel's extents (out x in x K_0 x ...)
+            if isinstance(stage, Contract):  # a skip too
+                shape, dims = stage.matrix.shape, stage.matrix.shape + (1,) * len(sizes)
+            elif isinstance(stage, Depthwise):
+                shape, dims = stage.taps.shape, stage.taps.shape[-1:] * 2 + stage.taps.shape[:-1]
+            else:
+                shape = dims = stage.core.shape
+            name = f"stage {stage.label} of shape {shape}"
+            if isinstance(stage, Skip):
+                if shape != skip:
+                    raise DimensionError(f"{name} is not (T, C) = {skip}")
+                continue
+            if len(dims) != len(sizes) + 2 or dims[1] != channels:
+                raise DimensionError(f"{name} does not take {channels} channels, {len(sizes)} spatial modes")
+            channels, sizes = dims[0], tuple(s + k - 1 for s, k in zip(sizes, dims[2:]))
+        if (channels, sizes) != end:
+            raise DimensionError(f"the stages give (channels, taps) {(channels, sizes)}, the spec {end}")
+
+    def dense_kernel(self) -> np.ndarray:
+        """The kernel (T x C x K_0 x ...) the stages compose to: they fold from
+        last to first onto the identity on the T output channels, kept
+        channels last. A :class:`Contract` is one ``tensordot`` on the channel
+        axis, a :class:`Depthwise` multiplies its taps in by broadcasting,
+        onto modes no later stage moves, and a :class:`DenseConv` is one
+        ``tensordot`` with the core, when no later stage moves a mode.
+        :class:`Activate` and :class:`Skip` leave the kernel unchanged, so an
+        HO-CP layer's kernel is its CP kernel."""
+        t = self.spec.out_channels
+        w = np.eye(t).reshape((t,) + (1,) * self.spec.n_spatial + (t,))
+        for stage in reversed(self.stages):
+            if type(stage) is Contract:
+                w = np.tensordot(w, stage.matrix, axes=(-1, 0))
+            elif isinstance(stage, (Depthwise, DenseConv)):
+                dense, moved = isinstance(stage, DenseConv), w.shape[1:-1]
+                taps = stage.core.shape[2:] if dense else stage.taps.shape[:-1]
+                if any(m > 1 and (dense or k > 1) for m, k in zip(moved, taps)):
+                    raise DimensionError(f"stage {stage.label} taps {taps} fold onto moved modes {moved}")
+                if dense:  # the core's product, (R_in x K... x R_out), turned channels last
+                    w = np.tensordot(stage.core, w.reshape(t, -1), axes=(0, 1)).swapaxes(0, -1)
+                else:
+                    w = w * stage.taps
+        return np.ascontiguousarray(np.moveaxis(w, -1, 1))
+
 
 @dataclass(frozen=True)
 class CpConvLayer(_Layer):
@@ -496,14 +537,6 @@ class CpConvLayer(_Layer):
 
     kruskal: KruskalTensor
     spec: ConvSpec
-
-    def __post_init__(self):
-        expected = (self.spec.out_channels, self.spec.in_channels) + self.spec.kernel_sizes
-        if self.kruskal.shape != expected:
-            raise DimensionError(
-                f"Kruskal factor rows {self.kruskal.shape} do not match conv "
-                f"spec extents {expected}"
-            )
 
     @property
     def rank(self) -> int:
@@ -519,8 +552,10 @@ class CpConvLayer(_Layer):
         """Contract the input channels, one depthwise stage per spatial mode in
         increasing mode order (each optionally followed by its activation),
         contract to the output channels, then the optional skip."""
-        u_out, u_in, *u_spatial = factors
         n = spec.n_spatial
+        if len(factors) != 2 + n:
+            raise DimensionError(f"a CP kernel needs 2 + {n} factors (T, C, K_0, ...), got {len(factors)}")
+        u_out, u_in, *u_spatial = factors
         activations = _normalize_activations(activations, n)
         stages = [Contract("contract_in", u_in.T)]
         for i, u in enumerate(u_spatial):
@@ -555,9 +590,6 @@ class CpConvLayer(_Layer):
     def from_factors(cls, get, spec: ConvSpec) -> "CpConvLayer":
         return cls(KruskalTensor(tuple(map(get, cls._roles(spec.n_spatial)))), spec)
 
-    def dense_kernel(self) -> np.ndarray:
-        return kruskal_to_dense(self.kruskal)
-
 
 @dataclass(frozen=True)
 class TuckerConvLayer(_Layer):
@@ -576,32 +608,10 @@ class TuckerConvLayer(_Layer):
     _ROLES = ("down", "core", "up")
 
     def __post_init__(self):
-        down = as_matrix(self.down)
-        core = as_tensor(self.core)
-        up = as_matrix(self.up)
-        if core.ndim != 2 + self.spec.n_spatial:
-            raise DimensionError(
-                f"core order {core.ndim} does not match spec with "
-                f"{self.spec.n_spatial} spatial modes"
-            )
-        if core.shape[2:] != self.spec.kernel_sizes:
-            raise DimensionError(
-                f"core spatial extents {core.shape[2:]} do not match kernel "
-                f"sizes {self.spec.kernel_sizes}"
-            )
-        if down.shape != (core.shape[1], self.spec.in_channels):
-            raise DimensionError(
-                f"down factor shape {down.shape} inconsistent with core "
-                f"rank {core.shape[1]} and {self.spec.in_channels} input channels"
-            )
-        if up.shape != (self.spec.out_channels, core.shape[0]):
-            raise DimensionError(
-                f"up factor shape {up.shape} inconsistent with core rank "
-                f"{core.shape[0]} and {self.spec.out_channels} output channels"
-            )
-        object.__setattr__(self, "down", down)
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", as_matrix(self.down))
+        object.__setattr__(self, "core", as_tensor(self.core))
+        object.__setattr__(self, "up", as_matrix(self.up))
+        self._check_stages()
 
     @property
     def ranks(self) -> tuple[int, int]:
@@ -610,11 +620,6 @@ class TuckerConvLayer(_Layer):
     @classmethod
     def from_tucker(cls, t: TuckerTensor, spec: ConvSpec) -> "TuckerConvLayer":
         """Build from a Tucker-decomposed kernel by absorbing the spatial factors."""
-        if t.core.ndim != 2 + spec.n_spatial:
-            raise DimensionError(
-                f"Tucker kernel order {t.core.ndim} does not match spec with "
-                f"{spec.n_spatial} spatial modes"
-            )
         absorbed = absorb_spatial(t)
         return cls(absorbed.factors[1].T, absorbed.core, absorbed.factors[0], spec)
 
@@ -625,10 +630,6 @@ class TuckerConvLayer(_Layer):
             DenseConv("core_conv", core, spec.strides, spec.paddings),
             Contract("contract_out", up),
         )
-
-    def dense_kernel(self) -> np.ndarray:
-        w = n_mode_product(self.core, self.up, 0)
-        return n_mode_product(w, self.down.T, 1)
 
 
 @dataclass(frozen=True)
@@ -647,23 +648,11 @@ class HoCpConvLayer(_Layer):
     skip: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "activations",
-            _normalize_activations(self.activations, self.cp.spec.n_spatial),
-        )
-        for act in self.activations or ():
-            if act is not None:
-                act.check(self.rank)
+        if self.activations is not None:  # their count is checked with the stages
+            object.__setattr__(self, "activations", tuple(self.activations))
         if self.skip is not None:
-            skip = as_matrix(self.skip)
-            expected = (self.cp.spec.out_channels, self.cp.spec.in_channels)
-            if skip.shape != expected:
-                raise DimensionError(
-                    f"skip factor shape {skip.shape} must be (out_channels, "
-                    f"in_channels) = {expected}"
-                )
-            object.__setattr__(self, "skip", skip)
+            object.__setattr__(self, "skip", as_matrix(self.skip))
+        self._check_stages()
 
     @property
     def spec(self) -> ConvSpec:
@@ -689,9 +678,6 @@ class HoCpConvLayer(_Layer):
     def with_spec(self, spec: ConvSpec) -> "HoCpConvLayer":
         return replace(self, cp=self.cp.with_spec(spec))
 
-    def dense_kernel(self) -> np.ndarray:
-        return self.cp.dense_kernel()
-
 
 @dataclass(frozen=True)
 class MobileNetV1Block(_Layer):
@@ -706,20 +692,15 @@ class MobileNetV1Block(_Layer):
     _ROLES = ("spatial", "pointwise")
 
     def __post_init__(self):
-        spatial = _merged_spatial(self.spatial, self.spec)
-        pointwise = as_matrix(self.pointwise)
+        spatial = as_tensor(self.spatial)
         if spatial.shape[-1] != self.spec.in_channels:
             raise RankError(
                 f"depthwise block needs rank == input channels, got rank "
                 f"{spatial.shape[-1]} with {self.spec.in_channels} channels"
             )
-        if pointwise.shape != (self.spec.out_channels, self.spec.in_channels):
-            raise DimensionError(
-                f"pointwise shape {pointwise.shape} must be "
-                f"({self.spec.out_channels}, {self.spec.in_channels})"
-            )
         object.__setattr__(self, "spatial", spatial)
-        object.__setattr__(self, "pointwise", pointwise)
+        object.__setattr__(self, "pointwise", as_matrix(self.pointwise))
+        self._check_stages()
 
     @property
     def rank(self) -> int:
@@ -731,9 +712,6 @@ class MobileNetV1Block(_Layer):
             Depthwise("depthwise", spatial, spec.strides, spec.paddings),
             Contract("pointwise", pointwise),
         )
-
-    def dense_kernel(self) -> np.ndarray:
-        return np.einsum("tc,...c->tc...", self.pointwise, self.spatial)
 
 
 @dataclass(frozen=True)
@@ -750,21 +728,10 @@ class MobileNetV2Block(_Layer):
     _ROLES = ("down", "spatial", "up")
 
     def __post_init__(self):
-        down = as_matrix(self.down)
-        spatial = _merged_spatial(self.spatial, self.spec)
-        up = as_matrix(self.up)
-        r = spatial.shape[-1]
-        if down.shape != (r, self.spec.in_channels):
-            raise DimensionError(
-                f"down factor shape {down.shape} must be ({r}, {self.spec.in_channels})"
-            )
-        if up.shape != (self.spec.out_channels, r):
-            raise DimensionError(
-                f"up factor shape {up.shape} must be ({self.spec.out_channels}, {r})"
-            )
-        object.__setattr__(self, "down", down)
-        object.__setattr__(self, "spatial", spatial)
-        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", as_matrix(self.down))
+        object.__setattr__(self, "spatial", as_tensor(self.spatial))
+        object.__setattr__(self, "up", as_matrix(self.up))
+        self._check_stages()
 
     @property
     def rank(self) -> int:
@@ -779,9 +746,6 @@ class MobileNetV2Block(_Layer):
             Depthwise("depthwise", spatial, spec.strides, spec.paddings),
             Contract("contract_out", up),
         )
-
-    def dense_kernel(self) -> np.ndarray:
-        return np.einsum("tr,rc,...r->tc...", self.up, self.down, self.spatial)
 
 
 # ---------------------------------------------------------------------------

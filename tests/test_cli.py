@@ -297,6 +297,25 @@ class TestCost:
         spec.write_text(json.dumps({"in_channels": 2}))
         assert run_cli("cost", "--spec", spec) == 2
 
+    LAYER = {"in_channels": 2, "out_channels": 3, "kernel_sizes": [3]}
+
+    @pytest.mark.parametrize("content", [
+        json.dumps(dict(LAYER, kernel_sizes=3)).encode(),
+        json.dumps(dict(LAYER, in_channels="x")).encode(),
+        json.dumps(dict(LAYER, rank=[1])).encode(),
+        b"[" * 100_000 + b"]" * 100_000,
+        b"\xff\xfe{}",
+    ], ids=["scalar-kernel-sizes", "string-channels", "list-rank", "deep-nesting", "not-utf8"])
+    def test_malformed_layer_exits_2(self, tmp_path, content):
+        spec = tmp_path / "bad.json"
+        spec.write_bytes(content)
+        assert run_cli("cost", "--spec", spec) == 2
+
+    def test_rank_below_one_exits_3(self, tmp_path):
+        spec = tmp_path / "layer.json"
+        spec.write_text(json.dumps(dict(self.LAYER, rank=0)))
+        assert run_cli("cost", "--spec", spec) == 3
+
 
 class TestSweep:
     def test_default_rows_beat_regular(self, tmp_path, capsys):

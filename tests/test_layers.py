@@ -24,6 +24,7 @@ from tensorconv import (
     RankError,
     ReLU,
     TuckerConvLayer,
+    TuckerTensor,
     build_mobilenet_v2,
     conv_1x1,
     conv_nd_direct,
@@ -187,11 +188,11 @@ class TestTuckerConvForward:
 
     def test_extent_validation(self):
         spec = ConvSpec(3, 2, (2,))
-        with pytest.raises(DimensionError, match="down factor"):
+        with pytest.raises(DimensionError, match=r"core_conv of shape \(2, 2, 2\) does not take 4 channels"):
             TuckerConvLayer(np.zeros((4, 3)), np.zeros((2, 2, 2)), np.zeros((2, 2)), spec)
-        with pytest.raises(DimensionError, match="up factor"):
+        with pytest.raises(DimensionError, match=r"contract_out of shape \(2, 3\) does not take 2 channels"):
             TuckerConvLayer(np.zeros((2, 3)), np.zeros((2, 2, 2)), np.zeros((2, 3)), spec)
-        with pytest.raises(DimensionError, match="core spatial"):
+        with pytest.raises(DimensionError, match=r"\(channels, taps\) \(2, \(3,\)\), the spec \(2, \(2,\)\)"):
             TuckerConvLayer(np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((2, 2)), spec)
 
 
@@ -271,7 +272,7 @@ class TestHoCpConvForward:
     def test_skip_shape_validated(self):
         rng = np.random.default_rng(17)
         cp_layer = make_cp_layer(rng, 2, 3, (3,), 2, padding=1)
-        with pytest.raises(DimensionError, match="skip factor"):
+        with pytest.raises(DimensionError, match=r"skip of shape \(3, 3\) is not \(T, C\) = \(2, 3\)"):
             HoCpConvLayer(cp_layer, skip=np.zeros((3, 3)))
 
     def test_activation_count_validated(self):
@@ -417,8 +418,132 @@ class TestMobileNetV2:
             depthwise_separable(rng.standard_normal((3, 3)))
         with pytest.raises(DimensionError, match="order >= 3"):
             build_mobilenet_v2(random_kruskal(rng, (3, 3), 3))
-        with pytest.raises(DimensionError, match="merged spatial factor"):
+        message = r"depthwise of shape \(3, 3, 2\) does not take 2 channels, 3 spatial modes"
+        with pytest.raises(DimensionError, match=message):
             MobileNetV2Block(np.eye(2), np.zeros((3, 3, 2)), np.eye(2), ConvSpec(2, 2, (3, 3, 3)))
+
+
+def per_scheme_kernel(layer):
+    """Each scheme's kernel by its own closed form, as each class wrote it
+    before the stage fold: the reference the fold is checked against."""
+    if isinstance(layer, HoCpConvLayer):
+        layer = layer.cp
+    if isinstance(layer, CpConvLayer):
+        return kruskal_to_dense(layer.kruskal)
+    if isinstance(layer, TuckerConvLayer):
+        return n_mode_product(n_mode_product(layer.core, layer.up, 0), layer.down.T, 1)
+    if isinstance(layer, MobileNetV1Block):
+        return np.einsum("tc,...c->tc...", layer.pointwise, layer.spatial)
+    return np.einsum("tr,rc,...r->tc...", layer.up, layer.down, layer.spatial)
+
+
+def five_schemes(rng, c, t, kernels, rank):
+    """One layer of each scheme on (c, t, kernels), the CP ones at ``rank``."""
+    spec = ConvSpec(c, t, kernels, 1, 1)
+    k = random_kruskal(rng, (t, c) + kernels, rank)
+    n = len(kernels)
+    bn = FrozenBatchNorm(mean=tuple(rng.uniform(-0.1, 0.1, rank)), var=(1.5,), scale=(0.5,))
+    r_in, r_out = max(1, c // 2), max(1, t // 2)
+    return {
+        "cp": CpConvLayer(k, spec),
+        "hocp": HoCpConvLayer(
+            CpConvLayer(k, spec), (PReLU(0.1), bn) + (None,) * (n - 2), rng.standard_normal((t, c))
+        ),
+        "tucker": TuckerConvLayer(
+            rng.standard_normal((r_in, c)), rng.standard_normal((r_out, r_in) + kernels),
+            rng.standard_normal((t, r_out)), spec,
+        ),
+        "mobilenet-v1": random_mobilenet_v1(rng, t, c, kernels, 1, 1),
+        "mobilenet-v2": build_mobilenet_v2(k, 1, 1),
+    }
+
+
+def zeros_kruskal(shape, rank=2) -> KruskalTensor:
+    return KruskalTensor(tuple(np.zeros((e, rank)) for e in shape))
+
+
+class TestDenseKernelFold:
+    """``dense_kernel`` folds the stage list; each scheme's own formula is the reference."""
+
+    SHAPES = [(6, 4, (3, 3), 5), (32, 48, (3, 3), 12), (16, 32, (3, 3, 3), 96), (3, 5, (2, 3, 1), 7)]
+
+    @pytest.mark.parametrize("c,t,kernels,rank", SHAPES)
+    def test_matches_each_schemes_formula(self, c, t, kernels, rank):
+        rng = np.random.default_rng(c * t + rank)
+        for scheme, layer in five_schemes(rng, c, t, kernels, rank).items():
+            fold, reference = layer.dense_kernel(), per_scheme_kernel(layer)
+            assert fold.shape == reference.shape == (t, c) + kernels
+            if scheme in ("tucker", "mobilenet-v1"):
+                assert fold.tobytes() == reference.tobytes(), scheme
+            else:
+                assert rel_error(fold, reference) <= 1e-14, scheme
+
+    def test_hocp_extras_leave_the_cp_kernel(self):
+        rng = np.random.default_rng(40)
+        ho = five_schemes(rng, 4, 4, (3, 3), 6)["hocp"]
+        assert ho.activations[0] is not None and ho.activations[1] is not None
+        assert ho.skip is not None
+        assert ho.dense_kernel().tobytes() == ho.cp.dense_kernel().tobytes()
+
+    def test_depthwise_onto_a_moved_mode_rejected(self):
+        rng = np.random.default_rng(41)
+        spec = ConvSpec(2, 2, (3,))
+        # Two 2-tap stages on mode 0 compose to 3 taps, which no broadcast expresses.
+        chain = types.SimpleNamespace(spec=spec, stages=(
+            layers.Depthwise("first", rng.standard_normal((2, 2)), (1,), (0,)),
+            layers.Depthwise("second", rng.standard_normal((2, 2)), (1,), (0,)),
+            layers.Contract("out", np.eye(2)),
+        ))
+        layers._Layer._check_stages(chain)
+        with pytest.raises(DimensionError, match=r"first taps \(2,\) fold onto moved modes \(2,\)"):
+            layers._Layer.dense_kernel(chain)
+
+    MISMATCHES = {
+        "cp kernel size": lambda: CpConvLayer(zeros_kruskal((2, 3, 2), 2), ConvSpec(3, 2, (3,))),
+        "cp in channels": lambda: CpConvLayer(zeros_kruskal((2, 4, 3), 2), ConvSpec(3, 2, (3,))),
+        "cp out channels": lambda: CpConvLayer(zeros_kruskal((3, 3, 3), 2), ConvSpec(3, 2, (3,))),
+        "cp extra mode": lambda: CpConvLayer(zeros_kruskal((2, 3, 3, 3), 2), ConvSpec(3, 2, (3,))),
+        "cp missing unit mode": lambda: CpConvLayer(zeros_kruskal((2, 3, 3), 2), ConvSpec(3, 2, (3, 1))),
+        "cp order 1": lambda: CpConvLayer(zeros_kruskal((2,), 2), ConvSpec(3, 2, (3,))),
+        "tucker down": lambda: TuckerConvLayer(
+            np.zeros((4, 3)), np.zeros((2, 2, 2)), np.zeros((2, 2)), ConvSpec(3, 2, (2,))),
+        "tucker up": lambda: TuckerConvLayer(
+            np.zeros((2, 3)), np.zeros((2, 2, 2)), np.zeros((2, 3)), ConvSpec(3, 2, (2,))),
+        "tucker core size": lambda: TuckerConvLayer(
+            np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((2, 2)), ConvSpec(3, 2, (2,))),
+        "tucker core order": lambda: TuckerConvLayer(
+            np.zeros((2, 3)), np.zeros((2, 2, 2, 2)), np.zeros((2, 2)), ConvSpec(3, 2, (2,))),
+        "tucker from_tucker order": lambda: TuckerConvLayer.from_tucker(
+            TuckerTensor(np.zeros((2, 2, 2, 2)), (np.eye(2),) * 4), ConvSpec(2, 2, (2,))),
+        "hocp skip": lambda: HoCpConvLayer(
+            CpConvLayer(zeros_kruskal((2, 3, 3), 2), ConvSpec(3, 2, (3,), 1, 1)),
+            skip=np.zeros((3, 3))),
+        "hocp batch norm": lambda: HoCpConvLayer(
+            CpConvLayer(zeros_kruskal((2, 3, 3), 2), ConvSpec(3, 2, (3,))),
+            (FrozenBatchNorm(mean=(0.0, 0.0, 0.0)),)),
+        "v1 rank": lambda: MobileNetV1Block(
+            np.zeros((3, 3, 4)), np.zeros((2, 3)), ConvSpec(3, 2, (3, 3))),
+        "v1 pointwise": lambda: MobileNetV1Block(
+            np.zeros((3, 3, 3)), np.zeros((2, 4)), ConvSpec(3, 2, (3, 3))),
+        "v1 kernel size": lambda: MobileNetV1Block(
+            np.zeros((3, 2, 3)), np.zeros((2, 3)), ConvSpec(3, 2, (3, 3))),
+        "v1 order": lambda: MobileNetV1Block(np.zeros((3, 3)), np.zeros((2, 3)), ConvSpec(3, 2, (3, 3))),
+        "v2 down": lambda: MobileNetV2Block(
+            np.zeros((4, 3)), np.zeros((3, 3, 5)), np.zeros((2, 5)), ConvSpec(3, 2, (3, 3))),
+        "v2 up": lambda: MobileNetV2Block(
+            np.zeros((5, 3)), np.zeros((3, 3, 5)), np.zeros((2, 4)), ConvSpec(3, 2, (3, 3))),
+        "v2 kernel size": lambda: MobileNetV2Block(
+            np.zeros((5, 3)), np.zeros((3, 2, 5)), np.zeros((2, 5)), ConvSpec(3, 2, (3, 3))),
+        "v2 order": lambda: MobileNetV2Block(
+            np.zeros((5, 3)), np.zeros((3, 5)), np.zeros((2, 5)), ConvSpec(3, 2, (3, 3))),
+    }
+
+    @pytest.mark.parametrize("case", MISMATCHES)
+    def test_mismatch_raises_its_class(self, case):
+        expected = RankError if case == "v1 rank" else DimensionError
+        with pytest.raises(expected) as info:
+            self.MISMATCHES[case]()
+        assert type(info.value) is expected
 
 
 def untiled_fold(layer, x):
