@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import costs
 from .container import read_finite_tensor, write_tensor
-from .convref import ConvSpec, conv_nd_direct
+from .convref import ConvSpec, _integer, conv_nd_direct
 from .errors import ContainerError, DimensionError, RankError
 from .pipeline import (
     compress,
@@ -194,7 +194,7 @@ def _cmd_cost(args) -> int:
                 entry.get("stride", 1),
                 entry.get("padding", 0),
             )
-            rank = int(entry["rank"]) if "rank" in entry else None
+            rank = _integer(entry["rank"]) if "rank" in entry else None
         except KeyError as exc:
             raise ContainerError(f"cost spec layer {i} is missing {exc}") from exc
         # DimensionError is a ValueError.

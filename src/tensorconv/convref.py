@@ -23,6 +23,7 @@ explicit per-mode stride and zero padding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,18 @@ from .errors import DimensionError
 __all__ = ["ConvSpec", "OpCounter", "conv_nd_direct", "conv_nd_naive", "conv_1x1"]
 
 
+def _integer(value) -> int:
+    """``value`` as an int: a Python or numpy integer, no bool or float (``TypeError``)."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _per_mode(value, n: int, name: str) -> tuple[int, ...]:
     """Broadcast a scalar to ``n`` modes, or validate a length-``n`` sequence."""
     if np.isscalar(value):
-        return (int(value),) * n
-    out = tuple(int(v) for v in value)
+        return (_integer(value),) * n
+    out = tuple(map(_integer, value))
     if len(out) != n:
         raise DimensionError(f"{name} must have one entry per spatial mode ({n}), got {len(out)}")
     return out
@@ -48,7 +56,8 @@ class ConvSpec:
     """Channel counts, kernel extents and per-mode stride/padding of an N-D convolution.
 
     No bias term. ``strides``/``paddings`` accept a scalar (applied to every
-    spatial mode) or one value per mode.
+    spatial mode) or one value per mode. Every field takes integers only: a
+    float or a bool raises ``TypeError``.
     """
 
     in_channels: int
@@ -58,7 +67,9 @@ class ConvSpec:
     paddings: tuple[int, ...] = 0
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.kernel_sizes)
+        object.__setattr__(self, "in_channels", _integer(self.in_channels))
+        object.__setattr__(self, "out_channels", _integer(self.out_channels))
+        ks = tuple(map(_integer, self.kernel_sizes))
         if len(ks) < 1:
             raise DimensionError("ConvSpec needs at least one spatial mode")
         if self.in_channels < 1 or self.out_channels < 1 or any(k < 1 for k in ks):
@@ -112,6 +123,21 @@ class OpCounter:
         return 2 * self.madds
 
 
+def _check_input(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """``x`` as a float64 array; :class:`DimensionError` unless it fits the spec's input."""
+    x = as_tensor(x)
+    if x.ndim != 1 + spec.n_spatial:
+        raise DimensionError(
+            f"activation order {x.ndim} does not match {spec.n_spatial} spatial modes"
+        )
+    if x.shape[0] != spec.in_channels:
+        raise DimensionError(
+            f"channel mismatch: activation has {x.shape[0]} channels, "
+            f"the convolution expects {spec.in_channels}"
+        )
+    return x
+
+
 def _check_conv_operands(x: np.ndarray, w: np.ndarray, spec: ConvSpec | None):
     x = as_tensor(x)
     w = as_tensor(w)
@@ -123,17 +149,7 @@ def _check_conv_operands(x: np.ndarray, w: np.ndarray, spec: ConvSpec | None):
             f"kernel shape {w.shape} does not match spec "
             f"(T={spec.out_channels}, C={spec.in_channels}, K={spec.kernel_sizes})"
         )
-    if x.ndim != 1 + spec.n_spatial:
-        raise DimensionError(
-            f"activation order {x.ndim} does not match kernel with "
-            f"{spec.n_spatial} spatial modes"
-        )
-    if x.shape[0] != spec.in_channels:
-        raise DimensionError(
-            f"channel mismatch: activation has {x.shape[0]} channels, "
-            f"kernel expects {spec.in_channels}"
-        )
-    return x, w, spec
+    return _check_input(x, spec), w, spec
 
 
 def _pad_spatial(x: np.ndarray, paddings: tuple[int, ...]) -> np.ndarray:

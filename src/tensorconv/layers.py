@@ -12,11 +12,12 @@ multiply-adds into an :class:`~tensorconv.convref.OpCounter`, its
 :func:`forward` streams the channel-local stages over slabs of output planes
 along mode 0, the per-channel ones in cache-sized channel blocks.
 
-Each layer class holds what is particular to its scheme: its factors'
-coercions, its stage builder (``stages_for``, which the cost model also calls
-on shape-only factors) and its factors' roles in a plan manifest (``factors``,
-inverted by ``from_factors``). Its kernel ``dense_kernel()`` and its shape
-checks are walks over the stages, so every forward is checkable against
+Each layer class holds what is particular to its scheme: its stage builder
+(``stages_for``, which the cost model also calls on shape-only factors) and
+its factors' roles in a plan manifest (``factors``, inverted by
+``from_factors``). :class:`_Layer` coerces the factors its roles name to
+float64 arrays, and its kernel ``dense_kernel()`` and its shape checks are
+walks over the stages, so every forward is checkable against
 ``conv_nd_direct(x, layer.dense_kernel(), layer.spec)``. CP and HO-CP share
 one stage builder: with no activations and no skip they are bitwise equal.
 """
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .convref import ConvSpec, OpCounter, conv_1x1, conv_nd_direct, conv_nd_naive
+from .convref import ConvSpec, OpCounter, _check_input, conv_1x1, conv_nd_direct, conv_nd_naive
 from .decomp import (
     KruskalTensor,
     TuckerTensor,
@@ -37,7 +38,6 @@ from .decomp import (
     absorb_spatial,
 )
 from .dense import (
-    as_matrix,
     as_tensor,
     band_diagonals,
     banded_mode_conv,
@@ -183,19 +183,6 @@ class _Affine(Activation):
 
     def channels(self, sl: slice) -> "_Affine":
         return _Affine(*(p[sl] if p.size > 1 else p for p in (self.a, self.b)))
-
-
-def _normalize_activations(
-    activations: Optional[Sequence[Optional[Activation]]], n_spatial: int
-) -> Optional[tuple[Optional[Activation], ...]]:
-    if activations is None:
-        return None
-    acts = tuple(activations)
-    if len(acts) != n_spatial:
-        raise DimensionError(
-            f"expected one activation slot per spatial mode ({n_spatial}), got {len(acts)}"
-        )
-    return acts
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +431,8 @@ class Activate(_Stage):
 
 class _Layer:
     """Defaults for a layer whose factor fields are named by their manifest roles:
-    its stage list is its class's ``stages_for`` applied to those factors in
-    role order."""
+    each is coerced with ``as_tensor``, and its stage list is its class's
+    ``stages_for`` applied to those factors in role order."""
 
     _ROLES: tuple[str, ...] = ()
 
@@ -468,6 +455,8 @@ class _Layer:
         return replace(self, spec=spec)
 
     def __post_init__(self):
+        for role in self._ROLES:
+            object.__setattr__(self, role, as_tensor(getattr(self, role)))
         self._check_stages()
 
     def _check_stages(self) -> None:
@@ -556,7 +545,10 @@ class CpConvLayer(_Layer):
         if len(factors) != 2 + n:
             raise DimensionError(f"a CP kernel needs 2 + {n} factors (T, C, K_0, ...), got {len(factors)}")
         u_out, u_in, *u_spatial = factors
-        activations = _normalize_activations(activations, n)
+        if activations is not None and len(activations) != n:
+            raise DimensionError(
+                f"expected one activation slot per spatial mode ({n}), got {len(activations)}"
+            )
         stages = [Contract("contract_in", u_in.T)]
         for i, u in enumerate(u_spatial):
             stages.append(
@@ -607,12 +599,6 @@ class TuckerConvLayer(_Layer):
 
     _ROLES = ("down", "core", "up")
 
-    def __post_init__(self):
-        object.__setattr__(self, "down", as_matrix(self.down))
-        object.__setattr__(self, "core", as_tensor(self.core))
-        object.__setattr__(self, "up", as_matrix(self.up))
-        self._check_stages()
-
     @property
     def ranks(self) -> tuple[int, int]:
         return (self.core.shape[0], self.core.shape[1])
@@ -651,7 +637,7 @@ class HoCpConvLayer(_Layer):
         if self.activations is not None:  # their count is checked with the stages
             object.__setattr__(self, "activations", tuple(self.activations))
         if self.skip is not None:
-            object.__setattr__(self, "skip", as_matrix(self.skip))
+            object.__setattr__(self, "skip", as_tensor(self.skip))
         self._check_stages()
 
     @property
@@ -691,16 +677,13 @@ class MobileNetV1Block(_Layer):
 
     _ROLES = ("spatial", "pointwise")
 
-    def __post_init__(self):
-        spatial = as_tensor(self.spatial)
-        if spatial.shape[-1] != self.spec.in_channels:
+    def _check_stages(self) -> None:
+        if self.spatial.shape[-1] != self.spec.in_channels:
             raise RankError(
                 f"depthwise block needs rank == input channels, got rank "
-                f"{spatial.shape[-1]} with {self.spec.in_channels} channels"
+                f"{self.spatial.shape[-1]} with {self.spec.in_channels} channels"
             )
-        object.__setattr__(self, "spatial", spatial)
-        object.__setattr__(self, "pointwise", as_matrix(self.pointwise))
-        self._check_stages()
+        super()._check_stages()
 
     @property
     def rank(self) -> int:
@@ -726,12 +709,6 @@ class MobileNetV2Block(_Layer):
     spec: ConvSpec
 
     _ROLES = ("down", "spatial", "up")
-
-    def __post_init__(self):
-        object.__setattr__(self, "down", as_matrix(self.down))
-        object.__setattr__(self, "spatial", as_tensor(self.spatial))
-        object.__setattr__(self, "up", as_matrix(self.up))
-        self._check_stages()
 
     @property
     def rank(self) -> int:
@@ -767,20 +744,6 @@ def build_mobilenet_v2(k: KruskalTensor, stride=1, padding=0) -> MobileNetV2Bloc
 # ---------------------------------------------------------------------------
 # Forward passes: folds over the stage list
 # ---------------------------------------------------------------------------
-
-def _check_activation(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    x = as_tensor(x)
-    if x.ndim != 1 + spec.n_spatial:
-        raise DimensionError(
-            f"activation order {x.ndim} does not match {spec.n_spatial} spatial modes"
-        )
-    if x.shape[0] != spec.in_channels:
-        raise DimensionError(
-            f"channel mismatch: activation has {x.shape[0]} channels, "
-            f"layer expects {spec.in_channels}"
-        )
-    return x
-
 
 # Bytes of one slab's largest per-channel intermediate at full rank (rank x
 # g planes x the largest plane volume of the per-channel chain, float64),
@@ -905,7 +868,7 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
     whole list, whose core conv mixes positions and channels) run once on
     the full output.
     """
-    x = _check_activation(x, layer.spec)
+    x = _check_input(x, layer.spec)
     z, rest = x, layer.stages
     head = _channel_local(rest)
     if head is not None:
@@ -1064,7 +1027,7 @@ def forward_naive(layer, x: np.ndarray, counter: Optional[OpCounter] = None) -> 
     Optionally tallies one multiply-add per executed multiply-accumulate
     (activations are not counted), so the tally checks the cost model.
     """
-    x = _check_activation(x, layer.spec)
+    x = _check_input(x, layer.spec)
     z = x
     for stage in layer.stages:
         z = stage.naive(z, x, counter)

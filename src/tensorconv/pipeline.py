@@ -8,21 +8,23 @@ as a :class:`FactorizedPlan` with per-stage cost annotations.
 Execution and a plan's cost are folds over ``layer.stages``. Plans serialize
 to a directory of tensor containers (one per named factor, ``layer.factors``)
 plus a JSON manifest; ``load_plan`` restores an executable plan from the
-manifest alone.
+manifest alone. An HO-CP manifest also lists one entry per spatial mode for
+its activations: null, or ``{"kind": k, **fields}``, the activation's kind
+and every field of its dataclass, all required when read back.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import costs
 from .container import read_finite_tensor, write_tensor
-from .convref import ConvSpec, conv_nd_direct
+from .convref import ConvSpec, _integer, conv_nd_direct
 from .decomp import _cp_als_lockstep, depthwise_separable, tucker_hooi
 from .dense import as_tensor
 from .errors import ContainerError, DimensionError, RankError
@@ -36,6 +38,7 @@ from .layers import (
     PReLU,
     ReLU,
     TuckerConvLayer,
+    _Layer,
     build_mobilenet_v2,
     forward,
 )
@@ -63,7 +66,8 @@ _LAYER_TYPES = {
 }
 SCHEMES = tuple(_LAYER_TYPES)
 
-AnyLayer = Union[CpConvLayer, TuckerConvLayer, HoCpConvLayer, MobileNetV1Block, MobileNetV2Block]
+# Activation class of each kind a manifest names.
+_ACTIVATION_TYPES = {"relu": ReLU, "prelu": PReLU, "batchnorm": FrozenBatchNorm}
 
 MANIFEST_NAME = "plan.json"
 _MANIFEST_FORMAT = "tensorconv-plan"
@@ -80,7 +84,7 @@ class FactorizedPlan:
     """
 
     scheme: str
-    layer: AnyLayer
+    layer: _Layer
     cost: costs.CostReport
     reference_input_extents: tuple[int, ...]
 
@@ -175,7 +179,7 @@ def _worst_probe(
     return devs[i], i
 
 
-def _plan_for(scheme: str, layer: AnyLayer, extents) -> FactorizedPlan:
+def _plan_for(scheme: str, layer: _Layer, extents) -> FactorizedPlan:
     return FactorizedPlan(scheme, layer, costs.report(layer.stages, extents), tuple(extents))
 
 
@@ -185,10 +189,10 @@ def _normalize_ranks(scheme: str, ranks, kernel_shape) -> tuple[int, ...]:
         ranks = (c_in,) if scheme == "mobilenet-v1" else None
     if ranks is None:
         raise RankError(f"scheme {scheme!r} requires an explicit rank")
-    if np.isscalar(ranks):
-        ranks = (int(ranks),)
-    else:
-        ranks = tuple(int(r) for r in ranks)
+    try:
+        ranks = tuple(map(_integer, (ranks,) if np.isscalar(ranks) else ranks))
+    except TypeError as exc:
+        raise RankError(f"ranks must be integers, got {ranks!r}") from exc
     if any(r < 1 for r in ranks):
         raise RankError(f"ranks must all be >= 1, got {ranks}")
 
@@ -267,7 +271,7 @@ def compress(
     warnings, runs, winning_restart = (), [], None
     if scheme == "mobilenet-v1":
         pointwise, spatial = depthwise_separable(kernel)
-        layer: AnyLayer = MobileNetV1Block(spatial, pointwise, spec)
+        layer: _Layer = MobileNetV1Block(spatial, pointwise, spec)
     elif scheme == "tucker":
         res = tucker_hooi(kernel, ranks, max_iters=max_iters, tol=tol)
         layer = TuckerConvLayer.from_tucker(res.tucker, spec)
@@ -357,41 +361,25 @@ def with_conv_params(plan: FactorizedPlan, stride, padding) -> FactorizedPlan:
 # ---------------------------------------------------------------------------
 
 def _encode_activation(act: Optional[Activation]):
+    """``{"kind": k, **fields}``, each field of the activation's dataclass as JSON."""
     if act is None:
         return None
-    if isinstance(act, ReLU):
-        return {"kind": "relu"}
-    if isinstance(act, PReLU):
-        return {"kind": "prelu", "slope": act.slope}
-    if isinstance(act, FrozenBatchNorm):
-        return {
-            "kind": "batchnorm",
-            "mean": np.asarray(act.mean).tolist(),
-            "var": np.asarray(act.var).tolist(),
-            "scale": np.asarray(act.scale).tolist(),
-            "shift": np.asarray(act.shift).tolist(),
-            "eps": act.eps,
-        }
+    for kind, cls in _ACTIVATION_TYPES.items():
+        if isinstance(act, cls):
+            return {"kind": kind, **{f.name: np.asarray(getattr(act, f.name)).tolist() for f in fields(cls)}}
     raise TypeError(f"cannot serialize activation {type(act).__name__}")
 
 
 def _decode_activation(obj) -> Optional[Activation]:
+    """The activation an entry of :func:`_encode_activation` describes; every
+    field is required, and a list becomes a tuple."""
     if obj is None:
         return None
-    kind = obj.get("kind")
-    if kind == "relu":
-        return ReLU()
-    if kind == "prelu":
-        return PReLU(float(obj["slope"]))
-    if kind == "batchnorm":
-        def undo(v):
-            return tuple(v) if isinstance(v, list) else float(v)
-
-        return FrozenBatchNorm(
-            undo(obj["mean"]), undo(obj["var"]), undo(obj["scale"]),
-            undo(obj["shift"]), float(obj.get("eps", 1e-5)),
-        )
-    raise ContainerError(f"unknown activation kind {kind!r}")
+    cls = _ACTIVATION_TYPES.get(obj["kind"])
+    if cls is None:
+        raise ValueError(f"unknown activation kind {obj['kind']!r}")
+    values = {f.name: obj[f.name] for f in fields(cls)}
+    return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in values.items()})
 
 
 def save_plan(plan: FactorizedPlan, out_dir) -> Path:

@@ -305,7 +305,16 @@ class TestCost:
         json.dumps(dict(LAYER, rank=[1])).encode(),
         b"[" * 100_000 + b"]" * 100_000,
         b"\xff\xfe{}",
-    ], ids=["scalar-kernel-sizes", "string-channels", "list-rank", "deep-nesting", "not-utf8"])
+        json.dumps(dict(LAYER, in_channels=2.5)).encode(),
+        json.dumps(dict(LAYER, out_channels=2.5)).encode(),
+        json.dumps(dict(LAYER, kernel_sizes=[3.5])).encode(),
+        json.dumps(dict(LAYER, stride=1.5)).encode(),
+        json.dumps(dict(LAYER, padding=0.5)).encode(),
+        json.dumps(dict(LAYER, rank=1.7)).encode(),
+        json.dumps(dict(LAYER, in_channels=True)).encode(),
+    ], ids=["scalar-kernel-sizes", "string-channels", "list-rank", "deep-nesting", "not-utf8",
+            "float-in-channels", "float-out-channels", "float-kernel-size", "float-stride",
+            "float-padding", "float-rank", "bool-in-channels"])
     def test_malformed_layer_exits_2(self, tmp_path, content):
         spec = tmp_path / "bad.json"
         spec.write_bytes(content)

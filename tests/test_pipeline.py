@@ -1,21 +1,28 @@
+import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from tensorconv import (
+    ContainerError,
     ConvSpec,
     CpConvLayer,
     DimensionError,
     FrozenBatchNorm,
     HoCpConvLayer,
     KruskalTensor,
+    MobileNetV1Block,
+    MobileNetV2Block,
     PReLU,
     RankError,
     ReLU,
+    TuckerConvLayer,
     compress,
+    costs,
     conv_nd_direct,
     execute_plan,
     forward,
@@ -23,7 +30,9 @@ from tensorconv import (
     load_plan,
     save_plan,
     verify_equivalence,
+    write_tensor,
 )
+from tensorconv.cli import main as cli_main
 from tensorconv.costs import params_hocp, report_hocp
 from tensorconv.pipeline import FactorizedPlan, with_conv_params
 
@@ -201,6 +210,8 @@ class TestCompress:
             compress(w, "cp", (2, 3))
         with pytest.raises(RankError):
             compress(w, "tucker", (2, 2, 2))
+        with pytest.raises(RankError, match="integers"):
+            compress(w, "cp", 1.7)
         with pytest.raises(DimensionError):
             compress(rng.standard_normal((3, 4)), "cp", 2)
         with pytest.raises(DimensionError, match="order >= 3"):
@@ -370,6 +381,125 @@ class TestPlanSerialization:
         bad.write_text('{"format": "something-else"}')
         with pytest.raises(ContainerError, match="not a plan manifest"):
             load_plan(bad)
+
+
+def _fixed_plans() -> dict:
+    """One plan per scheme, and an HO-CP plan with ReLU, PReLU, a batch norm
+    and a skip, all from seeded factors; nothing is fitted."""
+    rng = np.random.default_rng(304)
+    spec, extents, r = ConvSpec(3, 4, (3, 1, 3), 1, (1, 0, 1)), (5, 4, 6), 5
+
+    def f(*shape):
+        return rng.standard_normal(shape)
+
+    kruskal = KruskalTensor((f(4, r), f(3, r), f(3, r), f(1, r), f(3, r)))
+    bn = FrozenBatchNorm(mean=tuple(f(r)), var=2.0, scale=(0.5,), shift=0.25, eps=1e-3)
+    layers = {
+        "cp": CpConvLayer(kruskal, spec),
+        "tucker": TuckerConvLayer(f(2, 3), f(3, 2, 3, 1, 3), f(4, 3), spec),
+        "mobilenet-v1": MobileNetV1Block(f(3, 1, 3, 3), f(4, 3), spec),
+        "mobilenet-v2": MobileNetV2Block(f(r, 3), f(3, 1, 3, r), f(4, r), spec),
+        "hocp": HoCpConvLayer(CpConvLayer(kruskal, spec)),
+        "hocp-extras": HoCpConvLayer(CpConvLayer(kruskal, spec), (ReLU(), PReLU(0.125), bn), f(4, 3)),
+    }
+    return {
+        name: FactorizedPlan(name.split("-extras")[0], layer, costs.report(layer.stages, extents), extents)
+        for name, layer in layers.items()
+    }
+
+
+def _digests(directory) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in sorted(directory.iterdir())}
+
+
+class TestPlanBytes:
+    """Plan files are byte-stable: the same layer writes the same bytes, and a
+    loaded plan writes back the bytes it was read from."""
+
+    # sha256 prefixes of the files save_plan wrote for _fixed_plans() when this
+    # test was added; a change to the plan format must update them on purpose.
+    CP_FACTORS = {
+        "output_channels.tensor": "d52dc1c4cd9e07df",
+        "input_channels.tensor": "b8a6474fef73890c",
+        "spatial_mode_0.tensor": "330b0cfb5758d400",
+        "spatial_mode_1.tensor": "1fba148c8123294c",
+        "spatial_mode_2.tensor": "99786bc1ed48f1c1",
+    }
+    DIGESTS = {
+        "cp": dict(CP_FACTORS, **{"plan.json": "55e836e16ef63835"}),
+        "tucker": {
+            "down.tensor": "be9db0c69970a06e",
+            "core.tensor": "841f6bab69c305ef",
+            "up.tensor": "122956cb16d0a0d9",
+            "plan.json": "db339e7c7167aac0",
+        },
+        "mobilenet-v1": {
+            "spatial.tensor": "8416519b9f9ea554",
+            "pointwise.tensor": "fb14431ad4f288d5",
+            "plan.json": "ba905f14333e8c6d",
+        },
+        "mobilenet-v2": {
+            "down.tensor": "3f16e0675be6628a",
+            "spatial.tensor": "61d58fdc2b702e3e",
+            "up.tensor": "085f35b829384836",
+            "plan.json": "3331bf418997f27d",
+        },
+        "hocp": dict(CP_FACTORS, **{"plan.json": "76045bb8f3043498"}),
+        "hocp-extras": dict(
+            CP_FACTORS, **{"skip.tensor": "26be4ccd69ab0996", "plan.json": "8754867d604d9a48"}
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(_fixed_plans()))
+    def test_save_writes_recorded_bytes(self, tmp_path, name):
+        plan = _fixed_plans()[name]
+        save_plan(plan, tmp_path / "saved")
+        assert _digests(tmp_path / "saved") == self.DIGESTS[name]
+        save_plan(load_plan(tmp_path / "saved" / "plan.json"), tmp_path / "again")
+        for path in sorted((tmp_path / "saved").iterdir()):
+            assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+class TestActivationCodec:
+    """An HO-CP manifest's activation entries fail closed: load_plan raises
+    ContainerError naming the manifest, and ``conv --plan`` exits 2."""
+
+    @pytest.mark.parametrize("slot,field,value", [
+        (0, "kind", "gelu"),
+        (0, "kind", 3),
+        (1, "slope", None),
+        (2, "mean", None),
+        (2, "var", None),
+        (2, "scale", None),
+        (2, "shift", None),
+        (2, "eps", None),
+        (1, "slope", "0.125"),
+        (1, "slope", [0.125]),
+        (2, "mean", {"a": 1}),
+        (2, "var", "x"),
+        (2, "scale", [[0.5]]),
+        (2, "eps", [1e-3]),
+    ], ids=[
+        "unknown-kind", "int-kind", "no-slope", "no-mean", "no-var", "no-scale", "no-shift",
+        "no-eps", "string-slope", "list-slope", "dict-mean", "string-var", "nested-scale",
+        "list-eps",
+    ])
+    def test_malformed_entry_fails_closed(self, tmp_path, slot, field, value):
+        """``None`` deletes the field."""
+        path = save_plan(_fixed_plans()["hocp-extras"], tmp_path / "plan")
+        manifest = json.loads(path.read_text())
+        entry = manifest["activations"][slot]
+        if value is None:
+            del entry[field]
+        else:
+            entry[field] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ContainerError, match=re.escape(str(path))):
+            load_plan(path)
+        x = tmp_path / "x.tensor"
+        write_tensor(x, np.zeros((3, 5, 4, 6)))
+        argv = ["conv", "--input", x, "--plan", path, "--out", tmp_path / "y.tensor"]
+        assert cli_main([str(a) for a in argv]) == 2
 
 
 class TestWithConvParams:
