@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .convref import ConvSpec
+from .convref import ConvSpec, _integer
 from .errors import RankError
 from .layers import CpConvLayer, MobileNetV1Block, MobileNetV2Block, ReLU, TuckerConvLayer
 
@@ -92,7 +92,7 @@ class CostReport:
 
 
 def _check_rank(rank: int) -> int:
-    rank = int(rank)
+    rank = _integer(rank)
     if rank < 0:
         raise RankError(f"rank must be >= 0, got {rank}")
     return rank

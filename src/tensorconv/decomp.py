@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convref import _integer
 from .dense import as_matrix, as_tensor, fold, khatri_rao, n_mode_product, unfold
 from .errors import DimensionError, RankError
 
@@ -396,10 +397,10 @@ def tucker_hooi(
     mode extent are capped at the extent, with a note in ``result.warnings``.
     A mode whose rank equals its extent keeps its HOSVD factor, an
     orthonormal basis of the whole mode, and sweeps leave it out. A tensor
-    holding NaN or infinite values raises ``ValueError``.
+    holding NaN or infinite values raises ``ValueError``, a float rank ``TypeError``.
     """
     t = as_tensor(t)
-    req = tuple(int(r) for r in ranks)
+    req = tuple(map(_integer, ranks))
     if len(req) != t.ndim:
         raise RankError(
             f"expected {t.ndim} Tucker ranks for an order-{t.ndim} tensor, got {len(req)}"
@@ -470,16 +471,6 @@ def absorb_spatial(t: TuckerTensor) -> TuckerTensor:
     return TuckerTensor(core, tuple(factors))
 
 
-def _merge_spatial(k: KruskalTensor) -> np.ndarray:
-    """The spatial factors of a Kruskal conv kernel (T, C, K_0, ..., K_{N-1})
-    merged into taps ``spatial[i_0, ..., i_{N-1}, r] = prod_n U_{K_n}[i_n, r]``."""
-    if k.order < 3:
-        raise DimensionError(
-            f"a Kruskal conv kernel needs order >= 3 (T, C, spatial...), got {k.order}"
-        )
-    return khatri_rao(k.factors[2:]).reshape(k.shape[2:] + (k.rank,))
-
-
 def depthwise_separable(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The closest MobileNet-v1 ``(pointwise, spatial)`` to a conv kernel (T, C, K...).
 
@@ -494,6 +485,7 @@ def depthwise_separable(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(
             f"a conv kernel needs order >= 3 (T, C, spatial...), got {w.ndim}"
         )
+    _require_finite(w)
     t, c = w.shape[:2]
     u, s, vt = np.linalg.svd(np.moveaxis(w.reshape(t, c, -1), 1, 0), full_matrices=False)
     pointwise = np.ascontiguousarray((u[:, :, 0] * s[:, :1]).T)

@@ -5,9 +5,11 @@ A layer's ``stages`` run in order on a (channels x spatial...) array:
 convolution; a CP ``conv_mode_i`` stage has taps of extent K on mode i and 1
 elsewhere, a MobileNet ``depthwise`` stage full N-D taps),
 :class:`DenseConv` (the Tucker core), :class:`Activate` and :class:`Skip`.
-Each stage has a vectorized ``apply``, a loop-nest ``naive`` that can tally
-multiply-adds into an :class:`~tensorconv.convref.OpCounter`, its
-``out_extents`` and its weight count ``params``. :func:`forward`,
+Each stage has a vectorized ``apply``, a ``naive`` that runs the loop nest
+:func:`~tensorconv.convref.conv_nd_naive` (a contraction as a 1x1 kernel, a
+depthwise stage once per channel) and can tally multiply-adds into an
+:class:`~tensorconv.convref.OpCounter`, its ``out_extents`` and its weight
+count ``params``. :func:`forward`,
 :func:`forward_naive` and the cost reports are folds over the stage list;
 :func:`forward` streams the channel-local stages over slabs of output planes
 along mode 0, the per-channel ones in cache-sized channel blocks.
@@ -16,8 +18,9 @@ Each layer class holds what is particular to its scheme: its stage builder
 (``stages_for``, which the cost model also calls on shape-only factors) and
 its factors' roles in a plan manifest (``factors``, inverted by
 ``from_factors``). :class:`_Layer` coerces the factors its roles name to
-float64 arrays, and its kernel ``dense_kernel()`` and its shape checks are
-walks over the stages, so every forward is checkable against
+float64 arrays, and its kernel ``dense_kernel()``, its shape checks and its
+``rank`` (the width of the last contraction) are read off the stages, so
+every forward is checkable against
 ``conv_nd_direct(x, layer.dense_kernel(), layer.spec)``. CP and HO-CP share
 one stage builder: with no activations and no skip they are bitwise equal.
 """
@@ -31,12 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convref import ConvSpec, OpCounter, _check_input, conv_1x1, conv_nd_direct, conv_nd_naive
-from .decomp import (
-    KruskalTensor,
-    TuckerTensor,
-    _merge_spatial,
-    absorb_spatial,
-)
+from .decomp import KruskalTensor, TuckerTensor, absorb_spatial
 from .dense import (
     as_tensor,
     band_diagonals,
@@ -90,6 +88,12 @@ class Activation:
         return self
 
 
+def _check_numeric(name: str, value) -> None:
+    """``TypeError`` if ``value`` holds a str or a bool, which numpy would read as a number."""
+    if any(isinstance(v, (str, bool, np.bool_)) for v in np.ravel(np.asarray(value, dtype=object))):
+        raise TypeError(f"{name} must be numeric, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ReLU(Activation):
     def apply(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -116,6 +120,7 @@ class PReLU(Activation):
         return out
 
     def check(self, rank: int) -> None:
+        _check_numeric("PReLU slope", self.slope)
         if not math.isfinite(self.slope):
             raise DimensionError(f"PReLU slope must be finite, got {self.slope}")
 
@@ -137,6 +142,8 @@ class FrozenBatchNorm(Activation):
     _PARAMS = ("mean", "var", "scale", "shift")
 
     def check(self, rank: int) -> None:
+        for name in self._PARAMS + ("eps",):
+            _check_numeric(f"batch-norm {name}", getattr(self, name))
         for name in self._PARAMS:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.ndim > 1 or arr.size not in (1, rank):
@@ -218,15 +225,8 @@ class Contract(_Stage):
         return conv_1x1(z, self.matrix)
 
     def naive(self, z: np.ndarray, x: np.ndarray, counter: Optional[OpCounter]) -> np.ndarray:
-        out = np.zeros((self.matrix.shape[0],) + z.shape[1:])
-        for idx in np.ndindex(*out.shape):
-            acc = 0.0
-            for c in range(self.matrix.shape[1]):
-                acc += self.matrix[idx[0], c] * z[(c,) + idx[1:]]
-                if counter is not None:
-                    counter.madds += 1
-            out[idx] = acc
-        return out
+        kernel = self.matrix.reshape(self.matrix.shape + (1,) * (z.ndim - 1))
+        return conv_nd_naive(z, kernel, counter=counter)
 
 
 class Skip(Contract):
@@ -326,17 +326,9 @@ class Depthwise(_Stage):
         return replace(self, taps=self.taps[..., sl])
 
     def naive(self, z: np.ndarray, x: np.ndarray, counter: Optional[OpCounter]) -> np.ndarray:
-        zp = np.pad(z, [(0, 0)] + [(p, p) for p in self.paddings])
-        out = np.zeros(z.shape[:1] + self.out_extents(z.shape[1:]))
-        for idx in np.ndindex(*out.shape):
-            acc = 0.0
-            for offs in np.ndindex(*self.taps.shape[:-1]):
-                src = tuple(y * s + o for y, s, o in zip(idx[1:], self.strides, offs))
-                acc += self.taps[offs + idx[:1]] * zp[idx[:1] + src]
-                if counter is not None:
-                    counter.madds += 1
-            out[idx] = acc
-        return out
+        spec = ConvSpec(1, 1, self.taps.shape[:-1], self.strides, self.paddings)
+        return np.concatenate([conv_nd_naive(z[r:r + 1], self.taps[..., r][None, None], spec, counter)
+                               for r in range(len(z))])
 
 
 class _Unbanded(Depthwise):
@@ -490,6 +482,11 @@ class _Layer:
         if (channels, sizes) != end:
             raise DimensionError(f"the stages give (channels, taps) {(channels, sizes)}, the spec {end}")
 
+    @property
+    def rank(self) -> int:
+        """The width of the last :class:`Contract`, not a skip: R, or Tucker's R_out."""
+        return next(s for s in reversed(self.stages) if type(s) is Contract).matrix.shape[1]
+
     def dense_kernel(self) -> np.ndarray:
         """The kernel (T x C x K_0 x ...) the stages compose to: they fold from
         last to first onto the identity on the T output channels, kept
@@ -526,10 +523,6 @@ class CpConvLayer(_Layer):
 
     kruskal: KruskalTensor
     spec: ConvSpec
-
-    @property
-    def rank(self) -> int:
-        return self.kruskal.rank
 
     @staticmethod
     def stages_for(
@@ -645,10 +638,6 @@ class HoCpConvLayer(_Layer):
         return self.cp.spec
 
     @property
-    def rank(self) -> int:
-        return self.cp.rank
-
-    @property
     def stages(self) -> tuple:
         return CpConvLayer.stages_for(self.cp.kruskal.factors, self.spec, self.activations, self.skip)
 
@@ -685,10 +674,6 @@ class MobileNetV1Block(_Layer):
             )
         super()._check_stages()
 
-    @property
-    def rank(self) -> int:
-        return self.spatial.shape[-1]
-
     @staticmethod
     def stages_for(spatial: np.ndarray, pointwise: np.ndarray, spec: ConvSpec) -> tuple:
         return (
@@ -710,10 +695,6 @@ class MobileNetV2Block(_Layer):
 
     _ROLES = ("down", "spatial", "up")
 
-    @property
-    def rank(self) -> int:
-        return self.spatial.shape[-1]
-
     @staticmethod
     def stages_for(
         down: np.ndarray, spatial: np.ndarray, up: np.ndarray, spec: ConvSpec
@@ -732,13 +713,18 @@ class MobileNetV2Block(_Layer):
 def build_mobilenet_v2(k: KruskalTensor, stride=1, padding=0) -> MobileNetV2Block:
     """Inverted-bottleneck block from a Kruskal conv kernel (any rank).
 
-    Only the spatial factors are merged; both channel factors are kept, so the
-    block is exactly equivalent to the source CP convolution.
+    Only the spatial factors are merged: the taps are the product of the CP
+    stages' ``conv_mode_i`` taps, which broadcast. Both channel factors are
+    kept, so the block is exactly equivalent to the source CP convolution.
     """
-    spatial = _merge_spatial(k)
+    if k.order < 3:
+        raise DimensionError(
+            f"a Kruskal conv kernel needs order >= 3 (T, C, spatial...), got {k.order}"
+        )
     u_t, u_c = k.factors[:2]
     spec = ConvSpec(u_c.shape[0], u_t.shape[0], k.shape[2:], stride, padding)
-    return MobileNetV2Block(u_c.T, spatial, u_t, spec)
+    taps = [s.taps for s in CpConvLayer.stages_for(k.factors, spec) if isinstance(s, Depthwise)]
+    return MobileNetV2Block(u_c.T, math.prod(taps), u_t, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .container import read_finite_tensor, write_tensor
 from .convref import ConvSpec, _integer, conv_nd_direct
 from .decomp import _cp_als_lockstep, depthwise_separable, tucker_hooi
 from .dense import as_tensor
-from .errors import ContainerError, DimensionError, RankError
+from .errors import ContainerError, RankError
 from .layers import (
     Activation,
     CpConvLayer,
@@ -214,15 +214,13 @@ def _normalize_ranks(scheme: str, ranks, kernel_shape) -> tuple[int, ...]:
                 f"tucker takes 2 channel ranks or {len(kernel_shape)} per-mode "
                 f"ranks, got {len(ranks)}"
             )
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     return ranks
 
 
 def _best_cp(kernel, rank, max_iters, tol, seed, restarts):
     """Every seeded restart's ALS run, fitted in lockstep, and the index of
     the winner: the first with the smallest error."""
-    seeds = np.random.SeedSequence(seed).spawn(max(1, int(restarts)))
+    seeds = np.random.SeedSequence(seed).spawn(restarts)
     runs = _cp_als_lockstep(kernel, rank, seeds, max_iters, tol, "random")
     return runs, min(range(len(runs)), key=lambda i: runs[i].rel_error)
 
@@ -249,23 +247,21 @@ def compress(
     direct convolution over ``probe_count`` seeded standard-normal probes.
     ``tol``, ``max_iters`` and ``restarts`` drive ALS and HOOI; ``mobilenet-v1``
     is closed form (:func:`~tensorconv.decomp.depthwise_separable`) and uses
-    ``seed`` for the probes only. A kernel holding NaN or infinite values
-    raises ``ValueError`` before any decomposition.
+    ``seed`` for the probes only. A kernel holding NaN or infinite values, or
+    ``restarts`` < 1, raises ``ValueError`` before any decomposition.
     """
     kernel = as_tensor(kernel)
     # min and max propagate NaN and expose +-inf without a full-size mask.
     if not (np.isfinite(kernel.min()) and np.isfinite(kernel.max())):
         raise ValueError("kernel holds NaN or infinite values")
-    if kernel.ndim < 3:
-        raise DimensionError(
-            f"conv kernel needs order >= 3 (T, C, spatial...), got {kernel.ndim}"
-        )
+    spec = ConvSpec.from_kernel(kernel, stride, padding)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if probe_count < 1:
         raise ValueError(f"probe_count must be >= 1, got {probe_count}")
+    if _integer(restarts) < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     ranks = _normalize_ranks(scheme, ranks, kernel.shape)
-    spec = ConvSpec.from_kernel(kernel, stride, padding)
 
     res = None  # the ALS or HOOI run; mobilenet-v1 is closed form
     warnings, runs, winning_restart = (), [], None
@@ -329,13 +325,7 @@ def verify_equivalence(
     kernel = as_tensor(kernel)
     if probe_count < 1:
         raise ValueError(f"probe_count must be >= 1, got {probe_count}")
-    spec = plan.spec
-    if kernel.shape != (spec.out_channels, spec.in_channels) + spec.kernel_sizes:
-        raise DimensionError(
-            f"kernel shape {kernel.shape} does not match plan spec "
-            f"({spec.out_channels}, {spec.in_channels}, *{spec.kernel_sizes})"
-        )
-    extents = _probe_extents(spec, probe_extent)
+    extents = _probe_extents(plan.spec, probe_extent)
     worst, worst_idx = _worst_probe(plan, kernel, extents, probe_count, seed)
     return EquivalenceReport(
         passed=bool(worst <= tolerance),
@@ -486,7 +476,9 @@ def _plan_from_manifest(manifest: dict, path: Path) -> FactorizedPlan:
         extras["skip"] = read_finite_tensor(base / skip) if skip else None
     layer = _LAYER_TYPES[scheme].from_factors(need, spec, **extras)
 
-    extents = tuple(manifest.get("reference_input_extents", ()))
+    extents = tuple(map(_integer, manifest.get("reference_input_extents", ())))
+    if any(d < 1 for d in extents):
+        raise ValueError(f"reference_input_extents must all be >= 1, got {extents}")
     if not extents:
         extents = _probe_extents(spec, 16)
     return _plan_for(scheme, layer, extents)

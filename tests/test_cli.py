@@ -125,6 +125,15 @@ class TestDecompose:
         )
         assert code == 3
 
+    def test_restarts_zero_exits_3(self, synthetic_kernel, tmp_path, capsys):
+        kernel, _ = synthetic_kernel
+        code = run_cli(
+            "decompose", "--input", kernel, "--scheme", "cp", "--rank", "2",
+            "--restarts", "0", "--out", tmp_path / "plan",
+        )
+        assert code == 3
+        assert not (tmp_path / "plan").exists()
+
     def test_malformed_input_exits_2(self, tmp_path):
         bad = tmp_path / "bad.tensor"
         bad.write_bytes(b"garbage\x00\x01")

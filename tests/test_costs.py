@@ -50,6 +50,19 @@ class TestParams:
         with pytest.raises(RankError):
             params_hocp(ConvSpec(3, 64, (3, 3, 3)), -1)
 
+    @pytest.mark.parametrize("rank", [1.7, True, 2.0])
+    def test_non_integer_rank_rejected(self, rank):
+        """A rank is read as an integer, not truncated: 1.7 and True were rank 1."""
+        spec, extents = ConvSpec(3, 8, (3, 3)), (6, 6)
+        for cost in (
+            lambda: params_hocp(spec, rank),
+            lambda: report_hocp(spec, rank, extents),
+            lambda: report_tucker(spec, (rank, 2), extents),
+            lambda: report_mobilenet_v2(spec, rank, extents),
+        ):
+            with pytest.raises(TypeError):
+                cost()
+
     def test_architecture_totals(self):
         blocks = example_3d_architecture()
         regular = sum(params_regular(s) for s in blocks)

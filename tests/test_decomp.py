@@ -331,8 +331,9 @@ class TestLockstep:
         lambda t: cp_als(t, 2, max_iters=3),
         lambda t: cp_als(t, 2, max_iters=3, init="hosvd"),
         lambda t: tucker_hooi(t, (2, 2, 2, 2), max_iters=3),
+        depthwise_separable,
     ],
-    ids=["cp-random", "cp-hosvd", "tucker"],
+    ids=["cp-random", "cp-hosvd", "tucker", "mobilenet-v1"],
 )
 def test_non_finite_tensor_raises(fit, bad):
     t = np.random.default_rng(43).standard_normal((3, 4, 3, 3))
@@ -342,6 +343,13 @@ def test_non_finite_tensor_raises(fit, bad):
 
 
 class TestTuckerHooi:
+    @pytest.mark.parametrize("rank", [2.7, True, 2.0])
+    def test_non_integer_rank_raises(self, rank):
+        """A rank is read as an integer, not truncated: 2.7 was rank 2."""
+        t = np.random.default_rng(44).standard_normal((3, 4, 3, 3))
+        with pytest.raises(TypeError):
+            tucker_hooi(t, (rank, 2, 3, 3), max_iters=3)
+
     def test_full_ranks_exact(self):
         rng = np.random.default_rng(10)
         target = rng.standard_normal((3, 4, 5))

@@ -37,6 +37,7 @@ from tensorconv import (
     tucker_hooi,
 )
 from tensorconv.costs import flops_hocp
+from tensorconv.dense import khatri_rao
 
 from helpers import random_kruskal, random_mobilenet_v1, rel_error
 
@@ -456,6 +457,85 @@ def five_schemes(rng, c, t, kernels, rank):
         "mobilenet-v1": random_mobilenet_v1(rng, t, c, kernels, 1, 1),
         "mobilenet-v2": build_mobilenet_v2(k, 1, 1),
     }
+
+
+def loop_nest_contract(matrix, z, counter):
+    """``Contract.naive`` as its own loop nest, before it ran ``conv_nd_naive``."""
+    out = np.zeros((matrix.shape[0],) + z.shape[1:])
+    for idx in np.ndindex(*out.shape):
+        acc = 0.0
+        for c in range(matrix.shape[1]):
+            acc += matrix[idx[0], c] * z[(c,) + idx[1:]]
+            counter.madds += 1
+        out[idx] = acc
+    return out
+
+
+def loop_nest_depthwise(stage, z, counter):
+    """``Depthwise.naive`` as its own loop nest, before it ran ``conv_nd_naive``."""
+    zp = np.pad(z, [(0, 0)] + [(p, p) for p in stage.paddings])
+    out = np.zeros(z.shape[:1] + stage.out_extents(z.shape[1:]))
+    for idx in np.ndindex(*out.shape):
+        acc = 0.0
+        for offs in np.ndindex(*stage.taps.shape[:-1]):
+            src = tuple(y * s + o for y, s, o in zip(idx[1:], stage.strides, offs))
+            acc += stage.taps[offs + idx[:1]] * zp[idx[:1] + src]
+            counter.madds += 1
+        out[idx] = acc
+    return out
+
+
+def per_class_rank(layer) -> int:
+    """A layer's rank as each class stored it before ``rank`` was read off the stages."""
+    if isinstance(layer, HoCpConvLayer):
+        layer = layer.cp
+    if isinstance(layer, CpConvLayer):
+        return layer.kruskal.rank
+    if isinstance(layer, TuckerConvLayer):
+        return layer.core.shape[0]
+    return layer.spatial.shape[-1]
+
+
+class TestStageListDerivations:
+    """A layer's rank, MobileNet-v2's taps and the naive stages are derived
+    from the stage list and ``conv_nd_naive``; each is bitwise what the
+    per-class code gave."""
+
+    @pytest.mark.parametrize("scheme", ["cp", "hocp", "hocp-skip", "tucker", "mobilenet-v1", "mobilenet-v2"])
+    def test_rank_is_the_per_class_rank(self, scheme):
+        # T=6, C=4, CP rank 5, Tucker (R_out, R_in) = (3, 2): a skip's or
+        # R_in's width would differ from the rank.
+        built = five_schemes(np.random.default_rng(71), 4, 6, (3, 3), 5)
+        built["hocp-skip"], built["hocp"] = built["hocp"], HoCpConvLayer(built["cp"])
+        layer = built[scheme]
+        assert layer.rank == per_class_rank(layer)
+        if scheme == "tucker":
+            assert layer.ranks == (3, 2)
+
+    @pytest.mark.parametrize("kernels", [(3,), (3, 2), (2, 3, 3)])
+    def test_mobilenet_v2_taps_are_the_spatial_khatri_rao(self, kernels):
+        k = random_kruskal(np.random.default_rng(72), (4, 3) + kernels, 5)
+        expected = khatri_rao(k.factors[2:]).reshape(kernels + (5,))
+        spatial = build_mobilenet_v2(k, 2, 1).spatial
+        assert spatial.shape == expected.shape and spatial.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["cp", "mobilenet-v2"])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), ((1, 2), (2, 0))])
+    def test_naive_stages_match_the_loop_nests(self, scheme, stride, padding):
+        rng = np.random.default_rng(73)
+        k = random_kruskal(rng, (4, 3, 3, 2), 5)
+        spec = ConvSpec(3, 4, (3, 2), stride, padding)
+        layer = CpConvLayer(k, spec) if scheme == "cp" else build_mobilenet_v2(k, stride, padding)
+        z = rng.standard_normal((3, 7, 6))
+        for stage in layer.stages:
+            ours, reference = OpCounter(), OpCounter()
+            if isinstance(stage, layers.Contract):
+                expected = loop_nest_contract(stage.matrix, z, reference)
+            else:
+                expected = loop_nest_depthwise(stage, z, reference)
+            z = stage.naive(z, z, ours)
+            assert z.shape == expected.shape and z.tobytes() == expected.tobytes()
+            assert ours.madds == reference.madds
 
 
 def zeros_kruskal(shape, rank=2) -> KruskalTensor:

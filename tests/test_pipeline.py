@@ -217,6 +217,13 @@ class TestCompress:
         with pytest.raises(DimensionError, match="order >= 3"):
             compress(rng.standard_normal((3, 4)), "mobilenet-v2", 2)
 
+    @pytest.mark.parametrize("restarts,error", [(0, ValueError), (-2, ValueError), (2.7, TypeError)])
+    def test_restarts_read_as_integer(self, restarts, error):
+        """restarts 0 and -2 used to run one restart, and 2.7 two."""
+        w = np.random.default_rng(110).standard_normal((3, 4, 2, 2))
+        with pytest.raises(error):
+            compress(w, "cp", 2, max_iters=3, restarts=restarts)
+
     @pytest.mark.parametrize("scheme", ["mobilenet-v1", "mobilenet-v2"])
     def test_mobilenet_on_3d_kernel(self, tmp_path, scheme):
         rng = np.random.default_rng(111)
@@ -382,6 +389,20 @@ class TestPlanSerialization:
         with pytest.raises(ContainerError, match="not a plan manifest"):
             load_plan(bad)
 
+    @pytest.mark.parametrize("extents", [[5.7, 4, 6], [0, 4, 6], [5, True, 6], ["5", 4, 6]])
+    def test_malformed_reference_extents_fail_closed(self, tmp_path, extents):
+        """[5.7, 4, 6] used to load, costed as [5, 4, 6]."""
+        path = save_plan(_fixed_plans()["cp"], tmp_path / "plan")
+        manifest = json.loads(path.read_text())
+        manifest["reference_input_extents"] = extents
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ContainerError, match=re.escape(str(path))):
+            load_plan(path)
+        x = tmp_path / "x.tensor"
+        write_tensor(x, np.zeros((3, 5, 4, 6)))
+        argv = ["conv", "--input", x, "--plan", path, "--out", tmp_path / "y.tensor"]
+        assert cli_main([str(a) for a in argv]) == 2
+
 
 def _fixed_plans() -> dict:
     """One plan per scheme, and an HO-CP plan with ReLU, PReLU, a batch norm
@@ -479,10 +500,13 @@ class TestActivationCodec:
         (2, "var", "x"),
         (2, "scale", [[0.5]]),
         (2, "eps", [1e-3]),
+        (2, "mean", "0.5"),
+        (2, "var", True),
+        (1, "slope", True),
     ], ids=[
         "unknown-kind", "int-kind", "no-slope", "no-mean", "no-var", "no-scale", "no-shift",
         "no-eps", "string-slope", "list-slope", "dict-mean", "string-var", "nested-scale",
-        "list-eps",
+        "list-eps", "numeric-string-mean", "bool-var", "bool-slope",
     ])
     def test_malformed_entry_fails_closed(self, tmp_path, slot, field, value):
         """``None`` deletes the field."""
