@@ -11,8 +11,8 @@ Seeded CP restarts run in lockstep: the J restarts' factors sit side by side,
 mode n as one I_n x (J*R) matrix, so each mode update is one MTTKRP, one
 batched Gram and one batched normal-equation solve for all of them, and each
 sweep's exact residuals come from one Khatri-Rao product and one stacked
-GEMM. Every restart stops at its own ``tol``; :func:`cp_als` is the case
-J = 1.
+GEMM, written once for every J. Every restart stops at its own ``tol``;
+:func:`cp_als` and :func:`kruskal_to_dense` are the case J = 1.
 
 Memory is bounded by the factors, not by their Khatri-Rao product: no step
 allocates much more than ``|X| * J * R / max_extent`` elements for a tensor X
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convref import _integer
-from .dense import as_matrix, as_tensor, fold, khatri_rao, n_mode_product, unfold
+from .dense import as_matrix, as_tensor, khatri_rao, n_mode_product, unfold
 from .errors import DimensionError, RankError
 
 __all__ = [
@@ -65,24 +65,6 @@ __all__ = [
 
 # Relative singular-value cutoff for pseudo-inverse solves of ALS normal equations.
 PINV_RCOND = 1e-12
-
-
-def _solve_normal(rhs: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """``rhs @ inv(gram)``: the ALS update ``X`` with ``X @ gram = rhs``.
-
-    Solved directly when the Cholesky factor L of the symmetric Gram exists
-    and its diagonal keeps ``min(L_ii)**2 >= PINV_RCOND * max(L_ii)**2``
-    (the squared diagonal lies inside the Gram's eigenvalue range, so a
-    smaller ratio means a condition number above ``1 / PINV_RCOND``).
-    Otherwise through the pseudo-inverse, as a singular Gram needs.
-    """
-    try:
-        pivots = np.diag(np.linalg.cholesky(gram)) ** 2
-    except np.linalg.LinAlgError:
-        pivots = None
-    if pivots is None or pivots.min() < PINV_RCOND * pivots.max():
-        return rhs @ np.linalg.pinv(gram, rcond=PINV_RCOND)
-    return np.linalg.solve(gram, rhs.T).T
 
 
 @dataclass(frozen=True)
@@ -158,14 +140,12 @@ class TuckerTensor:
 def kruskal_to_dense(k: KruskalTensor) -> np.ndarray:
     """Dense tensor: ``W[i_0,...,i_{N-1}] = sum_r prod_k factors[k][i_k, r]``.
 
-    Computed as the mode-m unfolding ``U_m @ khatri_rao(U_k, k != m).T`` for
-    the largest mode m, so the largest temporary is ``|W| * R / extent_m``.
+    The case J = 1 of :func:`_dense_stack`: ``U_m @ khatri_rao(U_k, k != m).T``
+    for the largest mode m, so the largest temporary is ``|W| * R / extent_m``.
     """
     if k.order == 1:
         return k.factors[0].sum(axis=1)
-    m = int(np.argmax(k.shape))
-    rest = [f for i, f in enumerate(k.factors) if i != m]
-    return fold(k.factors[m] @ khatri_rao(rest).T, m, k.shape)
+    return np.ascontiguousarray(_dense_stack(k.factors, k.rank)[0])
 
 
 def tucker_to_dense(t: TuckerTensor) -> np.ndarray:
@@ -242,12 +222,15 @@ def _require_finite(t: np.ndarray) -> None:
 
 
 def _solve_normal_stack(rhs: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    """:func:`_solve_normal` for J restarts at once: ``rhs`` is I x (J*R) with
-    restart j in columns j*R to (j+1)*R - 1, ``grams`` the (J, R, R) stack.
+    """The ALS update ``rhs @ inv(gram)`` for J restarts: ``rhs`` is I x (J*R),
+    restart j in columns j*R to (j+1)*R - 1, and ``grams`` the (J, R, R) stack.
 
-    One batched Cholesky check and one batched solve when every Gram passes;
-    otherwise each restart goes through :func:`_solve_normal` alone, which
-    solves the passing ones the same way and the others by pseudo-inverse.
+    One batched solve when every Gram's Cholesky factor L exists and keeps
+    ``min(L_ii)**2 >= PINV_RCOND * max(L_ii)**2`` (the squared diagonal lies
+    inside the Gram's eigenvalue range, so a smaller ratio means a condition
+    number above ``1 / PINV_RCOND``). Otherwise a lone restart takes the
+    pseudo-inverse, as a singular Gram needs, and a batch solves each restart
+    as a batch of one.
     """
     j, r, _ = grams.shape
     rhs3 = rhs.reshape(rhs.shape[0], j, r)
@@ -257,7 +240,9 @@ def _solve_normal_stack(rhs: np.ndarray, grams: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         passed = False
     if not passed:
-        return np.hstack([_solve_normal(rhs3[:, i], grams[i]) for i in range(j)])
+        if j == 1:
+            return rhs @ np.linalg.pinv(grams[0], rcond=PINV_RCOND)
+        return np.hstack([_solve_normal_stack(rhs3[:, i], grams[i:i + 1]) for i in range(j)])
     out = np.linalg.solve(grams, rhs3.transpose(1, 2, 0))  # (J, R, I)
     return out.transpose(2, 0, 1).reshape(rhs.shape)
 
@@ -268,18 +253,24 @@ def _stacked_grams(f: np.ndarray, rank: int) -> np.ndarray:
     return np.matmul(f3.transpose(1, 2, 0), f3.transpose(1, 0, 2))
 
 
-def _restart_errors(t: np.ndarray, factors, rank: int, norm_t: float) -> list[float]:
-    """Each restart's exact relative residual, bitwise :func:`_rel_error` of
-    its :func:`kruskal_to_dense`: one Khatri-Rao product of the non-largest
-    modes for all restarts, one stacked GEMM for the J reconstructions, and
-    the residuals written over them, each summed in row-major order."""
-    m = int(np.argmax(t.shape))
+def _dense_stack(factors, rank: int) -> np.ndarray:
+    """The (J, I_0, ..., I_{N-1}) dense tensors of the J restarts side by side
+    in ``factors``: one Khatri-Rao product of the non-largest modes for all
+    restarts and one stacked GEMM with the largest mode's factor."""
+    shape = tuple(f.shape[0] for f in factors)
+    m = int(np.argmax(shape))
     kr = khatri_rao([f for i, f in enumerate(factors) if i != m])
     j = kr.shape[1] // rank
     dense = np.matmul(factors[m].reshape(-1, j, rank).transpose(1, 0, 2),
                       kr.reshape(-1, j, rank).transpose(1, 2, 0))
-    rest = t.shape[:m] + t.shape[m + 1 :]
-    diff = np.moveaxis(dense.reshape((j, t.shape[m]) + rest), 1, m + 1)
+    return np.moveaxis(dense.reshape((j, shape[m]) + shape[:m] + shape[m + 1 :]), 1, m + 1)
+
+
+def _restart_errors(t: np.ndarray, factors, rank: int, norm_t: float) -> list[float]:
+    """Each restart's exact relative residual, bitwise :func:`_rel_error` of its
+    :func:`kruskal_to_dense` as both reconstruct through :func:`_dense_stack`,
+    written over the J reconstructions and summed in row-major order."""
+    diff = _dense_stack(factors, rank)
     np.subtract(t, diff, out=diff)
     return [float(np.linalg.norm(d.ravel()) / norm_t) for d in diff]
 

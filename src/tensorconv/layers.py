@@ -39,7 +39,6 @@ from .dense import (
     as_tensor,
     band_diagonals,
     banded_mode_conv,
-    conv_output_extent,
     depthwise_conv,
 )
 from .errors import DimensionError, RankError
@@ -282,9 +281,11 @@ class Depthwise(_Stage):
     def params(self) -> int:
         return self.taps.size
 
+    def _spec(self) -> ConvSpec:
+        return ConvSpec(1, 1, self.taps.shape[:-1], self.strides, self.paddings)
+
     def out_extents(self, extents) -> tuple[int, ...]:
-        kernel_sizes = self.taps.shape[:-1]
-        return tuple(map(conv_output_extent, extents, kernel_sizes, self.strides, self.paddings))
+        return self._spec().output_extents(extents)
 
     def band_mode(self, extents) -> Optional[int]:
         """The mode this stage runs along as band matrices on inputs of
@@ -307,7 +308,7 @@ class Depthwise(_Stage):
         kernel, rank = self.taps.shape[mode], self.taps.shape[-1]
         stride, padding = self.strides[mode], self.paddings[mode]
         d, rows = extents[mode], width or rank
-        d_out = conv_output_extent(d, kernel, stride, padding)
+        d_out = self.out_extents(extents)[mode]
         if mode == len(extents) - 1:  # kept transposed, as banded_mode_conv multiplies it
             bands = np.zeros((rows, d, d_out)).transpose(0, 2, 1)
         else:
@@ -326,7 +327,7 @@ class Depthwise(_Stage):
         return replace(self, taps=self.taps[..., sl])
 
     def naive(self, z: np.ndarray, x: np.ndarray, counter: Optional[OpCounter]) -> np.ndarray:
-        spec = ConvSpec(1, 1, self.taps.shape[:-1], self.strides, self.paddings)
+        spec = self._spec()
         return np.concatenate([conv_nd_naive(z[r:r + 1], self.taps[..., r][None, None], spec, counter)
                                for r in range(len(z))])
 
@@ -382,8 +383,8 @@ class DenseConv(_Stage):
         return self.core.size
 
     def out_extents(self, extents) -> tuple[int, ...]:
-        kernel_sizes = self.core.shape[2:]
-        return tuple(map(conv_output_extent, extents, kernel_sizes, self.strides, self.paddings))
+        # One channel in and out: a rank-0 core has none, which ``ConvSpec`` rejects.
+        return ConvSpec(1, 1, self.core.shape[2:], self.strides, self.paddings).output_extents(extents)
 
     def _spec(self) -> ConvSpec:
         return ConvSpec.from_kernel(self.core, self.strides, self.paddings)
@@ -817,18 +818,18 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
       (:meth:`Depthwise.at`): a ``conv_mode_i`` stage along a mode of at
       most ``_BAND_EXTENT`` as band matrices (:func:`banded_mode_conv`),
       longer ones as :func:`depthwise_conv`; a frozen batch norm as
-      ``z * a + b``, in place on the chain's own intermediates. A banded
-      stage keeps one band workspace of block width, and each block writes
-      its taps into it before the product, so band matrices are held for
-      one block at a time, never for the rank. While the block is in
-      cache, the window planes the next slab shares move to the front of
-      its buffer rows, and the last stage writes its result straight
-      behind them;
+      ``z * a + b``, in place on the chain's own intermediates. The chain is
+      bound once per window shape, for all rank tiles: a banded stage keeps
+      one band workspace of block width that every block shares, writing its
+      taps into it before the product, so band matrices are held for one
+      block at a time, never for the rank. While the block is in cache, the
+      window planes the next slab shares move to the front of its buffer
+      rows, and the last stage writes its result straight behind them;
     * one GEMM with the trailing contraction, its K the full rank, reads
       those results and writes the slab's output columns in place. When
       the head keeps the extents, a trailing skip's GEMM then reads x's
-      columns in place and adds into those output columns, and any
-      activation after it runs on them in place, while they are in cache.
+      columns in place and adds into those output columns while they are
+      in cache; only skips run per slab.
 
     So each input plane is contracted once, and the per-slab memory is the
     line buffer plus one block's intermediates and band workspaces, which
@@ -851,8 +852,8 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
     over the rank, as in one slab (tests compare the bits). A band sums
     whole rows, so a (g x window) band, or one batched over fewer planes,
     can round differently in the last bits. The remaining stages (Tucker's
-    whole list, whose core conv mixes positions and channels) run once on
-    the full output.
+    whole list, whose core conv mixes positions and channels, or an
+    activation after the trailing contraction) run once on the full output.
     """
     x = _check_input(x, layer.spec)
     z, rest = x, layer.stages
@@ -904,55 +905,53 @@ def _stream(x, lead, per_channel, tail, rest):
     buf = np.empty((step, max(0 if view else span * plane, carried * plane + g * out_plane)))
     out = np.empty(tail.matrix.shape[:1] + out_extents)
     flat_x, flat_out = x.reshape(x.shape[0], -1), out.reshape(out.shape[0], -1)
-    per_slab = all(isinstance(s, (Skip, Activate)) for s in rest) and out_extents == x.shape[1:]
-    chain, bound, kept = None, None, 0  # bound: (channels, window extents) of ``chain``
+    tiles = [slice(lo, min(lo + step, rank)) for lo in range(0, rank, step)]
+    per_slab = all(isinstance(s, Skip) for s in rest) and out_extents == x.shape[1:]
+    chains, bound, kept = None, None, 0  # bound: the window extents ``chains`` is bound to
     for y0 in range(0, d_out, g):
         y1 = min(y0 + g, d_out)
         a, b = (0, d_in) if g == d_out else (y0 * stride - padding, (y1 - 1) * stride + kernel - padding)
         shift = g * stride  # the next window starts at plane a + shift
         moved = max(0, b - a - shift) if carry and y1 < d_out else 0
         cols = slice(y0 * out_plane, y1 * out_plane)
-        for lo in range(0, rank, step):
-            hi = min(lo + step, rank)
-            lines = buf[:hi - lo]
+        shape = (b - a,) + x.shape[2:]  # the window's extents
+        if bound != shape:
+            chains = None  # free the old band workspaces before making new ones
+            width = max(1, _BLOCK_BYTES // (8 * max(math.prod(shape), (y1 - y0) * widest)))
+            (chains, chain_extents), bound = _bind(per_channel, tiles, shape, width), shape
+        for tile, blocks in zip(tiles, chains):
+            lines = buf[:tile.stop - tile.start]
             if view:
-                window = x[lo:hi]
+                window = x[tile]
             else:
-                _fill(lines, flat_x, lead, lo, hi, a + kept, b, a, d_in, plane)
-                window = lines[:, :(b - a) * plane].reshape((hi - lo, b - a) + x.shape[2:])
-            if bound != (lo, hi, window.shape[1:]):
-                chain = None  # free the old band workspaces before making new ones
-                width = max(1, _BLOCK_BYTES // (8 * max(window[0].size, (y1 - y0) * widest)))
-                chain = _bind(per_channel, slice(lo, hi), window.shape[1:], width)
-                bound = (lo, hi, window.shape[1:])
-            _run_blocks(*chain, window, lines, moved, shift, plane, x)
+                _fill(lines, flat_x, lead, tile, a + kept, b, a, d_in, plane)
+                window = lines[:, :(b - a) * plane].reshape((len(lines),) + shape)
+            _run_blocks(blocks, chain_extents, window, lines, moved, shift, plane, x)
             res = lines[:, moved * plane:moved * plane + cols.stop - cols.start]
-            if lo:
-                flat_out[:, cols] += np.matmul(tail.matrix[:, lo:hi], res)
+            if tile.start:
+                flat_out[:, cols] += np.matmul(tail.matrix[:, tile], res)
             else:
-                np.matmul(tail.matrix[:, lo:hi], res, out=flat_out[:, cols])
+                np.matmul(tail.matrix[:, tile], res, out=flat_out[:, cols])
         kept = moved
-        if per_slab and rest:
-            slab = out[:, y0:y1]
-            for stage in rest:
-                if isinstance(stage, Skip):  # reads x's columns in place, adds into the output's
-                    np.add(np.matmul(stage.matrix, flat_x[:, cols]), flat_out[:, cols], out=flat_out[:, cols])
-                else:
-                    stage.apply(slab, x, slab)
+        if per_slab:
+            for skip in rest:  # reads x's columns in place, adds into the output's
+                np.add(np.matmul(skip.matrix, flat_x[:, cols]), flat_out[:, cols], out=flat_out[:, cols])
     return out, () if per_slab else rest
 
 
-def _bind(per_channel, sl: slice, extents, width: int):
-    """The per-channel stages restricted to channels ``sl`` and bound to
-    input ``extents`` (:meth:`Depthwise.at`, each banded stage with one
-    workspace for the blocks), as (block, the stages on that block) pairs
-    for blocks of ``width`` channels; and the extents of the chain's result."""
+def _bind(per_channel, tiles, extents, width: int):
+    """The per-channel stages bound once to window ``extents`` for all rank
+    ``tiles`` (:meth:`Depthwise.at`; a banded stage's one workspace serves
+    every block of every tile), as per-tile lists of (block, its stages)
+    pairs for blocks of ``width`` channels; and the chain's result extents."""
     stages = []
-    for stage in per_channel:
-        stages.append(stage.channels(sl).at(extents, min(width, sl.stop - sl.start)))
+    for stage in per_channel:  # all channels, so a batch norm folds once; tile 0 is the widest
+        stages.append(stage.channels(slice(None)).at(extents, min(width, tiles[0].stop)))
         extents = stage.out_extents(extents)
-    blocks = [slice(c, c + width) for c in range(0, sl.stop - sl.start, width)]
-    return [(blk, [stage.channels(blk) for stage in stages]) for blk in blocks], extents
+    return [
+        [(slice(c - t.start, c - t.start + width), [s.channels(slice(c, min(c + width, t.stop))) for s in stages])
+         for c in range(t.start, t.stop, width)] for t in tiles
+    ], extents
 
 
 def _run_blocks(blocks, extents, window, lines, moved: int, shift: int, plane: int, x) -> None:
@@ -991,19 +990,19 @@ def _carry(rows: np.ndarray, moved: int, shift: int, plane: int) -> None:
             view[row:row + size] = view[row + src:row + src + size]
 
 
-def _fill(lines, flat_x, lead, lo, hi, start, b, a, d_in, plane) -> None:
+def _fill(lines, flat_x, lead, tile: slice, start, b, a, d_in, plane) -> None:
     """Write input planes ``[start, b)`` of a window that begins at plane
     ``a`` into ``lines``: planes outside ``[0, d_in)`` as zeros, the others
-    contracted to channels ``[lo, hi)`` by ``lead``, or copied without it."""
+    contracted to channels ``tile`` by ``lead``, or copied without it."""
     r0 = min(max(start, 0), b)
     r1 = max(min(b, d_in), r0)
     lines[:, (start - a) * plane:(r0 - a) * plane] = 0.0
     if r0 < r1:
         src, dst = flat_x[:, r0 * plane:r1 * plane], lines[:, (r0 - a) * plane:(r1 - a) * plane]
         if lead is None:
-            dst[...] = src[lo:hi]
+            dst[...] = src[tile]
         else:
-            np.matmul(lead.matrix[lo:hi], src, out=dst)
+            np.matmul(lead.matrix[tile], src, out=dst)
     lines[:, (r1 - a) * plane:(b - a) * plane] = 0.0
 
 

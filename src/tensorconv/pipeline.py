@@ -155,7 +155,17 @@ def _rel(num: float, den: float) -> float:
 
 
 def _probe_extents(spec: ConvSpec, probe_extent: int) -> tuple[int, ...]:
-    return tuple(max(int(probe_extent), k) for k in spec.kernel_sizes)
+    return tuple(max(probe_extent, k) for k in spec.kernel_sizes)
+
+
+def _probes(probe_count, probe_extent) -> tuple[int, int]:
+    """Both probe arguments as ints: ``TypeError`` for a float, a str or a
+    bool, ``ValueError`` below 1."""
+    values = tuple(map(_integer, (probe_count, probe_extent)))
+    for name, value in zip(("probe_count", "probe_extent"), values):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    return values
 
 
 def _worst_probe(
@@ -248,7 +258,9 @@ def compress(
     ``tol``, ``max_iters`` and ``restarts`` drive ALS and HOOI; ``mobilenet-v1``
     is closed form (:func:`~tensorconv.decomp.depthwise_separable`) and uses
     ``seed`` for the probes only. A kernel holding NaN or infinite values, or
-    ``restarts`` < 1, raises ``ValueError`` before any decomposition.
+    ``restarts``, ``probe_count`` or ``probe_extent`` < 1, raises
+    ``ValueError`` before any decomposition; a float, str or bool for any of
+    the three raises ``TypeError``.
     """
     kernel = as_tensor(kernel)
     # min and max propagate NaN and expose +-inf without a full-size mask.
@@ -257,8 +269,7 @@ def compress(
     spec = ConvSpec.from_kernel(kernel, stride, padding)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if probe_count < 1:
-        raise ValueError(f"probe_count must be >= 1, got {probe_count}")
+    probe_count, probe_extent = _probes(probe_count, probe_extent)
     if _integer(restarts) < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     ranks = _normalize_ranks(scheme, ranks, kernel.shape)
@@ -320,11 +331,11 @@ def verify_equivalence(
 
     Fails when the worst-case relative deviation exceeds ``tolerance`` or is
     NaN; the report carries the deviation, the offending probe index and the
-    probe seed so the failure is reproducible.
+    probe seed so the failure is reproducible. ``probe_count`` and
+    ``probe_extent`` are integers >= 1 (``TypeError``, ``ValueError``).
     """
     kernel = as_tensor(kernel)
-    if probe_count < 1:
-        raise ValueError(f"probe_count must be >= 1, got {probe_count}")
+    probe_count, probe_extent = _probes(probe_count, probe_extent)
     extents = _probe_extents(plan.spec, probe_extent)
     worst, worst_idx = _worst_probe(plan, kernel, extents, probe_count, seed)
     return EquivalenceReport(

@@ -402,6 +402,17 @@ class TestVerify:
         assert "pass=true" not in captured.out
         assert str(factor_path) in captured.err
 
+    @pytest.mark.parametrize("extent", ["0", "-1"])
+    def test_probe_extent_below_one_exits_3(self, synthetic_kernel, tmp_path, extent):
+        """Such extents used to run, clamped to the kernel size."""
+        kernel, _ = synthetic_kernel
+        assert run_cli("decompose", "--input", kernel, "--scheme", "cp", "--rank", "2",
+                       "--out", tmp_path / "plan", "--max-iters", "5", "--probe-extent", extent) == 3
+        assert run_cli("decompose", "--input", kernel, "--scheme", "cp", "--rank", "2",
+                       "--out", tmp_path / "plan", "--max-iters", "5") == 0
+        assert run_cli("verify", "--plan", tmp_path / "plan" / "plan.json", "--kernel", kernel,
+                       "--tolerance", "1", "--probe-extent", extent) == 3
+
 
 class TestActivationParameters:
     """Batch-norm and PReLU parameters of a hocp plan fail closed at load (exit 2)."""

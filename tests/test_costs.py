@@ -22,7 +22,7 @@ from tensorconv.costs import (
     report_tucker,
     write_sweep_csv,
 )
-from tensorconv.errors import RankError
+from tensorconv.errors import DimensionError, RankError
 from tensorconv.layers import HoCpConvLayer
 from tensorconv.layers import forward_naive
 from tensorconv.pipeline import FactorizedPlan, execute_plan, with_conv_params
@@ -215,6 +215,24 @@ class TestCostReport:
         assert report_mobilenet_v2(spec, 0, extents).flops == 0
         assert report_mobilenet_v1(spec, extents).params == 27 * 8 + 16 * 8
         assert report_mobilenet_v2(spec, 5, extents).params == 5 * 8 + 27 * 5 + 16 * 5
+
+    @pytest.mark.parametrize("extents", [(5, 4), (5, 4, 6, 7)])
+    def test_extents_of_another_order_rejected(self, extents):
+        """A rank-3 report on a (4, 3, 3, 3, 3) kernel cost 936 FLOPs at (5, 4)
+        and 18,072 at (5, 4, 6, 7): the extents were cut to the kernel's order
+        or the kernel to theirs."""
+        spec = ConvSpec(3, 4, (3, 3, 3))
+        assert report_hocp(spec, 3, (5, 4, 6)).flops == 5112
+        for cost in (
+            lambda: report_hocp(spec, 3, extents),
+            lambda: report_hocp(spec, 0, extents),
+            lambda: report_tucker(spec, (2, 2), extents),
+            lambda: report_tucker(spec, (0, 0), extents),
+            lambda: report_mobilenet_v1(spec, extents),
+            lambda: report_mobilenet_v2(spec, 3, extents),
+        ):
+            with pytest.raises(DimensionError, match="expected 3 spatial extents"):
+                cost()
 
     def test_regular_report(self):
         spec = ConvSpec(2, 3, (3,))

@@ -19,7 +19,7 @@ from tensorconv import (
     tucker_to_dense,
 )
 from tensorconv import decomp
-from tensorconv.dense import khatri_rao, unfold
+from tensorconv.dense import fold, khatri_rao, unfold
 
 from helpers import orthonormal_factor, random_kruskal, random_tucker, rel_error
 
@@ -55,6 +55,18 @@ class TestKruskalToDense:
                 KruskalTensor(tuple(fb))
             )
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_bitwise_the_largest_mode_unfolding(self, order):
+        """Bitwise one GEMM of the largest mode's factor with the Khatri-Rao
+        product of the others, folded back to the tensor."""
+        rng = np.random.default_rng(order)
+        for shape in [(4, 3, 5, 2, 3)[:order], (2, 5, 3, 5, 4)[:order], (3,) * order]:
+            k = random_kruskal(rng, shape, 4)
+            m = int(np.argmax(shape))
+            rest = [f for i, f in enumerate(k.factors) if i != m]
+            expected = fold(k.factors[m] @ khatri_rao(rest).T, m, shape)
+            assert kruskal_to_dense(k).tobytes() == expected.tobytes(), shape
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(RankError):
@@ -191,7 +203,7 @@ class TestNormalEquations:
         a, b = np.hstack([a, a[:, :1]]), np.hstack([b, b[:, :1]])  # column 3 repeats column 0
         gram = (a.T @ a) * (b.T @ b)
         rhs = rng.standard_normal((4, 4))
-        x = decomp._solve_normal(rhs, gram)
+        x = decomp._solve_normal_stack(rhs, gram[None])
         assert pinv_calls == [(4, 4)]
         assert np.array_equal(x, rhs @ np.linalg.pinv(gram, rcond=decomp.PINV_RCOND))
 
@@ -200,9 +212,33 @@ class TestNormalEquations:
         a, b = rng.standard_normal((6, 4)), rng.standard_normal((5, 4))
         gram = (a.T @ a) * (b.T @ b)
         rhs = rng.standard_normal((7, 4))
-        x = decomp._solve_normal(rhs, gram)
+        x = decomp._solve_normal_stack(rhs, gram[None])
         assert pinv_calls == []
         assert rel_error(x @ gram, rhs) < 1e-12
+
+    @staticmethod
+    def solve_normal(rhs, gram):
+        """One restart's solve on its own Gram: the batched solver's reference."""
+        try:
+            pivots = np.diag(np.linalg.cholesky(gram)) ** 2
+        except np.linalg.LinAlgError:
+            pivots = None
+        if pivots is None or pivots.min() < decomp.PINV_RCOND * pivots.max():
+            return rhs @ np.linalg.pinv(gram, rcond=decomp.PINV_RCOND)
+        return np.linalg.solve(gram, rhs.T).T
+
+    @pytest.mark.parametrize("singular", [(True,), (False,), (False, True, False)])
+    def test_stack_is_bitwise_the_per_restart_solve(self, singular):
+        rng = np.random.default_rng(33)
+        grams = []
+        for dup in singular:
+            a, b = rng.standard_normal((6, 4)), rng.standard_normal((5, 4))
+            if dup:
+                a[:, 3], b[:, 3] = a[:, 0], b[:, 0]
+            grams.append((a.T @ a) * (b.T @ b))
+        rhs = rng.standard_normal((7, 4 * len(grams)))
+        expected = np.hstack([self.solve_normal(rhs[:, 4 * i:4 * i + 4], g) for i, g in enumerate(grams)])
+        assert decomp._solve_normal_stack(rhs, np.stack(grams)).tobytes() == expected.tobytes()
 
     def test_duplicated_factor_columns_fit_with_fallback(self, monkeypatch, pinv_calls):
         # A rank-2 target fitted at rank 3 from factors whose third column

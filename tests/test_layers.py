@@ -714,6 +714,21 @@ class TestRankTiling:
         assert peak < 8e6
         assert rel_error(out, untiled_fold(cp, x)) <= 1e-10
 
+    def test_one_binding_for_all_rank_tiles(self, monkeypatch):
+        # Rank 512 on (8, 16, 32, 32) with 1 MiB tiles: 16 one-plane slabs of
+        # 4 rank tiles. All share one window shape, so the chain is bound
+        # once; binding per tile and slab made 64 bindings.
+        monkeypatch.setattr(layers, "_TILE_BYTES", 2**20)
+        rng = np.random.default_rng(111)
+        cp = make_cp_layer(rng, 8, 8, (3, 3, 3), 512, 1, 1)
+        x = rng.standard_normal((8, 16, 32, 32))
+        bind, calls = layers._bind, []
+        monkeypatch.setattr(layers, "_bind", lambda *args: calls.append(args[1]) or bind(*args))
+        out = forward(cp, x)
+        assert len(calls) == 1 and len(calls[0]) == 4
+        assert rel_error(out, untiled_fold(cp, x)) <= 1e-10
+        assert out.tobytes() == forward(cp, x).tobytes()
+
     def test_peak_memory_bounded_by_chain_volume(self, monkeypatch):
         # Padding 2 with K = 3 grows every mode by 2, so at 4^3 the last
         # depthwise output is 6^3 = 3.4x the input volume. Tiles and blocks
@@ -873,6 +888,20 @@ class TestSlabs:
         assert rel_error(out, layers.forward_naive(layer, x)) <= 1e-10
         if not any(isinstance(s, (layers.Activate, layers.Skip)) for s in layer.stages):
             assert rel_error(out, conv_nd_direct(x, layer.dense_kernel(), layer.spec)) <= 1e-10
+
+    @pytest.mark.parametrize("budget", ["one slab", "two planes"])
+    def test_activation_after_the_trailing_contraction(self, budget):
+        # No builder puts one there; a custom list runs it on the whole
+        # output after the stream, which changes no bit.
+        rng = np.random.default_rng(162)
+        cp = make_cp_layer(rng, 3, 4, (3, 3), 5, 1, 1)
+        x = rng.standard_normal((4, 9, 7))
+        relu = types.SimpleNamespace(stages=cp.stages + (layers.Activate(1, ReLU()),), spec=cp.spec)
+        tile = layers._TILE_BYTES if budget == "one slab" else slab_budget(cp, x, budget)
+        with mock.patch.object(layers, "_TILE_BYTES", tile):
+            out = layers.forward(relu, x)
+            expected = np.maximum(layers.forward(cp, x), 0)
+        assert out.tobytes() == expected.tobytes()
 
     def test_each_input_plane_contracted_once(self):
         # Slabs of two output planes of ten, each window four input planes

@@ -316,6 +316,22 @@ class TestVerifyEquivalence:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 64 * 1024  # one (4, 64, 64) probe is 128 KiB
 
+    @pytest.mark.parametrize("name,value,error", [
+        ("probe_extent", 2.7, TypeError), ("probe_extent", "16", TypeError), ("probe_extent", True, TypeError),
+        ("probe_extent", 0, ValueError), ("probe_extent", -3, ValueError),
+        ("probe_count", True, TypeError), ("probe_count", "3", TypeError), ("probe_count", 0, ValueError),
+    ])
+    def test_probe_arguments_fail_closed(self, name, value, error):
+        """Probe extents 2.7, "16" and True ran, as did 0 and -3, clamped to
+        the kernel; probe_count True ran "over True probes" and "3" raised
+        from a comparison."""
+        plan, kernel = self._exact_plan_and_kernel()
+        match = "integer" if error is TypeError else f"{name} must be >= 1"
+        with pytest.raises(error, match=match):
+            verify_equivalence(plan, kernel, tolerance=1.0, **{name: value})
+        with pytest.raises(error, match=match):
+            compress(kernel, "cp", 2, max_iters=3, **{name: value})
+
     def test_kernel_shape_must_match_plan(self):
         plan, _ = self._exact_plan_and_kernel()
         with pytest.raises(DimensionError):
@@ -389,9 +405,10 @@ class TestPlanSerialization:
         with pytest.raises(ContainerError, match="not a plan manifest"):
             load_plan(bad)
 
-    @pytest.mark.parametrize("extents", [[5.7, 4, 6], [0, 4, 6], [5, True, 6], ["5", 4, 6]])
+    @pytest.mark.parametrize("extents", [[5.7, 4, 6], [0, 4, 6], [5, True, 6], ["5", 4, 6], [5, 4], [5, 4, 6, 7]])
     def test_malformed_reference_extents_fail_closed(self, tmp_path, extents):
-        """[5.7, 4, 6] used to load, costed as [5, 4, 6]."""
+        """[5.7, 4, 6] used to load, costed as [5, 4, 6]; [5, 4] and
+        [5, 4, 6, 7] loaded too, costed on two and three modes."""
         path = save_plan(_fixed_plans()["cp"], tmp_path / "plan")
         manifest = json.loads(path.read_text())
         manifest["reference_input_extents"] = extents
