@@ -4,13 +4,14 @@ Two implementations of the same contract live here on purpose:
 
 * :func:`conv_nd_direct` is the vectorized path used everywhere by default:
   an unrolled convolution (im2col) that copies the windows of about 512
-  output positions at a time into one column buffer, of at most
-  (C + T) * V_out doubles, and runs one GEMM per such slab straight into the
+  output positions at a time into a column buffer, of at most
+  (C + T) * V_out doubles and, in groups of input channels, at most
+  ``_COLUMN_BYTES``, and runs one GEMM per slab and group straight into the
   output. Zero padding never takes a padded copy of the whole input: the
   windows come from a small staging buffer of the zero-padded input planes
   the current slab reads. Each output sums its C * prod(K) terms in BLAS
-  order, so results agree with the loop nest to rounding and are
-  bit-reproducible, as the slabs depend on the shapes alone;
+  order, group by group, so results agree with the loop nest to rounding
+  and are bit-reproducible, as slabs and groups depend on the shapes alone;
 * :func:`conv_nd_naive` is plain Python loops, the oracle of record. It is slow
   but unambiguous, and optionally tallies multiply-adds into an
   :class:`OpCounter` so the analytic FLOP formulas can be checked against an
@@ -100,8 +101,9 @@ class ConvSpec:
         return cls(w.shape[1], w.shape[0], w.shape[2:], stride, padding)
 
     def output_extents(self, input_extents) -> tuple[int, ...]:
-        """Per-mode output extents: floor((D + 2p - K)/s) + 1."""
-        ins = tuple(int(d) for d in input_extents)
+        """Per-mode output extents: floor((D + 2p - K)/s) + 1. Each extent
+        must be an integer (``TypeError`` for a float or a bool)."""
+        ins = tuple(map(_integer, input_extents))
         if len(ins) != self.n_spatial:
             raise DimensionError(
                 f"expected {self.n_spatial} spatial extents, got {len(ins)}"
@@ -248,6 +250,27 @@ def _slab_windows(x: np.ndarray, spec: ConvSpec, out_spatial: tuple[int, ...], s
         yield windows[(slice(None),) * (n + 1) + (slice(0, y1 - y0),) + key[1:]], start, stop
 
 
+# Bytes of one slab's column buffer, with one group's partial output when
+# the input channels run in groups. On the column's 256 -> 256, 3x3x3 layer
+# at 32x32x16 the 6912-row columns of 512 positions take 28.3 MB and the
+# call peaked at 65.6 MB (tracemalloc); in 4 groups of 64 channels the
+# columns take 7.1 MB and the call 45.6 MB, and blocks 2-4 ran within noise
+# of one buffer (2 vCPUs, OpenBLAS 0.3.31: 1.457 -> 1.415 s, medians of 10
+# benchmark pairs).
+_COLUMN_BYTES = 8 * 2**20
+
+
+def _group_width(spec: ConvSpec, positions: int) -> int:
+    """Input channels per column group for slabs of ``positions`` output
+    positions: as many as fit ``_COLUMN_BYTES`` with one group's partial
+    output (T x positions), at least one, in groups of equal width but the
+    last."""
+    taps = math.prod(spec.kernel_sizes)
+    fit = (_COLUMN_BYTES // 8 - spec.out_channels * positions) // (taps * positions)
+    groups = -(-spec.in_channels // max(1, fit))
+    return -(-spec.in_channels // groups)
+
+
 def conv_nd_direct(x: np.ndarray, w: np.ndarray, spec: ConvSpec | None = None) -> np.ndarray:
     """N-D convolution of ``x`` (C x D_0 x ... ) with kernel ``w`` (T x C x K_0 x ...).
 
@@ -257,36 +280,57 @@ def conv_nd_direct(x: np.ndarray, w: np.ndarray, spec: ConvSpec | None = None) -
 
     Runs as an unrolled convolution (im2col), one slab of about
     ``_SLAB_POSITIONS`` consecutive output positions at a time (see
-    :func:`_slabs`). Each slab's windows are copied once from a strided view
-    into a column buffer with rows in (channel, offset) order, so the kernel
-    is its own free (T x C*prod(K)) reshape, and one GEMM writes the slab's
-    output columns in place. The view is of ``x`` itself when there is no
-    padding; with padding it is of a staging buffer of the zero-padded input
-    planes along mode 0 that the slab reads (:func:`_slab_windows`), never a
-    padded copy of the whole input. The column buffer holds at most
-    (C + T) * V_out doubles for V_out output positions (and never less than
-    one column), so the call needs no more than the output, that, and with
-    padding C * ((g - 1) * s_0 + K_0) padded planes for slabs of g output
-    planes along mode 0 (g = 1 when a slab is part of one plane). Each output
-    is one BLAS dot product over all C*prod(K) terms: its rounding is BLAS's,
-    not a fixed offset-by-offset order, but the slabs are a fixed function
-    of the shapes, so results are bit-reproducible.
+    :func:`_slabs`). Each slab's windows are copied from a strided view into
+    a column buffer with rows in (channel, offset) order, so the kernel is
+    its own free (T x C*prod(K)) reshape, and a GEMM writes the slab's
+    output columns in place. The input channels go in groups
+    (:func:`_group_width`): a group's rows are a strided column block of the
+    kernel matrix, so no kernel is copied, and each group after the first
+    adds its GEMM into the slab's columns. The view is of ``x`` itself when
+    there is no padding; with padding it is of a staging buffer of the
+    zero-padded input planes along mode 0 that the slab reads
+    (:func:`_slab_windows`), never a padded copy of the whole input. The
+    column buffer holds at most (C + T) * V_out doubles for V_out output
+    positions (and never less than one column), and a group's columns and
+    its partial output at most ``_COLUMN_BYTES`` (or one channel's columns),
+    so the call needs no more than the output, that, and with padding
+    C * ((g - 1) * s_0 + K_0) padded planes for slabs of g output planes
+    along mode 0 (g = 1 when a slab is part of one plane). With one group
+    each output is one BLAS dot product over all C*prod(K) terms, with
+    several the sum of one per group, in group order: its rounding is
+    BLAS's, not a fixed offset-by-offset order, but the slabs and groups are
+    a fixed function of the shapes, so results are bit-reproducible.
     """
     x, w, spec = _check_conv_operands(x, w, spec)
-    out_spatial = spec.output_extents(x.shape[1:])
-    rows = spec.in_channels * math.prod(spec.kernel_sizes)
+    out = np.empty((spec.out_channels,) + spec.output_extents(x.shape[1:]))
+    _direct_into(x, w, spec, out)
+    return out
+
+
+def _direct_into(x: np.ndarray, w: np.ndarray, spec: ConvSpec, out: np.ndarray) -> None:
+    """:func:`conv_nd_direct` of operands it has checked, written into
+    ``out``, a C-order float64 array of shape (T, output extents...)."""
+    out_spatial = out.shape[1:]
+    taps = math.prod(spec.kernel_sizes)
+    rows = spec.in_channels * taps
     kernel = w.reshape(spec.out_channels, rows)
-    out = np.empty((spec.out_channels,) + out_spatial)
     out2d = out.reshape(spec.out_channels, -1)
     volume = out2d.shape[1]
     budget = max(1, min(_SLAB_POSITIONS, (spec.in_channels + spec.out_channels) * volume // rows))
     slabs = list(_slabs(out_spatial, budget))
-    flat = np.empty(rows * slabs[0][2])  # the first slab is a largest one
+    positions = slabs[0][2]  # the first slab is a largest one
+    width = _group_width(spec, positions)
+    flat = np.empty(width * taps * positions)
     for view, start, stop in _slab_windows(x, spec, out_spatial, slabs):
-        cols = flat[: rows * (stop - start)].reshape(rows, stop - start)
-        np.copyto(cols.reshape(view.shape), view)
-        np.matmul(kernel, cols, out=out2d[:, start:stop])
-    return out
+        for c in range(0, spec.in_channels, width):
+            group = view[c:c + width]
+            cols = flat[: len(group) * taps * (stop - start)].reshape(len(group) * taps, stop - start)
+            np.copyto(cols.reshape(group.shape), group)
+            lhs, dst = kernel[:, c * taps:(c + len(group)) * taps], out2d[:, start:stop]
+            if c:
+                dst += np.matmul(lhs, cols)
+            else:
+                np.matmul(lhs, cols, out=dst)
 
 
 def conv_nd_naive(

@@ -125,7 +125,7 @@ def report(stages: Iterable, input_extents: Sequence[int]) -> CostReport:
 
     A stage's parameters are the entries of its operand (``stage.params``).
     """
-    extents = tuple(int(d) for d in input_extents)
+    extents = tuple(map(_integer, input_extents))
     lines = []
     for stage in stages:
         extents = stage.out_extents(extents)

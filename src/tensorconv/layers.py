@@ -732,15 +732,18 @@ def build_mobilenet_v2(k: KruskalTensor, stride=1, padding=0) -> MobileNetV2Bloc
 # Forward passes: folds over the stage list
 # ---------------------------------------------------------------------------
 
-# Bytes of one slab's largest per-channel intermediate at full rank (rank x
-# g planes x the largest plane volume of the per-channel chain, float64),
-# which bounds the slab height g. The line buffer holds K - s planes more
-# than the slab. At 20 MiB the column's blocks 2-4 (32x32x16 inputs, rank
-# 6C) take slabs of 13, 6 and 3 planes, and their cp and hocp forwards peak
-# at 41-47, 60-65 and 66-69 MB (tracemalloc), mostly line buffer and output.
-# 30 MiB, when band matrices were still held for the whole rank, put block
-# 4's hocp forward at 104 MB for no clear gain; with per-block band
-# workspaces it peaks at 83 MB.
+# Bytes, float64, counted on the largest plane volume of the per-channel
+# chain, of two things: one slab's per-channel intermediate at full rank
+# (rank x g planes), which bounds the slab height g, and one rank tile's
+# line buffer (tile width x the window's planes, K - s more than the
+# slab's), which bounds the tile width. Tiles are the outer loop, so no
+# buffer holds the whole rank. At 20 MiB the column's blocks 2-4 (32x32x16
+# inputs, rank 6C) take slabs of 13, 6 and 3 planes in 2 tiles each (192,
+# 384 and 768 channels wide), and their cp and hocp forwards peak at 36,
+# 53 and 53 MB (tracemalloc), mostly the output and one tile's line
+# buffer. With one line buffer for the whole rank they peaked at 41-47,
+# 60-65 and 66-69 MB. 16 MiB gave 32, 50 and 49 MB in shorter slabs (10, 5
+# and 2 planes) and no clear change in time.
 _TILE_BYTES = 20 * 2**20
 
 # Bytes of one channel block of the per-channel stages inside a slab, on the
@@ -794,18 +797,25 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
 
     The channel-local head of the list (optional leading contraction,
     per-channel depthwise and activation stages, trailing contraction)
-    streams over slabs of g output planes along spatial mode 0. g is the
-    largest that keeps rank x g planes within ``_TILE_BYTES`` and g planes
-    within ``_SLAB_COLUMNS`` columns per channel, both counted on the
-    largest plane volume the per-channel stages hold (padding can make it
-    larger than the input's): slabs of a few dozen planes on a small-rank
-    2-D image, so no intermediate of the whole image is held. For each
-    slab, in increasing plane order:
+    streams over slabs of g output planes along spatial mode 0, in rank
+    tiles. g is the largest that keeps rank x g planes within
+    ``_TILE_BYTES`` and g planes within ``_SLAB_COLUMNS`` columns per
+    channel, both counted on the largest plane volume the per-channel
+    stages hold (padding can make it larger than the input's): slabs of a
+    few dozen planes on a small-rank 2-D image, so no intermediate of the
+    whole image is held. The tiles are the outer loop: each streams every
+    slab with its own line buffer and carried planes. A tile is as wide as
+    keeps its line buffer (the window's planes, or the carried planes and
+    the result if more) within ``_TILE_BYTES``, and the tiles are of equal
+    width but the last: one tile on small ranks, two on each block of the
+    3-D column. For each tile, and in it for each slab in increasing plane
+    order:
 
-    * the leading contraction writes the input planes the slab's window
-      needs into a line buffer, one GEMM for the planes the previous slab
-      did not hold; planes in the mode-0 zero padding are zeros. Without a
-      leading contraction the planes are copied from ``x``;
+    * the leading contraction writes the tile's channels of the input
+      planes the slab's window needs into the line buffer, one GEMM for the
+      planes the previous slab did not hold; planes in the mode-0 zero
+      padding are zeros. Without a leading contraction the planes are
+      copied from ``x``;
     * the per-channel stages run on the window in channel blocks of
       ``_BLOCK_BYTES``, sized for the L2 cache, so a block's data stays in
       cache through the chain. The first stage, the only one that may move
@@ -819,41 +829,44 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
       most ``_BAND_EXTENT`` as band matrices (:func:`banded_mode_conv`),
       longer ones as :func:`depthwise_conv`; a frozen batch norm as
       ``z * a + b``, in place on the chain's own intermediates. The chain is
-      bound once per window shape, for all rank tiles: a banded stage keeps
-      one band workspace of block width that every block shares, writing its
-      taps into it before the product, so band matrices are held for one
-      block at a time, never for the rank. While the block is in cache, the
-      window planes the next slab shares move to the front of its buffer
-      rows, and the last stage writes its result straight behind them;
-    * one GEMM with the trailing contraction, its K the full rank, reads
-      those results and writes the slab's output columns in place. When
-      the head keeps the extents, a trailing skip's GEMM then reads x's
-      columns in place and adds into those output columns while they are
-      in cache; only skips run per slab.
+      bound once per window shape (two at most: the last slab may be
+      shorter), for all rank tiles: a banded stage keeps one band workspace
+      of block width that every block shares, writing its taps into it
+      before the product, so band matrices are held for one block at a
+      time, never for the rank. While the block is in cache, the window
+      planes the next slab shares move to the front of its buffer rows,
+      and the last stage writes its result straight behind them;
+    * one GEMM with the trailing contraction, its K the tile's width,
+      reads those results; tile 0 writes the slab's output columns in
+      place, every later tile adds into them. When the head keeps the
+      extents, a trailing skip's GEMM then reads x's columns in place and,
+      in tile 0, adds into those output columns while they are in cache;
+      only skips run per slab.
 
-    So each input plane is contracted once, and the per-slab memory is the
-    line buffer plus one block's intermediates and band workspaces, which
-    do not grow with the rank. Only when one full-rank plane exceeds
-    ``_TILE_BYTES`` does a slab (then one plane) run in rank tiles, each
-    contracting its whole window and adding its GEMM into the slab's
-    columns; memory stays bounded whatever the rank.
+    So each tile contracts each input plane once, and the memory above the
+    output is one tile's line buffer, one slab's partial output and one
+    block's intermediates and band workspaces, none of which grows with
+    the rank.
 
     A per-channel stage computes each channel from that channel alone, so
-    blocks change no bit. Slabs depend on the shapes alone, so results are
-    bit-reproducible. The output is bitwise that of the plain fold over the
-    stages with one slab, whose window is the whole input with the first
-    stage's own padding (a view of ``x`` when there is no leading
-    contraction), and with many slabs when no stage takes bands (every mode
-    a stage moves is longer than ``_BAND_EXTENT``, as on the CLI
-    benchmark's 2-D images): each window then takes the flat shifts or
-    boxes the whole input takes, every depthwise sum adds the same terms in
-    the same order (a padding plane adds products of finite taps and
-    zeros, which change no bit), and each GEMM column is one dot product
-    over the rank, as in one slab (tests compare the bits). A band sums
-    whole rows, so a (g x window) band, or one batched over fewer planes,
-    can round differently in the last bits. The remaining stages (Tucker's
-    whole list, whose core conv mixes positions and channels, or an
-    activation after the trailing contraction) run once on the full output.
+    blocks change no bit. Slabs and tiles depend on the shapes alone, so
+    results are bit-reproducible. With several tiles each output sums one
+    GEMM per tile, in tile order and with the skip added after tile 0's,
+    which rounds differently from one GEMM over the rank. With one tile the
+    output is bitwise that of the plain fold over the stages with one slab,
+    whose window is the whole input with the first stage's own padding (a
+    view of ``x`` when there is no leading contraction), and with many
+    slabs when no stage takes bands (every mode a stage moves is longer
+    than ``_BAND_EXTENT``, as on the CLI benchmark's 2-D images): each
+    window then takes the flat shifts or boxes the whole input takes, every
+    depthwise sum adds the same terms in the same order (a padding plane
+    adds products of finite taps and zeros, which change no bit), and each
+    GEMM column is one dot product over the rank, as in one slab (tests
+    compare the bits). A band sums whole rows, so a (g x window) band, or
+    one batched over fewer planes, can round differently in the last bits.
+    The remaining stages (Tucker's whole list, whose core conv mixes
+    positions and channels, or an activation after the trailing
+    contraction) run once on the full output.
     """
     x = _check_input(x, layer.spec)
     z, rest = x, layer.stages
@@ -876,8 +889,9 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
 
 
 def _stream(x, lead, per_channel, tail, rest):
-    """The slab loop of :func:`forward`: the output of the channel-local head
-    (and of ``rest`` when it runs per slab) and the stages still to run."""
+    """The tile and slab loops of :func:`forward`: the output of the
+    channel-local head (and of ``rest`` when it runs per slab) and the
+    stages still to run."""
     rank = tail.matrix.shape[1]
     extents = [x.shape[1:]]
     for stage in per_channel:
@@ -885,15 +899,15 @@ def _stream(x, lead, per_channel, tail, rest):
     out_extents, d_out = extents[-1], extents[-1][0]
     widest = max(math.prod(e[1:]) for e in extents)
     fit = _TILE_BYTES // (8 * rank * widest)  # full-rank planes in the budget
-    step = rank if fit else max(1, _TILE_BYTES // (8 * widest))
     g = min(max(1, min(fit, _SLAB_COLUMNS // widest)), d_out)
     first = per_channel[0]
     kernel, stride, padding = _mode_0(first)
     d_in, plane, out_plane = x.shape[1], math.prod(x.shape[2:]), math.prod(out_extents[1:])
     if g == d_out:  # one slab: the whole input, the first stage's own padding
-        span, carry = d_in, False
+        span, carried = d_in, 0
     else:  # the window holds mode 0's padding; bands only where the whole input takes them
-        span, carry = (g - 1) * stride + kernel, step == rank
+        span = (g - 1) * stride + kernel
+        carried = max(0, span - g * stride)
         if isinstance(first, Depthwise):
             kind = Depthwise if first.band_mode(x.shape[1:]) is not None else _Unbanded
             first = kind(first.label, first.taps, first.strides, (0,) + first.paddings[1:])
@@ -901,41 +915,43 @@ def _stream(x, lead, per_channel, tail, rest):
     view = g == d_out and lead is None
     # Each buffer row holds the window's planes, then the planes carried to
     # the next slab followed by the block's result.
-    carried = max(0, span - g * stride) if carry else 0
-    buf = np.empty((step, max(0 if view else span * plane, carried * plane + g * out_plane)))
+    row = max(0 if view else span * plane, carried * plane + g * out_plane)
+    count = -(-rank // max(1, _TILE_BYTES // (8 * row)))  # tiles of equal width but the last
+    step = -(-rank // count)
+    tiles = [slice(lo, min(lo + step, rank)) for lo in range(0, rank, step)]
+    buf = np.empty((step, row))
     out = np.empty(tail.matrix.shape[:1] + out_extents)
     flat_x, flat_out = x.reshape(x.shape[0], -1), out.reshape(out.shape[0], -1)
-    tiles = [slice(lo, min(lo + step, rank)) for lo in range(0, rank, step)]
     per_slab = all(isinstance(s, Skip) for s in rest) and out_extents == x.shape[1:]
-    chains, bound, kept = None, None, 0  # bound: the window extents ``chains`` is bound to
-    for y0 in range(0, d_out, g):
-        y1 = min(y0 + g, d_out)
-        a, b = (0, d_in) if g == d_out else (y0 * stride - padding, (y1 - 1) * stride + kernel - padding)
-        shift = g * stride  # the next window starts at plane a + shift
-        moved = max(0, b - a - shift) if carry and y1 < d_out else 0
-        cols = slice(y0 * out_plane, y1 * out_plane)
-        shape = (b - a,) + x.shape[2:]  # the window's extents
-        if bound != shape:
-            chains = None  # free the old band workspaces before making new ones
-            width = max(1, _BLOCK_BYTES // (8 * max(math.prod(shape), (y1 - y0) * widest)))
-            (chains, chain_extents), bound = _bind(per_channel, tiles, shape, width), shape
-        for tile, blocks in zip(tiles, chains):
-            lines = buf[:tile.stop - tile.start]
+    bindings = {}  # window extents -> the chain bound to them for every tile
+    for i, tile in enumerate(tiles):
+        lines, kept = buf[:tile.stop - tile.start], 0
+        for y0 in range(0, d_out, g):
+            y1 = min(y0 + g, d_out)
+            a, b = (0, d_in) if g == d_out else (y0 * stride - padding, (y1 - 1) * stride + kernel - padding)
+            shift = g * stride  # the next window starts at plane a + shift
+            moved = max(0, b - a - shift) if y1 < d_out else 0
+            cols = slice(y0 * out_plane, y1 * out_plane)
+            shape = (b - a,) + x.shape[2:]  # the window's extents
+            if shape not in bindings:
+                width = max(1, _BLOCK_BYTES // (8 * max(math.prod(shape), (y1 - y0) * widest)))
+                bindings[shape] = _bind(per_channel, tiles, shape, width)
+            chains, chain_extents = bindings[shape]
             if view:
                 window = x[tile]
             else:
                 _fill(lines, flat_x, lead, tile, a + kept, b, a, d_in, plane)
                 window = lines[:, :(b - a) * plane].reshape((len(lines),) + shape)
-            _run_blocks(blocks, chain_extents, window, lines, moved, shift, plane, x)
+            _run_blocks(chains[i], chain_extents, window, lines, moved, shift, plane, x)
             res = lines[:, moved * plane:moved * plane + cols.stop - cols.start]
+            kept, dst = moved, flat_out[:, cols]
             if tile.start:
-                flat_out[:, cols] += np.matmul(tail.matrix[:, tile], res)
-            else:
-                np.matmul(tail.matrix[:, tile], res, out=flat_out[:, cols])
-        kept = moved
-        if per_slab:
-            for skip in rest:  # reads x's columns in place, adds into the output's
-                np.add(np.matmul(skip.matrix, flat_x[:, cols]), flat_out[:, cols], out=flat_out[:, cols])
+                dst += np.matmul(tail.matrix[:, tile], res)
+                continue
+            np.matmul(tail.matrix[:, tile], res, out=dst)
+            if per_slab:
+                for skip in rest:  # reads x's columns in place, adds into the output's
+                    np.add(np.matmul(skip.matrix, flat_x[:, cols]), dst, out=dst)
     return out, () if per_slab else rest
 
 

@@ -143,20 +143,44 @@ def conv_cases(draw):
     return x, w, ConvSpec(c, t, kernel, strides, paddings)
 
 
+def slab_positions(x, spec) -> int:
+    """The output positions of ``conv_nd_direct``'s largest slab on ``x``."""
+    out_spatial = spec.output_extents(x.shape[1:])
+    rows = spec.in_channels * math.prod(spec.kernel_sizes)
+    budget = (spec.in_channels + spec.out_channels) * math.prod(out_spatial) // rows
+    return next(convref._slabs(out_spatial, max(1, min(convref._SLAB_POSITIONS, budget))))[2]
+
+
+def column_budget(x, spec, channels: int) -> int:
+    """A ``_COLUMN_BYTES`` that holds the columns of ``channels`` input
+    channels and one group's partial output, at the current slab budget."""
+    positions = slab_positions(x, spec)
+    return 8 * positions * (channels * math.prod(spec.kernel_sizes) + spec.out_channels)
+
+
 class TestSlabs:
-    """``conv_nd_direct`` runs one GEMM per slab of output positions."""
+    """``conv_nd_direct`` runs one GEMM per slab of output positions and
+    group of input channels."""
 
     # Slab budgets of 1 and 7 split modes mid-row, leave remainder slabs and
-    # loop over leading indices; 512 is the default.
-    @pytest.mark.parametrize("slab", [1, 7, 512])
+    # loop over leading indices; 512 is the default. Column budgets of one
+    # and three channels split the input channels into groups, each adding
+    # its GEMM into the slab's columns; the default holds every channel here.
+    @pytest.mark.parametrize(
+        "slab, group",
+        [(1, None), (7, None), (512, None), (7, 1), (512, 3)],
+        ids=["1", "7", "512", "7-groups-of-1", "512-groups-of-3"],
+    )
     @settings(max_examples=150, deadline=None)
     @given(case=conv_cases())
-    def test_matches_naive(self, slab, case):
+    def test_matches_naive(self, slab, group, case):
         x, w, spec = case
         x_before = x.copy()
         with mock.patch.object(convref, "_SLAB_POSITIONS", slab):
-            out = conv_nd_direct(x, w, spec)
-            again = conv_nd_direct(x, w, spec)
+            budget = convref._COLUMN_BYTES if group is None else column_budget(x, spec, group)
+            with mock.patch.object(convref, "_COLUMN_BYTES", budget):
+                out = conv_nd_direct(x, w, spec)
+                again = conv_nd_direct(x, w, spec)
         # The dot-product rounding bound: relative to the sum of |terms|, so an
         # output whose terms nearly cancel is not held to its own tiny size.
         scale = conv_nd_naive(np.abs(x), np.abs(w), spec)
@@ -252,6 +276,47 @@ class TestSlabs:
         assert out.size == spec.out_channels * out_volume
         # 16 KiB for Python objects: views, index tuples, the slab generator.
         assert peak <= bound + 2**14
+
+    @pytest.mark.parametrize(
+        "shape, kernel, stride, padding",
+        [
+            # Columns of 1728 rows for 80 positions (1.1 MB): 13-channel
+            # groups with their partial outputs fit 256 KiB.
+            ((64, 16, 16, 8), (8, 64, 3, 3, 3), 1, 1),
+            ((64, 16, 16, 8), (8, 64, 3, 3, 3), 1, 0),
+            # 2-D, stride 2: 800 rows for 144 positions (0.9 MB).
+            ((32, 128, 96), (16, 32, 5, 5), 2, 2),
+        ],
+    )
+    def test_peak_memory_within_the_column_budget(self, shape, kernel, stride, padding):
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal(kernel)
+        spec = ConvSpec.from_kernel(w, stride, padding)
+        budget = 2**18
+        positions = slab_positions(x, spec)
+        with mock.patch.object(convref, "_COLUMN_BYTES", budget):
+            assert convref._group_width(spec, positions) < spec.in_channels
+        out_spatial = spec.output_extents(shape[1:])
+        window = 0  # the staging buffer, as in the test above
+        if any(spec.paddings):
+            g = max(1, min(out_spatial[0], positions // math.prod(out_spatial[1:])))
+            window = shape[0] * ((g - 1) * spec.strides[0] + spec.kernel_sizes[0]) * math.prod(
+                d + 2 * p for d, p in zip(shape[2:], spec.paddings[1:])
+            )
+        with mock.patch.object(convref, "_COLUMN_BYTES", budget):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = conv_nd_direct(x, w, spec)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        # 16 KiB for Python objects: views, index tuples, the slab generator;
+        # and the ufunc buffers (two operands) of a group's add into the
+        # slab's strided output columns.
+        assert peak - out.nbytes - 8 * window <= budget + 2 * 8 * np.getbufsize() + 2**14
+        assert rel_error(out, conv_nd_direct(x, w, spec)) <= 1e-13
 
     @pytest.mark.parametrize("slab", [7, 512])
     @pytest.mark.parametrize(

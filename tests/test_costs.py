@@ -234,6 +234,19 @@ class TestCostReport:
             with pytest.raises(DimensionError, match="expected 3 spatial extents"):
                 cost()
 
+    def test_float_extents_rejected(self):
+        """``int()`` read an extent of 5.7 as 5 and costed a 5-plane input."""
+        spec = ConvSpec(3, 4, (3, 3, 3))
+        with pytest.raises(TypeError):
+            report_hocp(spec, 3, (5.7, 4, 6))
+        with pytest.raises(TypeError):
+            spec.output_extents((5.9, 4, 6))
+        with pytest.raises(TypeError):
+            report_regular(spec, (True, 4, 6))
+        numpy_extents = (np.int64(5), np.int32(4), np.uint8(6))
+        assert report_hocp(spec, 3, numpy_extents).flops == 5112
+        assert spec.output_extents(numpy_extents) == (3, 2, 4)
+
     def test_regular_report(self):
         spec = ConvSpec(2, 3, (3,))
         report = report_regular(spec, (5,))

@@ -678,7 +678,28 @@ class TestRankTiling:
     def test_cp_bitwise_equal_to_plain_hocp(self, three_channel_tiles, stride, padding):
         rng = np.random.default_rng(90 + 10 * stride + padding)
         cp, x = self.make(rng, stride, padding)
+        assert len(rank_tiles(cp, x)) >= 2
         assert forward(cp, x).tobytes() == forward(HoCpConvLayer(cp), x).tobytes()
+
+    @pytest.mark.parametrize("stride,padding", GEOMETRIES)
+    def test_each_input_plane_contracted_once_per_tile(self, three_channel_tiles, stride, padding):
+        # Tiles are the outer loop and each carries its window's shared
+        # planes from slab to slab, so every tile contracts each input plane
+        # once (every plane of these geometries is read by some window).
+        rng = np.random.default_rng(95 + 10 * stride + padding)
+        cp, x = self.make(rng, stride, padding)
+        fill, planes = layers._fill, []
+
+        def spy(lines, flat_x, lead, tile, start, b, a, d_in, plane):
+            planes.extend((tile.start, p) for p in range(max(start, 0), min(b, d_in)))
+            return fill(lines, flat_x, lead, tile, start, b, a, d_in, plane)
+
+        with mock.patch.object(layers, "_fill", spy):
+            out = forward(cp, x)
+        tiles = rank_tiles(cp, x)
+        assert len(tiles) >= 2
+        assert sorted(planes) == [(t.start, p) for t in tiles for p in range(x.shape[1])]
+        assert rel_error(out, conv_nd_direct(x, cp.dense_kernel(), cp.spec)) <= 1e-10
 
     def test_single_tile_is_bitwise_the_plain_fold(self):
         rng = np.random.default_rng(100)
@@ -714,11 +735,33 @@ class TestRankTiling:
         assert peak < 8e6
         assert rel_error(out, untiled_fold(cp, x)) <= 1e-10
 
+    @pytest.mark.parametrize("rank,extents,tile", [(512, (16, 16, 16), 2**20), (1536, (32, 32, 16), 4 * 2**20)])
+    def test_peak_memory_bounded_by_one_tile_window(self, monkeypatch, rank, extents, tile):
+        # Above the output, a forward in rank tiles holds one tile's line
+        # buffer (its window and the carried planes and result behind them,
+        # within _TILE_BYTES) and a block's stages; one line buffer for the
+        # whole rank takes 3 and 18 MiB.
+        monkeypatch.setattr(layers, "_TILE_BYTES", tile)
+        rng = np.random.default_rng(112)
+        cp = make_cp_layer(rng, 8, 8, (3, 3, 3), rank, 1, 1)
+        x = rng.standard_normal((8,) + extents)
+        assert len(rank_tiles(cp, x)) >= 2
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = forward(cp, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= tile + 3 * layers._BLOCK_BYTES
+        assert rel_error(out, untiled_fold(cp, x)) <= 1e-10
+
     def test_one_binding_for_all_rank_tiles(self, monkeypatch):
-        # Rank 512 on (8, 16, 32, 32) with 1 MiB tiles: 16 one-plane slabs of
-        # 4 rank tiles. All share one window shape, so the chain is bound
-        # once; binding per tile and slab made 64 bindings.
-        monkeypatch.setattr(layers, "_TILE_BYTES", 2**20)
+        # Rank 512 on (8, 16, 32, 32) with 3 MiB tiles: 16 one-plane slabs
+        # of 4 rank tiles, each tile's window 128 channels of 3 planes. All
+        # share one window shape, so the chain is bound once; binding per
+        # tile and slab made 64 bindings.
+        monkeypatch.setattr(layers, "_TILE_BYTES", 3 * 2**20)
         rng = np.random.default_rng(111)
         cp = make_cp_layer(rng, 8, 8, (3, 3, 3), 512, 1, 1)
         x = rng.standard_normal((8, 16, 32, 32))
@@ -751,6 +794,14 @@ class TestRankTiling:
         assert out.shape == (4, 6, 6, 6)
         assert peak < 2 * 2**20 + 3 * 2**19
         assert rel_error(out, untiled_fold(cp, x)) <= 1e-10
+
+
+def rank_tiles(layer, x) -> list:
+    """The rank tiles ``forward`` runs ``layer`` on ``x`` in."""
+    bind, tiles = layers._bind, []
+    with mock.patch.object(layers, "_bind", lambda *args: tiles.append(args[1]) or bind(*args)):
+        layers.forward(layer, x)
+    return tiles[0]
 
 
 def chain_volume(layer, extents) -> int:
@@ -904,9 +955,10 @@ class TestSlabs:
         assert out.tobytes() == expected.tobytes()
 
     def test_each_input_plane_contracted_once(self):
-        # Slabs of two output planes of ten, each window four input planes
-        # (K = 3, padding 1): the leading contraction must see every input
-        # column exactly once, never a padding plane or a shared plane again.
+        # Slabs of two output planes of ten (the column cap; the rank is one
+        # tile), each window four input planes (K = 3, padding 1): the
+        # leading contraction must see every input column exactly once,
+        # never a padding plane or a shared plane again.
         rng = np.random.default_rng(160)
         cp = make_cp_layer(rng, 3, 5, (3, 3, 3), 7, 1, 1)
         x = rng.standard_normal((5, 10, 4, 3))
@@ -919,7 +971,7 @@ class TestSlabs:
                 spans.append((start, start + b.shape[1]))
             return matmul(a, b, *args, **kwargs)
 
-        with mock.patch.object(layers, "_TILE_BYTES", slab_budget(cp, x, "two planes")), \
+        with mock.patch.object(layers, "_SLAB_COLUMNS", 2 * widest_plane(cp, x.shape[1:])), \
                 mock.patch.object(np, "matmul", spy):
             out = layers.forward(cp, x)
         assert len(spans) == 5  # one GEMM per slab
@@ -1001,7 +1053,8 @@ class TestSmallRankSlabs:
     def test_column_block_keeps_its_slabs(self):
         # Block 2 of the 3-D column (64 -> 128, rank 384, 32x32x16): the
         # rank sets slabs of 13 planes of 512 columns, under the column cap,
-        # so the forward still runs 3 trailing GEMMs (13 + 13 + 6 planes).
+        # so each of the forward's 2 rank tiles (15-plane windows of 192
+        # channels) still runs 3 trailing GEMMs (13 + 13 + 6 planes).
         rng = np.random.default_rng(182)
         cp = make_cp_layer(rng, 128, 64, (3, 3, 3), 384, 1, 1)
         x = rng.standard_normal((64, 32, 32, 16))
@@ -1009,13 +1062,13 @@ class TestSmallRankSlabs:
         columns, matmul = [], np.matmul
 
         def spy(a, b, *args, **kwargs):
-            if a.shape == tail.shape:
-                columns.append(b.shape[1])
+            if np.shares_memory(a, tail):
+                columns.append((a.shape[1], b.shape[1]))
             return matmul(a, b, *args, **kwargs)
 
         with mock.patch.object(np, "matmul", spy):
             out = layers.forward(cp, x)
-        assert columns == [13 * 512, 13 * 512, 6 * 512]
+        assert columns == [(192, 13 * 512), (192, 13 * 512), (192, 6 * 512)] * 2
         assert rel_error(out, conv_nd_direct(x, cp.dense_kernel(), cp.spec)) <= 1e-10
 
     def test_ufunc_buffer_set_once_per_forward(self):
