@@ -248,18 +248,19 @@ def figure6_sweep(
     """FLOP comparison rows for regular vs HO-CP convolution.
 
     For each (C, T) pair the HO-CP rank is ``multiplier * C``, one column per
-    multiplier.
+    multiplier. Channel counts, kernel sizes, multipliers and extents are
+    integers: a float or a bool raises ``TypeError``.
     """
     rows = []
     for c, t in channel_pairs:
-        spec = ConvSpec(int(c), int(t), tuple(int(k) for k in kernel_sizes))
+        spec = ConvSpec(c, t, tuple(kernel_sizes))
         rows.append(
             SweepRow(
                 spec.in_channels,
                 spec.out_channels,
                 flops_regular(spec, input_extents),
                 tuple(
-                    flops_hocp(spec, int(m) * spec.in_channels, input_extents)
+                    flops_hocp(spec, _integer(m) * spec.in_channels, input_extents)
                     for m in multipliers
                 ),
             )

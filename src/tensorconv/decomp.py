@@ -221,6 +221,19 @@ def _require_finite(t: np.ndarray) -> None:
         raise ValueError("tensor holds NaN or infinite values")
 
 
+def _sweep_controls(max_iters, tol) -> int:
+    """``max_iters`` as an int after checking both sweep controls:
+    ``TypeError`` for a float, str or bool count, ``ValueError`` for a count
+    below 1 or a NaN or negative ``tol``. No sweep would leave the random
+    start with an infinite error, and a NaN ``tol`` would never stop."""
+    max_iters = _integer(max_iters)
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    return max_iters
+
+
 def _solve_normal_stack(rhs: np.ndarray, grams: np.ndarray) -> np.ndarray:
     """The ALS update ``rhs @ inv(gram)`` for J restarts: ``rhs`` is I x (J*R),
     restart j in columns j*R to (j+1)*R - 1, and ``grams`` the (J, R, R) stack.
@@ -292,8 +305,9 @@ def cp_als(
     ``init`` is ``"random"`` (uniform in [-1, 1], seeded) or ``"hosvd"``
     (leading left singular vectors per mode, padded with random columns when
     the rank exceeds a mode extent). Ranks larger than the extents are allowed
-    (overcomplete CP). A tensor holding NaN or infinite values raises
-    ``ValueError``.
+    (overcomplete CP). A tensor holding NaN or infinite values, ``max_iters``
+    below 1 or a NaN or negative ``tol`` raises ``ValueError``, a float or
+    bool ``max_iters`` ``TypeError``.
     """
     return _cp_als_lockstep(t, rank, [seed], max_iters, tol, init)[0]
 
@@ -315,6 +329,7 @@ def _cp_als_lockstep(t, rank, seeds, max_iters, tol, init) -> list[CpResult]:
         raise RankError(f"CP rank must be >= 1, got {rank}")
     if init not in ("random", "hosvd"):
         raise ValueError(f"unknown init {init!r}; expected 'random' or 'hosvd'")
+    max_iters = _sweep_controls(max_iters, tol)
     _require_finite(t)
 
     norm_t = float(np.linalg.norm(t.ravel()))
@@ -388,7 +403,9 @@ def tucker_hooi(
     mode extent are capped at the extent, with a note in ``result.warnings``.
     A mode whose rank equals its extent keeps its HOSVD factor, an
     orthonormal basis of the whole mode, and sweeps leave it out. A tensor
-    holding NaN or infinite values raises ``ValueError``, a float rank ``TypeError``.
+    holding NaN or infinite values, ``max_iters`` below 1 or a NaN or
+    negative ``tol`` raises ``ValueError``, a float rank or ``max_iters``
+    ``TypeError``.
     """
     t = as_tensor(t)
     req = tuple(map(_integer, ranks))
@@ -398,6 +415,7 @@ def tucker_hooi(
         )
     if any(r < 1 for r in req):
         raise RankError(f"Tucker ranks must all be >= 1, got {req}")
+    max_iters = _sweep_controls(max_iters, tol)
     _require_finite(t)
 
     warnings: list[str] = []

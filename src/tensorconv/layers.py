@@ -332,17 +332,6 @@ class Depthwise(_Stage):
                                for r in range(len(z))])
 
 
-class _Unbanded(Depthwise):
-    """A :class:`Depthwise` stage held to :func:`depthwise_conv` on any
-    extents: the first stage on a slab's window, when the whole mode 0 the
-    window is cut from is too long for bands. A band product is not bitwise
-    the flat shifts the whole input takes, and a window of a few dozen
-    planes would pass :meth:`band_mode`."""
-
-    def band_mode(self, extents) -> None:
-        return None
-
-
 @dataclass(frozen=True, eq=False)
 class _Banded:
     """A 1-D :class:`Depthwise` stage bound to its input extents along
@@ -815,20 +804,19 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
       planes the slab's window needs into the line buffer, one GEMM for the
       planes the previous slab did not hold; planes in the mode-0 zero
       padding are zeros. Without a leading contraction the planes are
-      copied from ``x``;
+      copied from ``x``: the window always lives in the line buffer;
     * the per-channel stages run on the window in channel blocks of
       ``_BLOCK_BYTES``, sized for the L2 cache, so a block's data stays in
       cache through the chain. The first stage, the only one that may move
-      mode 0, runs with mode-0 padding 0 on the explicitly padded window,
-      on the path the whole input takes: a CP ``conv_mode_0`` stage as a
-      (g x window) band per channel when mode 0 is at most
-      ``_BAND_EXTENT`` long, else, as N-D MobileNet taps always, as
-      :func:`depthwise_conv`, whose flat shifts take a mode 0 that shrinks.
-      Each other stage runs as it does on the whole input
-      (:meth:`Depthwise.at`): a ``conv_mode_i`` stage along a mode of at
-      most ``_BAND_EXTENT`` as band matrices (:func:`banded_mode_conv`),
-      longer ones as :func:`depthwise_conv`; a frozen batch norm as
-      ``z * a + b``, in place on the chain's own intermediates. The chain is
+      mode 0, runs with mode-0 padding 0 on the explicitly padded window
+      (its own padding when one slab is the whole input). Each stage runs
+      as the window's extents select (:meth:`Depthwise.at`): a CP
+      ``conv_mode_i`` stage along a mode of at most ``_BAND_EXTENT`` as
+      band matrices (:func:`banded_mode_conv`), ``conv_mode_0`` as a
+      (g x window) band per channel; longer modes, and N-D MobileNet taps
+      always, as :func:`depthwise_conv`, whose flat shifts take a mode 0
+      that shrinks; a frozen batch norm as ``z * a + b``, in place on the
+      chain's own intermediates. The chain is
       bound once per window shape (two at most: the last slab may be
       shorter), for all rank tiles: a banded stage keeps one band workspace
       of block width that every block shares, writing its taps into it
@@ -854,16 +842,17 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
     GEMM per tile, in tile order and with the skip added after tile 0's,
     which rounds differently from one GEMM over the rank. With one tile the
     output is bitwise that of the plain fold over the stages with one slab,
-    whose window is the whole input with the first stage's own padding (a
-    view of ``x`` when there is no leading contraction), and with many
-    slabs when no stage takes bands (every mode a stage moves is longer
-    than ``_BAND_EXTENT``, as on the CLI benchmark's 2-D images): each
+    whose window is the whole input with the first stage's own padding, and
+    with many slabs when no stage takes bands, on the windows or the whole
+    input (N-D MobileNet taps never do; CP stages when every mode they move,
+    and every window along mode 0, is longer than ``_BAND_EXTENT``): each
     window then takes the flat shifts or boxes the whole input takes, every
     depthwise sum adds the same terms in the same order (a padding plane
     adds products of finite taps and zeros, which change no bit), and each
     GEMM column is one dot product over the rank, as in one slab (tests
-    compare the bits). A band sums whole rows, so a (g x window) band, or
-    one batched over fewer planes, can round differently in the last bits.
+    compare the bits). A band sums whole rows, so a (g x window) band on
+    windows cut from a mode 0 too long for bands, or one batched over fewer
+    planes, can round differently in the last bits.
     The remaining stages (Tucker's whole list, whose core conv mixes
     positions and channels, or an activation after the trailing
     contraction) run once on the full output.
@@ -891,7 +880,8 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
 def _stream(x, lead, per_channel, tail, rest):
     """The tile and slab loops of :func:`forward`: the output of the
     channel-local head (and of ``rest`` when it runs per slab) and the
-    stages still to run."""
+    stages still to run. Every window is written into the line buffer, and
+    each stage on it runs as the window's extents select."""
     rank = tail.matrix.shape[1]
     extents = [x.shape[1:]]
     for stage in per_channel:
@@ -905,17 +895,14 @@ def _stream(x, lead, per_channel, tail, rest):
     d_in, plane, out_plane = x.shape[1], math.prod(x.shape[2:]), math.prod(out_extents[1:])
     if g == d_out:  # one slab: the whole input, the first stage's own padding
         span, carried = d_in, 0
-    else:  # the window holds mode 0's padding; bands only where the whole input takes them
+    else:  # the window holds mode 0's padding
         span = (g - 1) * stride + kernel
         carried = max(0, span - g * stride)
         if isinstance(first, Depthwise):
-            kind = Depthwise if first.band_mode(x.shape[1:]) is not None else _Unbanded
-            first = kind(first.label, first.taps, first.strides, (0,) + first.paddings[1:])
-            per_channel = (first,) + per_channel[1:]
-    view = g == d_out and lead is None
+            per_channel = (replace(first, paddings=(0,) + first.paddings[1:]),) + per_channel[1:]
     # Each buffer row holds the window's planes, then the planes carried to
     # the next slab followed by the block's result.
-    row = max(0 if view else span * plane, carried * plane + g * out_plane)
+    row = max(span * plane, carried * plane + g * out_plane)
     count = -(-rank // max(1, _TILE_BYTES // (8 * row)))  # tiles of equal width but the last
     step = -(-rank // count)
     tiles = [slice(lo, min(lo + step, rank)) for lo in range(0, rank, step)]
@@ -937,11 +924,8 @@ def _stream(x, lead, per_channel, tail, rest):
                 width = max(1, _BLOCK_BYTES // (8 * max(math.prod(shape), (y1 - y0) * widest)))
                 bindings[shape] = _bind(per_channel, tiles, shape, width)
             chains, chain_extents = bindings[shape]
-            if view:
-                window = x[tile]
-            else:
-                _fill(lines, flat_x, lead, tile, a + kept, b, a, d_in, plane)
-                window = lines[:, :(b - a) * plane].reshape((len(lines),) + shape)
+            _fill(lines, flat_x, lead, tile, a + kept, b, a, d_in, plane)
+            window = lines[:, :(b - a) * plane].reshape((len(lines),) + shape)
             _run_blocks(chains[i], chain_extents, window, lines, moved, shift, plane, x)
             res = lines[:, moved * plane:moved * plane + cols.stop - cols.start]
             kept, dst = moved, flat_out[:, cols]

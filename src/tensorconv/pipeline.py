@@ -25,7 +25,7 @@ import numpy as np
 from . import costs
 from .container import read_finite_tensor, write_tensor
 from .convref import ConvSpec, _check_conv_operands, _direct_into, _integer
-from .decomp import _cp_als_lockstep, depthwise_separable, tucker_hooi
+from .decomp import _cp_als_lockstep, _sweep_controls, depthwise_separable, tucker_hooi
 from .dense import as_tensor
 from .errors import ContainerError, RankError
 from .layers import (
@@ -267,10 +267,11 @@ def compress(
     direct convolution over ``probe_count`` seeded standard-normal probes.
     ``tol``, ``max_iters`` and ``restarts`` drive ALS and HOOI; ``mobilenet-v1``
     is closed form (:func:`~tensorconv.decomp.depthwise_separable`) and uses
-    ``seed`` for the probes only. A kernel holding NaN or infinite values, or
-    ``restarts``, ``probe_count`` or ``probe_extent`` < 1, raises
-    ``ValueError`` before any decomposition; a float, str or bool for any of
-    the three raises ``TypeError``.
+    ``seed`` for the probes only. A kernel holding NaN or infinite values,
+    ``restarts``, ``probe_count``, ``probe_extent`` or ``max_iters`` < 1, or
+    a NaN or negative ``tol``, raises ``ValueError`` before any
+    decomposition, for every scheme; a float, str or bool for any of the
+    four counts raises ``TypeError``.
     """
     kernel = as_tensor(kernel)
     # min and max propagate NaN and expose +-inf without a full-size mask.
@@ -282,6 +283,7 @@ def compress(
     probe_count, probe_extent = _probes(probe_count, probe_extent)
     if _integer(restarts) < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    max_iters = _sweep_controls(max_iters, tol)
     ranks = _normalize_ranks(scheme, ranks, kernel.shape)
 
     res = None  # the ALS or HOOI run; mobilenet-v1 is closed form

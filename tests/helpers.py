@@ -43,3 +43,16 @@ def random_tucker(rng, shape, ranks) -> TuckerTensor:
 
 def spec_for_kernel(w, stride=1, padding=0) -> ConvSpec:
     return ConvSpec.from_kernel(np.asarray(w, dtype=np.float64), stride, padding)
+
+
+# Sweep controls that cp_als, tucker_hooi and compress reject before any
+# decomposition, as (keyword, value, exception). With no sweep ALS returned
+# its random start at an infinite error; a NaN tol never stopped a sweep.
+BAD_SWEEP_CONTROLS = [
+    ("max_iters", 0, ValueError),
+    ("max_iters", -1, ValueError),
+    ("max_iters", 2.5, TypeError),
+    ("max_iters", True, TypeError),
+    ("tol", float("nan"), ValueError),
+    ("tol", -1.0, ValueError),
+]

@@ -125,6 +125,21 @@ class TestDecompose:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-iters", "0"), ("--max-iters", "-1"), ("--max-iters", "2.5"), ("--max-iters", "True"),
+        ("--tol", "nan"), ("--tol", "-1"),
+    ])
+    def test_sweep_controls_exit_3(self, synthetic_kernel, tmp_path, flag, value):
+        """``--max-iters 0`` exited 0 with every restart at an infinite error."""
+        kernel, _ = synthetic_kernel
+        for scheme, rank in [("cp", "2"), ("tucker", "2,2")]:
+            code = run_cli(
+                "decompose", "--input", kernel, "--scheme", scheme, "--rank", rank,
+                flag, value, "--out", tmp_path / scheme,
+            )
+            assert code == 3, scheme
+            assert not (tmp_path / scheme).exists()
+
     def test_restarts_zero_exits_3(self, synthetic_kernel, tmp_path, capsys):
         kernel, _ = synthetic_kernel
         code = run_cli(

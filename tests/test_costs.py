@@ -285,6 +285,21 @@ class TestSweep:
         for row in figure6_sweep(multipliers=(3, 6)):
             assert row.flops_hocp[0] < row.flops_hocp[1]
 
+    def test_non_integer_arguments_rejected(self):
+        """``int()`` read (2.5, 4.9), kernel 3.7 and multiplier 3.5 as the
+        (2, 4), (3, 3, 3), x3 row."""
+        with pytest.raises(TypeError):
+            figure6_sweep(((2.5, 4.9),), (8, 8, 8), (3.7, 3, 3), (3.5,))
+        for args in [(((2, 4.9),), (8, 8, 8), (3, 3, 3), (3,)), (((2, 4),), (8, 8, 8), (3.7, 3, 3), (3,)),
+                     (((2, 4),), (8, 8, 8), (3, 3, 3), (3.5,)), (((2, 4),), (8, 8, 8), (3, 3, 3), (True,)),
+                     (((2, 4),), (8.0, 8, 8), (3, 3, 3), (3,))]:
+            with pytest.raises(TypeError):
+                figure6_sweep(*args)
+        ints = (np.int64(2), np.int32(4)), (np.int64(8),) * 3, (np.int16(3),) * 3, (np.uint8(3),)
+        expected = figure6_sweep(((2, 4),), (8, 8, 8), (3, 3, 3), (3,))
+        assert [(r.flops_regular, r.flops_hocp) for r in expected] == [(93312, (54624,))]
+        assert figure6_sweep((ints[0],), *ints[1:]) == expected
+
     def test_csv_row_count(self):
         rows = figure6_sweep(((8, 8), (16, 16)))
         buf = io.StringIO()

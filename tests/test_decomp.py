@@ -21,7 +21,7 @@ from tensorconv import (
 from tensorconv import decomp
 from tensorconv.dense import fold, khatri_rao, unfold
 
-from helpers import orthonormal_factor, random_kruskal, random_tucker, rel_error
+from helpers import BAD_SWEEP_CONTROLS, orthonormal_factor, random_kruskal, random_tucker, rel_error
 
 
 class TestKruskalToDense:
@@ -132,6 +132,17 @@ class TestCpAls:
         target = kruskal_to_dense(KruskalTensor(factors))
         res = cp_als(target, 3, seed=1)
         assert res.rel_error < 1e-6
+
+    @pytest.mark.parametrize("name,value,error", BAD_SWEEP_CONTROLS)
+    def test_sweep_controls_fail_closed(self, name, value, error):
+        t = np.random.default_rng(5).standard_normal((4, 3, 3))
+        with pytest.raises(error):
+            cp_als(t, 2, **{"max_iters": 3, name: value})
+
+    def test_tol_zero_runs_every_sweep(self):
+        t = np.random.default_rng(5).standard_normal((4, 3, 3))
+        res = cp_als(t, 2, max_iters=np.int64(4), tol=0.0)
+        assert res.n_iters == 4 and len(res.error_history) == 4 and np.isfinite(res.rel_error)
 
     def test_zero_tensor(self):
         res = cp_als(np.zeros((3, 4)), 2, seed=0)
@@ -385,6 +396,12 @@ class TestTuckerHooi:
         t = np.random.default_rng(44).standard_normal((3, 4, 3, 3))
         with pytest.raises(TypeError):
             tucker_hooi(t, (rank, 2, 3, 3), max_iters=3)
+
+    @pytest.mark.parametrize("name,value,error", BAD_SWEEP_CONTROLS)
+    def test_sweep_controls_fail_closed(self, name, value, error):
+        t = np.random.default_rng(45).standard_normal((3, 4, 3, 3))
+        with pytest.raises(error):
+            tucker_hooi(t, (2, 2, 3, 3), **{"max_iters": 3, name: value})
 
     def test_full_ranks_exact(self):
         rng = np.random.default_rng(10)

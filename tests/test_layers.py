@@ -998,7 +998,7 @@ class TestSlabs:
 class TestSmallRankSlabs:
     """Small-rank layers on large 2-D images stream in slabs of at most
     ``_SLAB_COLUMNS`` columns, so no full-image intermediate is held, and
-    the first stage on each window keeps the path the whole input takes."""
+    each stage on a window runs as the window's own extents select."""
 
     def peak_over_output(self, layer, x) -> float:
         tracemalloc.start()
@@ -1026,10 +1026,13 @@ class TestSmallRankSlabs:
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (1, 0), (2, 1)])
     def test_slabs_are_bitwise_one_slab(self, stride, padding):
-        # Mode 0 (150) is longer than _BAND_EXTENT, so the whole input takes
-        # flat shifts (or boxes) along it, and so must every window (36
-        # planes at stride 1), which bands would round differently. Mode 1
-        # (240) is long too, so no stage takes bands.
+        # Modes 0 (150) and 1 (240) are longer than _BAND_EXTENT, so the
+        # whole input takes flat shifts (or boxes) along both. N-D MobileNet
+        # taps never take bands, so their slabs are bitwise one slab. A CP
+        # conv_mode_0 stage takes bands on windows of at most _BAND_EXTENT
+        # planes (36 at stride 1), which round differently; on slabs of 50
+        # planes every window is longer, no stage takes bands, and cp and
+        # hocp are bitwise one slab too.
         rng = np.random.default_rng(181 + 10 * stride + padding)
         x = rng.standard_normal((4, 150, 240))
         assert x.shape[1] > layers._BAND_EXTENT and x[0].size > 2 * layers._SLAB_COLUMNS
@@ -1042,13 +1045,29 @@ class TestSmallRankSlabs:
             "mobilenet-v1": random_mobilenet_v1(rng, 3, 4, (3, 3), stride, padding),
             "mobilenet-v2": build_mobilenet_v2(random_kruskal(rng, (3, 4, 3, 3), 6), stride, padding),
         }
+        spy = lambda: mock.patch.object(layers, "banded_mode_conv", wraps=layers.banded_mode_conv)
         for scheme, layer in cases.items():
             before = x.copy()
-            out = layers.forward(layer, x)
+            with spy() as bands:
+                out = layers.forward(layer, x)
             with mock.patch.object(layers, "_SLAB_COLUMNS", 2**62):
                 whole = layers.forward(layer, x)
-            assert out.tobytes() == whole.tobytes(), scheme
             assert x.tobytes() == before.tobytes(), scheme
+            if scheme.startswith("mobilenet"):
+                assert bands.call_count == 0 and out.tobytes() == whole.tobytes(), scheme
+                continue
+            assert bands.call_count > 0, scheme  # conv_mode_0 on each window
+            assert rel_error(out, whole) <= 1e-12, scheme
+            # Mode 1 moves in conv_mode_1 alone, so the output columns that
+            # input columns [0, 12) determine are the loop nest's on them.
+            m = (12 - 3 + padding) // stride + 1
+            assert rel_error(out[..., :m], forward_naive(layer, x[..., :12])[..., :m]) <= 1e-10, scheme
+            with mock.patch.object(layers, "_SLAB_COLUMNS", 50 * widest_plane(layer, x.shape[1:])), \
+                    spy() as bands:
+                assert layers.forward(layer, x).tobytes() == whole.tobytes(), scheme
+            assert bands.call_count == 0, scheme
+        out = layers.forward(cp, x)
+        assert rel_error(out, conv_nd_direct(x, cp.dense_kernel(), cp.spec)) <= 1e-10
 
     def test_column_block_keeps_its_slabs(self):
         # Block 2 of the 3-D column (64 -> 128, rank 384, 32x32x16): the
@@ -1155,12 +1174,32 @@ class TestBandedDepthwise:
         return counts
 
     @pytest.mark.parametrize("extents", [(320, 240), (192, 384)])
-    def test_long_modes_keep_depthwise_conv(self, calls, extents):
+    def test_long_modes_keep_depthwise_conv(self, monkeypatch, extents):
+        # Both modes are longer than _BAND_EXTENT. Slabs of _SLAB_COLUMNS
+        # columns cut mode 0 into windows of 36 or 23 planes (the last one
+        # shorter), which conv_mode_0 takes as bands, one call per window;
+        # conv_mode_1 runs along the whole of mode 1 and keeps flat shifts.
         rng = np.random.default_rng(140)
         cp = make_cp_layer(rng, 2, 2, (3, 3), 2, 1, 1)
         x = rng.standard_normal((2,) + extents)
+        calls, banded, flat = {}, layers.banded_mode_conv, layers.depthwise_conv
+
+        def count(name, mode):
+            calls[name, mode] = calls.get((name, mode), 0) + 1
+
+        def spy_banded(z, bands, mode, out=None):
+            count("banded_mode_conv", mode)
+            return banded(z, bands, mode, out)
+
+        def spy_flat(z, taps, strides, paddings, out=None):
+            count("depthwise_conv", int(np.argmax(taps.shape[:-1])))  # the mode its taps move
+            return flat(z, taps, strides, paddings, out)
+
+        monkeypatch.setattr(layers, "banded_mode_conv", spy_banded)
+        monkeypatch.setattr(layers, "depthwise_conv", spy_flat)
         out = layers.forward(cp, x)
-        assert calls["depthwise_conv"] > 0 and calls["banded_mode_conv"] == 0
+        slabs = -(-extents[0] // (layers._SLAB_COLUMNS // extents[1]))
+        assert calls == {("banded_mode_conv", 0): slabs, ("depthwise_conv", 1): slabs}
         assert rel_error(out, conv_nd_direct(x, cp.dense_kernel(), cp.spec)) <= 1e-10
 
     def test_merged_mobilenet_taps_keep_depthwise_conv(self, calls):
@@ -1228,8 +1267,9 @@ class TestBandWorkspace:
         assert peak < 8 * plane  # a byte view, not one row's plane
 
     def test_activations_never_write_into_x_or_the_window(self):
-        # Without a leading contraction the one-slab window is a view of x,
-        # so a ReLU first in the chain must not run in place.
+        # Without a leading contraction the window holds copies of x's
+        # planes, which a next slab may read again, so a ReLU first in the
+        # chain must not run in place, on them or on x.
         rng = np.random.default_rng(172)
         stages = (
             layers.Activate(0, ReLU()),

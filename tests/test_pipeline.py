@@ -34,9 +34,10 @@ from tensorconv import (
 )
 from tensorconv.cli import main as cli_main
 from tensorconv.costs import params_hocp, report_hocp
+from tensorconv import pipeline
 from tensorconv.pipeline import FactorizedPlan, with_conv_params
 
-from helpers import random_kruskal, rel_error
+from helpers import BAD_SWEEP_CONTROLS, random_kruskal, rel_error
 
 
 class TestCompress:
@@ -223,6 +224,20 @@ class TestCompress:
         w = np.random.default_rng(110).standard_normal((3, 4, 2, 2))
         with pytest.raises(error):
             compress(w, "cp", 2, max_iters=3, restarts=restarts)
+
+    @pytest.mark.parametrize("name,value,error", BAD_SWEEP_CONTROLS)
+    @pytest.mark.parametrize("scheme,ranks", [
+        ("cp", 2), ("hocp", 2), ("tucker", (2, 2)), ("mobilenet-v1", None), ("mobilenet-v2", 2),
+    ])
+    def test_sweep_controls_fail_closed(self, monkeypatch, scheme, ranks, name, value, error):
+        """Every scheme rejects them, mobilenet-v1 too, though it never sweeps."""
+        fits = []
+        for fit in ("_cp_als_lockstep", "tucker_hooi", "depthwise_separable"):
+            monkeypatch.setattr(pipeline, fit, lambda *args, **kwargs: fits.append(args))
+        w = np.random.default_rng(112).standard_normal((3, 4, 2, 2))
+        with pytest.raises(error):
+            compress(w, scheme, ranks, **{"max_iters": 3, name: value})
+        assert fits == []  # raised before any decomposition
 
     @pytest.mark.parametrize("scheme", ["mobilenet-v1", "mobilenet-v2"])
     def test_mobilenet_on_3d_kernel(self, tmp_path, scheme):
