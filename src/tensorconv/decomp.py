@@ -442,9 +442,7 @@ def tucker_hooi(
     history: list[float] = []
     prev_err = np.inf
     converged = False
-    n_iters = 0
-    for it in range(max_iters):
-        n_iters = it + 1
+    for _ in range(max_iters):
         for n in solved:
             partial = project(m for m in solved if m != n)
             factors[n] = _hosvd_factor(partial, n, eff[n])
@@ -461,8 +459,7 @@ def tucker_hooi(
         prev_err = err
 
     tucker = TuckerTensor(project(range(t.ndim)), tuple(factors))
-    final = history[-1] if history else _rel_error(t, tucker_to_dense(tucker), norm_t)
-    return TuckerResult(tucker, final, n_iters, converged, history, warnings)
+    return TuckerResult(tucker, history[-1], len(history), converged, history, warnings)
 
 
 def absorb_spatial(t: TuckerTensor) -> TuckerTensor:

@@ -21,8 +21,8 @@ its factors' roles in a plan manifest (``factors``, inverted by
 float64 arrays, and its kernel ``dense_kernel()``, its shape checks and its
 ``rank`` (the width of the last contraction) are read off the stages, so
 every forward is checkable against
-``conv_nd_direct(x, layer.dense_kernel(), layer.spec)``. CP and HO-CP share
-one stage builder: with no activations and no skip they are bitwise equal.
+``conv_nd_direct(x, layer.dense_kernel(), layer.spec)``. CP and HO-CP are
+one class: an HO-CP layer is a :class:`CpConvLayer` with activations or a skip.
 """
 
 from __future__ import annotations
@@ -505,14 +505,28 @@ class _Layer:
 
 @dataclass(frozen=True)
 class CpConvLayer(_Layer):
-    """Separable convolution defined by a Kruskal kernel.
+    """Separable convolution defined by a Kruskal kernel; with ``activations``
+    or a ``skip``, the higher-order CP (HO-CP) layer.
 
     Factor order is (U_out, U_in, U_k0, ..., U_k{N-1}) matching the kernel
-    modes (T, C, K_0, ..., K_{N-1}).
+    modes (T, C, K_0, ..., K_{N-1}). ``activations`` holds one optional
+    activation per spatial stage (applied after that stage's depthwise 1-D
+    convolution). ``skip`` is a (T x C) matrix; when present the forward adds
+    the channel-contracted input, which requires the convolution to preserve
+    the spatial extents.
     """
 
     kruskal: KruskalTensor
     spec: ConvSpec
+    activations: Optional[tuple[Optional[Activation], ...]] = None
+    skip: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.activations is not None:  # their count is checked with the stages
+            object.__setattr__(self, "activations", tuple(self.activations))
+        if self.skip is not None:
+            object.__setattr__(self, "skip", as_tensor(self.skip))
+        super().__post_init__()
 
     @staticmethod
     def stages_for(
@@ -551,7 +565,7 @@ class CpConvLayer(_Layer):
 
     @property
     def stages(self) -> tuple:
-        return self.stages_for(self.kruskal.factors, self.spec)
+        return self.stages_for(self.kruskal.factors, self.spec, self.activations, self.skip)
 
     @staticmethod
     def _roles(n: int) -> tuple[str, ...]:
@@ -559,11 +573,13 @@ class CpConvLayer(_Layer):
 
     @property
     def factors(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """The Kruskal factors; a manifest stores ``activations`` and ``skip`` apart."""
         return tuple(zip(self._roles(self.spec.n_spatial), self.kruskal.factors))
 
-    @classmethod
-    def from_factors(cls, get, spec: ConvSpec) -> "CpConvLayer":
-        return cls(KruskalTensor(tuple(map(get, cls._roles(spec.n_spatial)))), spec)
+    @staticmethod
+    def from_factors(get, spec: ConvSpec, activations=None, skip=None) -> "CpConvLayer":
+        factors = tuple(map(get, CpConvLayer._roles(spec.n_spatial)))
+        return CpConvLayer(KruskalTensor(factors), spec, activations, skip)
 
 
 @dataclass(frozen=True)
@@ -601,47 +617,18 @@ class TuckerConvLayer(_Layer):
         )
 
 
-@dataclass(frozen=True)
-class HoCpConvLayer(_Layer):
-    """Higher-order CP convolution: the CP stages plus optional per-stage
-    activations and an optional skip factor.
+class HoCpConvLayer(CpConvLayer):
+    """``cp`` with ``activations`` and ``skip``, as one :class:`CpConvLayer`."""
 
-    ``activations`` holds one optional activation per spatial stage (applied
-    after that stage's depthwise 1-D convolution). ``skip`` is a (T x C) matrix;
-    when present the forward adds the channel-contracted input, which requires
-    the convolution to preserve the spatial extents.
-    """
-
-    cp: CpConvLayer
-    activations: Optional[tuple[Optional[Activation], ...]] = None
-    skip: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.activations is not None:  # their count is checked with the stages
-            object.__setattr__(self, "activations", tuple(self.activations))
-        if self.skip is not None:
-            object.__setattr__(self, "skip", as_tensor(self.skip))
-        self._check_stages()
+    def __init__(self, cp: CpConvLayer, activations=None, skip=None):
+        super().__init__(cp.kruskal, cp.spec, activations, skip)
 
     @property
-    def spec(self) -> ConvSpec:
-        return self.cp.spec
-
-    @property
-    def stages(self) -> tuple:
-        return CpConvLayer.stages_for(self.cp.kruskal.factors, self.spec, self.activations, self.skip)
-
-    @property
-    def factors(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """The Kruskal factors; a manifest stores ``activations`` and ``skip`` apart."""
-        return self.cp.factors
-
-    @classmethod
-    def from_factors(cls, get, spec: ConvSpec, activations=None, skip=None) -> "HoCpConvLayer":
-        return cls(CpConvLayer.from_factors(get, spec), activations, skip)
+    def cp(self) -> CpConvLayer:
+        return CpConvLayer(self.kruskal, self.spec)
 
     def with_spec(self, spec: ConvSpec) -> "HoCpConvLayer":
-        return replace(self, cp=self.cp.with_spec(spec))
+        return HoCpConvLayer(self.cp.with_spec(spec), self.activations, self.skip)
 
 
 @dataclass(frozen=True)

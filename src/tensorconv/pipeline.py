@@ -32,7 +32,6 @@ from .layers import (
     Activation,
     CpConvLayer,
     FrozenBatchNorm,
-    HoCpConvLayer,
     MobileNetV1Block,
     MobileNetV2Block,
     PReLU,
@@ -62,7 +61,7 @@ _LAYER_TYPES = {
     "tucker": TuckerConvLayer,
     "mobilenet-v1": MobileNetV1Block,
     "mobilenet-v2": MobileNetV2Block,
-    "hocp": HoCpConvLayer,
+    "hocp": CpConvLayer,
 }
 SCHEMES = tuple(_LAYER_TYPES)
 
@@ -204,7 +203,7 @@ def _plan_for(scheme: str, layer: _Layer, extents) -> FactorizedPlan:
 
 
 def _normalize_ranks(scheme: str, ranks, kernel_shape) -> tuple[int, ...]:
-    t_out, c_in = kernel_shape[0], kernel_shape[1]
+    c_in = kernel_shape[1]
     if ranks is None:
         ranks = (c_in,) if scheme == "mobilenet-v1" else None
     if ranks is None:
@@ -298,10 +297,8 @@ def compress(
     else:
         runs, winning_restart = _best_cp(kernel, ranks[0], max_iters, tol, seed, restarts)
         res = runs[winning_restart]
-        if scheme == "cp":
+        if scheme in ("cp", "hocp"):
             layer = CpConvLayer(res.kruskal, spec)
-        elif scheme == "hocp":
-            layer = HoCpConvLayer(CpConvLayer(res.kruskal, spec))
         else:
             layer = build_mobilenet_v2(res.kruskal, spec.strides, spec.paddings)
 
@@ -447,7 +444,8 @@ def load_plan(manifest_path) -> FactorizedPlan:
 
     The manifest and the files it names are untrusted input: whatever keeps
     them from making a plan (a missing key, a value of the wrong type or
-    range, a factor that does not fit the spec, an unreadable file) raises
+    range, a version other than the integer 1, a file name with a directory
+    part, a factor that does not fit the spec, an unreadable file) raises
     :class:`ContainerError` naming the manifest.
     """
     path = Path(manifest_path)
@@ -467,11 +465,19 @@ def load_plan(manifest_path) -> FactorizedPlan:
 
 
 def _plan_from_manifest(manifest: dict, path: Path) -> FactorizedPlan:
+    version = manifest["version"]
+    if _integer(version) != 1:
+        raise ContainerError(f"{path}: unsupported plan manifest version {version!r}")
     scheme = manifest.get("scheme")
     if scheme not in SCHEMES:
         raise ContainerError(f"{path}: unknown scheme {scheme!r}")
 
-    base = path.parent
+    def read(name) -> np.ndarray:
+        # A plain file name, so a manifest names no file outside its directory.
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ContainerError(f"{path}: {name!r} is not a file name in the plan's directory")
+        return read_finite_tensor(path.parent / name)
+
     spec = ConvSpec(
         manifest["in_channels"],
         manifest["out_channels"],
@@ -480,7 +486,7 @@ def _plan_from_manifest(manifest: dict, path: Path) -> FactorizedPlan:
         tuple(manifest["paddings"]),
     )
     factors = {
-        entry["role"]: read_finite_tensor(base / entry["file"])
+        entry["role"]: read(entry["file"])
         for entry in manifest["factors"]
     }
 
@@ -496,7 +502,7 @@ def _plan_from_manifest(manifest: dict, path: Path) -> FactorizedPlan:
             tuple(_decode_activation(a) for a in acts) if acts is not None else None
         )
         skip = manifest.get("skip")
-        extras["skip"] = read_finite_tensor(base / skip) if skip else None
+        extras["skip"] = read(skip) if skip else None
     layer = _LAYER_TYPES[scheme].from_factors(need, spec, **extras)
 
     extents = tuple(map(_integer, manifest.get("reference_input_extents", ())))

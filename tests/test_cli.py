@@ -429,6 +429,30 @@ class TestVerify:
                        "--tolerance", "1", "--probe-extent", extent) == 3
 
 
+class TestPlanManifest:
+    """``conv --plan`` and ``verify`` exit 2 on a manifest that names a file
+    outside the plan's directory or says a version other than 1."""
+
+    @pytest.mark.parametrize("edit", ["absolute-factor-path", "version-2"])
+    def test_exits_2(self, synthetic_kernel, tmp_path, capsys, edit):
+        kernel, _ = synthetic_kernel
+        assert run_cli("decompose", "--input", kernel, "--scheme", "cp", "--rank", "2",
+                       "--out", tmp_path / "plan", "--max-iters", "5") == 0
+        manifest = tmp_path / "plan" / "plan.json"
+        doc = json.loads(manifest.read_text())
+        if edit == "version-2":
+            doc["version"] = 2
+        else:  # the same file, named by its absolute path
+            doc["factors"][0]["file"] = str(tmp_path / "plan" / doc["factors"][0]["file"])
+        manifest.write_text(json.dumps(doc))
+        x = tmp_path / "x.tensor"
+        write_tensor(x, np.zeros((4, 6, 6)))
+        capsys.readouterr()
+        assert run_cli("conv", "--input", x, "--plan", manifest, "--out", tmp_path / "y.tensor") == 2
+        assert not (tmp_path / "y.tensor").exists()
+        assert run_cli("verify", "--plan", manifest, "--kernel", kernel, "--tolerance", "1") == 2
+        assert str(manifest) in capsys.readouterr().err
+
 class TestActivationParameters:
     """Batch-norm and PReLU parameters of a hocp plan fail closed at load (exit 2)."""
 

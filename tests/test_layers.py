@@ -2,6 +2,7 @@ import functools
 import math
 import tracemalloc
 import types
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -36,8 +37,9 @@ from tensorconv import (
     n_mode_product,
     tucker_hooi,
 )
-from tensorconv.costs import flops_hocp
+from tensorconv.costs import flops_hocp, report
 from tensorconv.dense import khatri_rao
+from tensorconv.pipeline import FactorizedPlan, save_plan
 
 from helpers import random_kruskal, random_mobilenet_v1, rel_error
 
@@ -313,6 +315,63 @@ class TestHoCpNaive:
         counter = OpCounter()
         forward_naive(ho, x, counter)
         assert counter.flops == flops_hocp(cp_layer.spec, 4, (4, 7))
+
+
+class TestHoCpIsCpLayer:
+    """An HO-CP layer is a :class:`CpConvLayer` with activations or a skip:
+    ``CpConvLayer(k, spec, acts, skip)`` and ``HoCpConvLayer(CpConvLayer(k,
+    spec), acts, skip)`` are the same layer, bit for bit."""
+
+    # (strides, paddings, skip); per-mode values are cut to the layer's modes.
+    # A skip needs extents the convolution preserves.
+    CASES = [(1, 0, False), (2, 1, False), ((1, 2, 1), (2, 0, 1), False), (1, 1, True)]
+
+    @pytest.mark.parametrize("strides,paddings,skip", CASES, ids=["1-0", "2-1", "mixed", "1-1-skip"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_both_constructors_agree(self, tmp_path, n, strides, paddings, skip):
+        rng = np.random.default_rng(25 + n)
+        r, extents = 4, (6, 5, 4)[:n]
+        strides, paddings = (v if np.isscalar(v) else v[:n] for v in (strides, paddings))
+        spec = ConvSpec(3, 4, (3,) * n, strides, paddings)
+        k = random_kruskal(rng, (4, 3) + (3,) * n, r)
+        bn = FrozenBatchNorm(
+            mean=tuple(rng.uniform(-0.1, 0.1, r)), var=tuple(rng.uniform(0.5, 2.0, r)),
+            scale=(1.5,), shift=(0.2,),
+        )
+        acts = (ReLU(), PReLU(0.1), bn)[-n:]
+        s = rng.standard_normal((4, 3)) if skip else None
+        folded, wrapped = CpConvLayer(k, spec, acts, s), HoCpConvLayer(CpConvLayer(k, spec), acts, s)
+        assert type(folded) is CpConvLayer and isinstance(wrapped, CpConvLayer)
+        assert (folded.skip is not None) == skip
+
+        assert [st.label for st in folded.stages] == [st.label for st in wrapped.stages]
+        assert report(folded.stages, extents) == report(wrapped.stages, extents)
+        assert folded.dense_kernel().tobytes() == wrapped.dense_kernel().tobytes()
+        x = rng.standard_normal((3,) + extents)
+        assert forward(folded, x).tobytes() == forward(wrapped, x).tobytes()
+        tallies, naive = [], []
+        for layer in (folded, wrapped):
+            counter = OpCounter()
+            naive.append(forward_naive(layer, x, counter).tobytes())
+            tallies.append(counter.madds)
+        assert naive[0] == naive[1] and tallies[0] == tallies[1] > 0
+
+        files = []
+        for name, layer in (("folded", folded), ("wrapped", wrapped)):
+            save_plan(FactorizedPlan("hocp", layer, report(layer.stages, extents), extents), tmp_path / name)
+            files.append({f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())})
+        assert files[0] == files[1]
+        assert ("skip.tensor" in files[0]) == skip
+
+    def test_with_spec_keeps_the_extras(self):
+        rng = np.random.default_rng(29)
+        cp = make_cp_layer(rng, 3, 3, (3, 3), 4, padding=1)
+        ho = HoCpConvLayer(cp, (ReLU(), PReLU(0.1)), rng.standard_normal((3, 3)))
+        spec = replace(cp.spec, paddings=(1, 2))
+        moved = ho.with_spec(spec)
+        assert type(moved) is HoCpConvLayer and moved.spec == spec
+        assert moved.activations == ho.activations and moved.skip is ho.skip
+        assert moved.kruskal is cp.kruskal and type(moved.cp) is CpConvLayer
 
 
 class TestMobileNetV1:

@@ -435,6 +435,70 @@ class TestPlanSerialization:
         argv = ["conv", "--input", x, "--plan", path, "--out", tmp_path / "y.tensor"]
         assert cli_main([str(a) for a in argv]) == 2
 
+    # (the factor moved, the name the manifest gives it, where it now lies under
+    # tmp_path); ``None`` names it by its absolute path.
+    OUTSIDE = [
+        ("spatial_mode_0.tensor", "../x.tensor", "x.tensor"),
+        ("spatial_mode_0.tensor", None, "x.tensor"),
+        ("spatial_mode_0.tensor", "sub/x.tensor", "plan/sub/x.tensor"),
+        ("skip.tensor", "../skip.tensor", "skip.tensor"),
+    ]
+
+    @pytest.mark.parametrize("moved,named,location", OUTSIDE,
+                             ids=["parent-dir", "absolute", "subdirectory", "skip-parent-dir"])
+    def test_file_outside_the_plan_directory_fails_closed(self, tmp_path, moved, named, location):
+        """Each file lies where the manifest says and holds a valid factor:
+        all four used to load."""
+        path = save_plan(_fixed_plans()["hocp-extras"], tmp_path / "plan")
+        target = tmp_path / location
+        target.parent.mkdir(exist_ok=True)
+        (path.parent / moved).rename(target)
+        named = named or str(target)
+        manifest = json.loads(path.read_text())
+        if moved == "skip.tensor":
+            manifest["skip"] = named
+        else:
+            next(e for e in manifest["factors"] if e["file"] == moved)["file"] = named
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ContainerError, match=re.escape(f"{path}: {named!r} is not a file name")):
+            load_plan(path)
+
+    @pytest.mark.parametrize("version", [2, "1", True, None, 1.0, "missing"],
+                             ids=["int-2", "string-1", "true", "null", "float-1.0", "missing"])
+    def test_version_other_than_1_fails_closed(self, tmp_path, version):
+        """Every one of these used to load as version 1."""
+        path = save_plan(_fixed_plans()["cp"], tmp_path / "plan")
+        manifest = json.loads(path.read_text())
+        if version == "missing":
+            del manifest["version"]
+        else:
+            manifest["version"] = version
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ContainerError, match=re.escape(str(path))):
+            load_plan(path)
+
+
+class TestHoCpPlans:
+    """``compress`` and ``load_plan`` build an HO-CP layer as a :class:`CpConvLayer`."""
+
+    def test_compress_and_load_give_cp_layers(self, tmp_path):
+        w = np.random.default_rng(305).standard_normal((3, 4, 3, 3))
+        res = compress(w, "hocp", 2, seed=2, max_iters=20)
+        assert type(res.plan.layer) is CpConvLayer
+        assert res.plan.layer.activations is None and res.plan.layer.skip is None
+        assert type(load_plan(save_plan(res.plan, tmp_path / "compressed")).layer) is CpConvLayer
+        for name in ("hocp", "hocp-extras"):
+            loaded = load_plan(save_plan(_fixed_plans()[name], tmp_path / name)).layer
+            assert type(loaded) is CpConvLayer
+            assert (loaded.skip is not None) == (name == "hocp-extras")
+
+    def test_cp_layer_with_extras_writes_the_recorded_hocp_bytes(self, tmp_path):
+        plan = _fixed_plans()["hocp-extras"]
+        ho = plan.layer
+        layer = CpConvLayer(ho.kruskal, ho.spec, ho.activations, ho.skip)
+        save_plan(FactorizedPlan("hocp", layer, plan.cost, plan.reference_input_extents), tmp_path)
+        assert _digests(tmp_path) == TestPlanBytes.DIGESTS["hocp-extras"]
+
 
 def _fixed_plans() -> dict:
     """One plan per scheme, and an HO-CP plan with ReLU, PReLU, a batch norm
