@@ -67,7 +67,7 @@ __all__ = [
 PINV_RCOND = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KruskalTensor:
     """Sum of R rank-1 outer products, stored as per-mode factor matrices.
 
@@ -102,7 +102,7 @@ class KruskalTensor:
         return tuple(f.shape[0] for f in self.factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TuckerTensor:
     """Core tensor contracted with one factor matrix per mode.
 

@@ -444,7 +444,8 @@ class _Layer:
     def _check_stages(self) -> None:
         """Raise :class:`DimensionError`, naming the stage, unless the stages
         chain: each takes the channels the one before gives, from the spec's
-        C to its T, a skip is (T x C), and the taps compose to the spec's
+        C to its T, a skip is (T x C) on a geometry that keeps every extent
+        (stride 1, 2 * padding = K - 1), and the taps compose to the spec's
         kernel sizes. Each activation checks its parameters against the
         channels it receives."""
         spec = self.spec
@@ -465,6 +466,8 @@ class _Layer:
             if isinstance(stage, Skip):
                 if shape != skip:
                     raise DimensionError(f"{name} is not (T, C) = {skip}")
+                if any((s, 2 * p) != (1, k - 1) for k, s, p in zip(spec.kernel_sizes, spec.strides, spec.paddings)):
+                    raise DimensionError(f"{name} requires preserved spatial extents (stride 1, padding (K - 1)/2): {spec}")
                 continue
             if len(dims) != len(sizes) + 2 or dims[1] != channels:
                 raise DimensionError(f"{name} does not take {channels} channels, {len(sizes)} spatial modes")
@@ -503,7 +506,7 @@ class _Layer:
         return np.ascontiguousarray(np.moveaxis(w, -1, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpConvLayer(_Layer):
     """Separable convolution defined by a Kruskal kernel; with ``activations``
     or a ``skip``, the higher-order CP (HO-CP) layer.
@@ -582,7 +585,7 @@ class CpConvLayer(_Layer):
         return CpConvLayer(KruskalTensor(factors), spec, activations, skip)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TuckerConvLayer(_Layer):
     """Bottleneck convolution: 1x1 reduce, small dense conv with the absorbed
     core, 1x1 expand.
@@ -618,10 +621,12 @@ class TuckerConvLayer(_Layer):
 
 
 class HoCpConvLayer(CpConvLayer):
-    """``cp`` with ``activations`` and ``skip``, as one :class:`CpConvLayer`."""
+    """``cp`` with ``activations`` and ``skip``, as one :class:`CpConvLayer`;
+    without ``activations``, one empty slot per spatial mode."""
 
     def __init__(self, cp: CpConvLayer, activations=None, skip=None):
-        super().__init__(cp.kruskal, cp.spec, activations, skip)
+        slots = (None,) * cp.spec.n_spatial if activations is None else activations
+        super().__init__(cp.kruskal, cp.spec, slots, skip)
 
     @property
     def cp(self) -> CpConvLayer:
@@ -631,7 +636,7 @@ class HoCpConvLayer(CpConvLayer):
         return HoCpConvLayer(self.cp.with_spec(spec), self.activations, self.skip)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobileNetV1Block(_Layer):
     """Depthwise conv with one N-D spatial kernel per channel, then a
     pointwise conv. Channel count equals the depthwise multiplicity (R == C).
@@ -659,7 +664,7 @@ class MobileNetV1Block(_Layer):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobileNetV2Block(_Layer):
     """Inverted bottleneck: 1x1 down to the rank, depthwise conv with the
     merged spatial factor, 1x1 up to the output channels.

@@ -6,11 +6,11 @@ the forward-output deviation on seeded random probes, and packages everything
 as a :class:`FactorizedPlan` with per-stage cost annotations.
 
 Execution and a plan's cost are folds over ``layer.stages``. Plans serialize
-to a directory of tensor containers (one per named factor, ``layer.factors``)
-plus a JSON manifest; ``load_plan`` restores an executable plan from the
-manifest alone. An HO-CP manifest also lists one entry per spatial mode for
-its activations: null, or ``{"kind": k, **fields}``, the activation's kind
-and every field of its dataclass, all required when read back.
+to a directory of tensor containers (one per named factor, ``layer.factors``,
+and a CP layer's skip) plus a JSON manifest; ``load_plan`` restores an
+executable plan from the manifest alone. A CP layer's activations, whatever
+its scheme label, are one manifest entry per spatial mode: null, or
+``{"kind": k, **fields}``, every field of the activation's dataclass.
 """
 
 from __future__ import annotations
@@ -297,8 +297,8 @@ def compress(
     else:
         runs, winning_restart = _best_cp(kernel, ranks[0], max_iters, tol, seed, restarts)
         res = runs[winning_restart]
-        if scheme in ("cp", "hocp"):
-            layer = CpConvLayer(res.kruskal, spec)
+        if scheme in ("cp", "hocp"):  # HO-CP: one empty activation slot per mode
+            layer = CpConvLayer(res.kruskal, spec, (None,) * spec.n_spatial if scheme == "hocp" else None)
         else:
             layer = build_mobilenet_v2(res.kruskal, spec.strides, spec.paddings)
 
@@ -393,7 +393,10 @@ def _decode_activation(obj) -> Optional[Activation]:
 
 
 def save_plan(plan: FactorizedPlan, out_dir) -> Path:
-    """Write factor containers plus ``plan.json`` into ``out_dir``; returns the manifest path."""
+    """Write factor containers plus ``plan.json`` into ``out_dir``; returns the manifest path.
+    A scheme that does not name the layer's class raises ``ValueError`` first."""
+    if not isinstance(plan.layer, _LAYER_TYPES.get(plan.scheme, ())):
+        raise ValueError(f"scheme {plan.scheme!r} does not name a {type(plan.layer).__name__}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     factor_entries = []
@@ -425,14 +428,11 @@ def save_plan(plan: FactorizedPlan, out_dir) -> Path:
             ],
         },
     }
-    if plan.scheme == "hocp":  # the only scheme with activations and a skip
-        layer = plan.layer
-        manifest["activations"] = [
-            _encode_activation(a) for a in (layer.activations or [None] * spec.n_spatial)
-        ]
-        if layer.skip is not None:
-            write_tensor(out / "skip.tensor", layer.skip)
-            manifest["skip"] = "skip.tensor"
+    if getattr(plan.layer, "activations", None) is not None:
+        manifest["activations"] = [_encode_activation(a) for a in plan.layer.activations]
+    if getattr(plan.layer, "skip", None) is not None:
+        write_tensor(out / "skip.tensor", plan.layer.skip)
+        manifest["skip"] = "skip.tensor"
 
     path = out / MANIFEST_NAME
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
@@ -442,10 +442,13 @@ def save_plan(plan: FactorizedPlan, out_dir) -> Path:
 def load_plan(manifest_path) -> FactorizedPlan:
     """Restore an executable plan from a manifest written by :func:`save_plan`.
 
-    The manifest and the files it names are untrusted input: whatever keeps
-    them from making a plan (a missing key, a value of the wrong type or
-    range, a version other than the integer 1, a file name with a directory
-    part, a factor that does not fit the spec, an unreadable file) raises
+    Every key it writes is required but ``ranks`` and ``cost``, which are
+    derived again from the factors, and ``activations`` and ``skip``, read
+    exactly when present, which only a CP layer takes. The manifest and
+    the files it names are untrusted input: whatever keeps them from making
+    a plan (a missing key, a value of the wrong type or range, a version
+    other than the integer 1, a file name with a directory part, a factor
+    or skip that does not fit the spec, an unreadable file) raises
     :class:`ContainerError` naming the manifest.
     """
     path = Path(manifest_path)
@@ -495,19 +498,14 @@ def _plan_from_manifest(manifest: dict, path: Path) -> FactorizedPlan:
             raise ContainerError(f"{path}: manifest is missing factor role {role!r}")
         return factors[role]
 
-    extras = {}
-    if scheme == "hocp":
-        acts = manifest.get("activations")
-        extras["activations"] = (
-            tuple(_decode_activation(a) for a in acts) if acts is not None else None
-        )
-        skip = manifest.get("skip")
-        extras["skip"] = read(skip) if skip else None
+    extras = {}  # a CP layer's; every other class's ``from_factors`` refuses them
+    if "activations" in manifest:
+        extras["activations"] = tuple(map(_decode_activation, manifest["activations"]))
+    if "skip" in manifest:
+        extras["skip"] = read(manifest["skip"])
     layer = _LAYER_TYPES[scheme].from_factors(need, spec, **extras)
 
-    extents = tuple(map(_integer, manifest.get("reference_input_extents", ())))
+    extents = tuple(map(_integer, manifest["reference_input_extents"]))
     if any(d < 1 for d in extents):
         raise ValueError(f"reference_input_extents must all be >= 1, got {extents}")
-    if not extents:
-        extents = _probe_extents(spec, 16)
     return _plan_for(scheme, layer, extents)

@@ -2,10 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from tensorconv import layers
 from tensorconv import (
     ConvSpec, CpConvLayer, FrozenBatchNorm, HoCpConvLayer, PReLU, costs, kruskal_to_dense, load_plan,
     read_tensor, write_tensor,
@@ -431,9 +433,11 @@ class TestVerify:
 
 class TestPlanManifest:
     """``conv --plan`` and ``verify`` exit 2 on a manifest that names a file
-    outside the plan's directory or says a version other than 1."""
+    outside the plan's directory, says a version other than 1 or holds no
+    reference extents."""
 
-    @pytest.mark.parametrize("edit", ["absolute-factor-path", "version-2"])
+    @pytest.mark.parametrize("edit", ["absolute-factor-path", "version-2", "no-reference-extents",
+                                      "empty-reference-extents"])
     def test_exits_2(self, synthetic_kernel, tmp_path, capsys, edit):
         kernel, _ = synthetic_kernel
         assert run_cli("decompose", "--input", kernel, "--scheme", "cp", "--rank", "2",
@@ -442,6 +446,10 @@ class TestPlanManifest:
         doc = json.loads(manifest.read_text())
         if edit == "version-2":
             doc["version"] = 2
+        elif edit == "no-reference-extents":
+            del doc["reference_input_extents"]
+        elif edit == "empty-reference-extents":
+            doc["reference_input_extents"] = []
         else:  # the same file, named by its absolute path
             doc["factors"][0]["file"] = str(tmp_path / "plan" / doc["factors"][0]["file"])
         manifest.write_text(json.dumps(doc))
@@ -452,6 +460,22 @@ class TestPlanManifest:
         assert not (tmp_path / "y.tensor").exists()
         assert run_cli("verify", "--plan", manifest, "--kernel", kernel, "--tolerance", "1") == 2
         assert str(manifest) in capsys.readouterr().err
+
+    def test_skip_plan_at_stride_2_exits_2_before_any_forward(self, tmp_path, capsys, monkeypatch):
+        """It used to run, and raised inside the forward after one window."""
+        rng = np.random.default_rng(61)
+        spec = ConvSpec(3, 4, (3, 3), 1, 1)
+        layer = CpConvLayer(random_kruskal(rng, (4, 3, 3, 3), 2), spec, None, rng.standard_normal((4, 3)))
+        manifest = save_plan(FactorizedPlan("cp", layer, costs.report(layer.stages, (6, 6)), (6, 6)),
+                             tmp_path / "plan")
+        x = tmp_path / "x.tensor"
+        write_tensor(x, rng.standard_normal((3, 6, 6)))
+        monkeypatch.setattr(layers, "_fill", mock.Mock(side_effect=AssertionError("a forward ran")))
+        assert run_cli("conv", "--input", x, "--plan", manifest, "--stride", "2", "--out", tmp_path / "y.tensor") == 2
+        assert "preserved spatial extents" in capsys.readouterr().err
+        assert not (tmp_path / "y.tensor").exists()
+        assert not layers._fill.called
+
 
 class TestActivationParameters:
     """Batch-norm and PReLU parameters of a hocp plan fail closed at load (exit 2)."""

@@ -156,9 +156,9 @@ fuzz_settings = settings(
 def _hocp_plan():
     """A hocp plan with every activation kind and a skip: the most manifest keys."""
     rng = np.random.default_rng(60)
-    spec = ConvSpec(2, 2, (2, 2), paddings=1)
+    spec = ConvSpec(2, 2, (3, 3), paddings=1)  # a skip needs extents kept
     layer = HoCpConvLayer(
-        CpConvLayer(random_kruskal(rng, (2, 2, 2, 2), 3), spec),
+        CpConvLayer(random_kruskal(rng, (2, 2, 3, 3), 3), spec),
         activations=(PReLU(0.25), FrozenBatchNorm(mean=(0.1, 0.0, -0.1), var=2.0)),
         skip=rng.standard_normal((2, 2)),
     )

@@ -135,8 +135,8 @@ class TestFlops:
         k = random_kruskal(rng, (2, 3, 3, 3), 4)
         layer = {
             "cp": lambda: CpConvLayer(k, spec),
-            "hocp": lambda: HoCpConvLayer(
-                CpConvLayer(k, spec), (ReLU(), None), rng.standard_normal((2, 3))
+            "hocp": lambda: HoCpConvLayer(  # built on the geometry its skip keeps
+                CpConvLayer(k, ConvSpec(3, 2, (3, 3), 1, 1)), (ReLU(), None), rng.standard_normal((2, 3))
             ),
             "tucker": lambda: TuckerConvLayer(
                 rng.standard_normal((2, 3)), rng.standard_normal((3, 2, 3, 3)),

@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 import tracemalloc
@@ -41,7 +42,7 @@ from tensorconv.costs import flops_hocp, report
 from tensorconv.dense import khatri_rao
 from tensorconv.pipeline import FactorizedPlan, save_plan
 
-from helpers import random_kruskal, random_mobilenet_v1, rel_error
+from helpers import random_kruskal, random_mobilenet_v1, random_tucker, rel_error
 
 
 def make_cp_layer(rng, t, c, kernels, rank, stride=1, padding=0):
@@ -268,9 +269,8 @@ class TestHoCpConvForward:
     def test_skip_requires_preserved_extents(self):
         rng = np.random.default_rng(16)
         cp_layer = make_cp_layer(rng, 3, 3, (3, 3), 2)  # valid conv shrinks extents
-        ho = HoCpConvLayer(cp_layer, skip=np.eye(3))
         with pytest.raises(DimensionError, match="preserved spatial extents"):
-            forward(ho, rng.standard_normal((3, 6, 6)))
+            HoCpConvLayer(cp_layer, skip=np.eye(3))
 
     def test_skip_shape_validated(self):
         rng = np.random.default_rng(17)
@@ -367,11 +367,60 @@ class TestHoCpIsCpLayer:
         rng = np.random.default_rng(29)
         cp = make_cp_layer(rng, 3, 3, (3, 3), 4, padding=1)
         ho = HoCpConvLayer(cp, (ReLU(), PReLU(0.1)), rng.standard_normal((3, 3)))
+        kept = ho.with_spec(replace(cp.spec))
+        assert type(kept) is HoCpConvLayer and kept.skip is ho.skip
         spec = replace(cp.spec, paddings=(1, 2))
-        moved = ho.with_spec(spec)
+        with pytest.raises(DimensionError, match="preserved spatial extents"):
+            ho.with_spec(spec)  # a skip keeps only a geometry that keeps the extents
+        moved = HoCpConvLayer(cp, ho.activations).with_spec(spec)
         assert type(moved) is HoCpConvLayer and moved.spec == spec
-        assert moved.activations == ho.activations and moved.skip is ho.skip
+        assert moved.activations == ho.activations and moved.skip is None
         assert moved.kruskal is cp.kruskal and type(moved.cp) is CpConvLayer
+
+
+class TestSkipGeometry:
+    """A skip is refused when the layer is built unless every mode has stride
+    1 and 2 * padding = K - 1, the geometries that keep every extent."""
+
+    @pytest.mark.parametrize("kernels,stride,padding", [
+        ((3, 3), 2, 1), ((3, 3), 1, 0), ((3, 3), 1, 2), ((3, 3), (1, 2), 1), ((2, 3), 1, 1), ((3, 1), 1, 1),
+    ], ids=["stride-2", "padding-0", "padding-2", "one-mode-stride-2", "even-kernel", "unit-kernel-padding-1"])
+    def test_refused_when_built(self, kernels, stride, padding):
+        """Each used to build, and raised only inside the forward."""
+        rng = np.random.default_rng(30)
+        cp = make_cp_layer(rng, 4, 3, kernels, 2, stride, padding)
+        skip = rng.standard_normal((4, 3))
+        with pytest.raises(DimensionError, match="preserved spatial extents"):
+            CpConvLayer(cp.kruskal, cp.spec, (ReLU(), None), skip)
+        with pytest.raises(DimensionError, match="preserved spatial extents"):
+            HoCpConvLayer(cp, skip=skip)
+
+    @pytest.mark.parametrize("kernels,padding", [((3, 3), 1), ((1, 5), (0, 2)), ((3, 1, 5), (1, 0, 2))])
+    def test_built_where_the_extents_are_kept(self, kernels, padding):
+        rng = np.random.default_rng(31)
+        cp = make_cp_layer(rng, 4, 3, kernels, 2, 1, padding)
+        skip = rng.standard_normal((4, 3))
+        x = rng.standard_normal((3,) + tuple(range(6, 6 + len(kernels))))
+        out = forward(CpConvLayer(cp.kruskal, cp.spec, None, skip), x)
+        assert rel_error(out, forward(cp, x) + n_mode_product(x, skip, 0)) < 1e-14
+
+
+class TestLayersCompareByIdentity:
+    """Layers and the Kruskal and Tucker tensors are hashable, and ``==`` is
+    identity: it used to raise on equal but distinct factor arrays."""
+
+    def test_sets_and_copied_factors(self):
+        rng = np.random.default_rng(32)
+        built = list(five_schemes(rng, 4, 6, (3, 3), 5).values())
+        built += [random_kruskal(rng, (4, 3, 2), 2), random_tucker(rng, (4, 3, 2), (2, 2, 2))]
+        copies = [copy.deepcopy(obj) for obj in built]
+        assert len({*built, *built}) == len(built)
+        assert len({*built, *copies}) == 2 * len(built)
+        for obj, twin in zip(built, copies):
+            assert obj == obj and obj != twin and not (obj == twin)
+        k = built[0].kruskal
+        twin = CpConvLayer(KruskalTensor(tuple(f.copy() for f in k.factors)), built[0].spec)
+        assert built[0] != twin and twin.dense_kernel().tobytes() == built[0].dense_kernel().tobytes()
 
 
 class TestMobileNetV1:
@@ -504,10 +553,11 @@ def five_schemes(rng, c, t, kernels, rank):
     n = len(kernels)
     bn = FrozenBatchNorm(mean=tuple(rng.uniform(-0.1, 0.1, rank)), var=(1.5,), scale=(0.5,))
     r_in, r_out = max(1, c // 2), max(1, t // 2)
+    skip = rng.standard_normal((t, c))
     return {
         "cp": CpConvLayer(k, spec),
-        "hocp": HoCpConvLayer(
-            CpConvLayer(k, spec), (PReLU(0.1), bn) + (None,) * (n - 2), rng.standard_normal((t, c))
+        "hocp": HoCpConvLayer(  # a skip only where stride 1, padding 1 keeps the extents
+            CpConvLayer(k, spec), (PReLU(0.1), bn) + (None,) * (n - 2), skip if set(kernels) == {3} else None
         ),
         "tucker": TuckerConvLayer(
             rng.standard_normal((r_in, c)), rng.standard_normal((r_out, r_in) + kernels),

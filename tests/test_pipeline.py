@@ -485,7 +485,7 @@ class TestHoCpPlans:
         w = np.random.default_rng(305).standard_normal((3, 4, 3, 3))
         res = compress(w, "hocp", 2, seed=2, max_iters=20)
         assert type(res.plan.layer) is CpConvLayer
-        assert res.plan.layer.activations is None and res.plan.layer.skip is None
+        assert res.plan.layer.activations == (None,) * 2 and res.plan.layer.skip is None
         assert type(load_plan(save_plan(res.plan, tmp_path / "compressed")).layer) is CpConvLayer
         for name in ("hocp", "hocp-extras"):
             loaded = load_plan(save_plan(_fixed_plans()[name], tmp_path / name)).layer
@@ -498,6 +498,94 @@ class TestHoCpPlans:
         layer = CpConvLayer(ho.kruskal, ho.spec, ho.activations, ho.skip)
         save_plan(FactorizedPlan("hocp", layer, plan.cost, plan.reference_input_extents), tmp_path)
         assert _digests(tmp_path) == TestPlanBytes.DIGESTS["hocp-extras"]
+
+
+class TestPlanCarriesItsLayer:
+    """A plan file holds what its layer holds: ``save_plan`` writes a CP
+    layer's activations and skip whatever its scheme label, and ``load_plan``
+    reads exactly the keys the manifest holds."""
+
+    EXTRAS = {"none": (False, False), "activations": (True, False), "skip": (False, True), "both": (True, True)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("extras", list(EXTRAS))
+    @pytest.mark.parametrize("label", ["cp", "hocp"])
+    def test_round_trip_is_bitwise(self, tmp_path, label, extras, n):
+        """The ``cp``-labelled cases with extras used to reload without them."""
+        rng = np.random.default_rng(306 + n)
+        rank, with_acts, with_skip = 4, *self.EXTRAS[extras]
+        spec, extents = ConvSpec(3, 5, (3,) * n, 1, 1), (7, 6, 5)[:n]
+        bn = FrozenBatchNorm(mean=tuple(rng.uniform(-0.1, 0.1, rank)), var=tuple(rng.uniform(0.5, 2.0, rank)))
+        acts = (ReLU(), PReLU(0.1), bn)[:n] if with_acts else None
+        skip = rng.standard_normal((5, 3)) if with_skip else None
+        layer = CpConvLayer(random_kruskal(rng, (5, 3) + (3,) * n, rank), spec, acts, skip)
+        save_plan(FactorizedPlan(label, layer, costs.report(layer.stages, extents), extents), tmp_path / "a")
+        loaded = load_plan(tmp_path / "a" / "plan.json")
+        assert loaded.scheme == label and loaded.layer.activations == acts
+        assert (loaded.layer.skip is None) == (skip is None)
+        x = rng.standard_normal((3,) + extents)
+        assert forward(loaded.layer, x).tobytes() == forward(layer, x).tobytes()
+        save_plan(loaded, tmp_path / "b")
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert ("skip.tensor" in files) == with_skip
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("key", ["activations", "skip"])
+    @pytest.mark.parametrize("scheme", ["tucker", "mobilenet-v1", "mobilenet-v2"])
+    def test_other_schemes_refuse_cp_extras(self, tmp_path, scheme, key):
+        path = save_plan(_fixed_plans()[scheme], tmp_path / "plan")
+        manifest = json.loads(path.read_text())
+        if key == "skip":  # a valid (T x C) matrix beside the factors
+            write_tensor(path.parent / "skip.tensor", np.zeros((4, 3)))
+            manifest["skip"] = "skip.tensor"
+        else:
+            manifest["activations"] = [None, None, None]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ContainerError, match=re.escape(str(path))):
+            load_plan(path)
+        x = tmp_path / "x.tensor"
+        write_tensor(x, np.zeros((3, 5, 4, 6)))
+        argv = ["conv", "--input", x, "--plan", path, "--out", tmp_path / "y.tensor"]
+        assert cli_main([str(a) for a in argv]) == 2
+
+    @pytest.mark.parametrize("extents", ["missing", []])
+    def test_reference_extents_are_required(self, tmp_path, extents):
+        """Both used to load with 16-wide extents the manifest never held."""
+        path = save_plan(_fixed_plans()["cp"], tmp_path / "plan")
+        manifest = json.loads(path.read_text())
+        if extents == "missing":
+            del manifest["reference_input_extents"]
+        else:
+            manifest["reference_input_extents"] = extents
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ContainerError, match=re.escape(str(path))):
+            load_plan(path)
+
+    @pytest.mark.parametrize("scheme,name", [
+        ("tucker", "cp"), ("cp", "tucker"), ("hocp", "mobilenet-v1"), ("mobilenet-v1", "mobilenet-v2"),
+        ("mobilenet-v2", "hocp-extras"), ("bogus", "cp"),
+    ])
+    def test_scheme_must_name_the_layer_class(self, tmp_path, scheme, name):
+        """``tucker`` over a CP layer used to write a plan that load_plan refused."""
+        plan = _fixed_plans()[name]
+        with pytest.raises(ValueError, match="does not name a"):
+            save_plan(FactorizedPlan(scheme, plan.layer, plan.cost, plan.reference_input_extents), tmp_path / "p")
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("stride,padding", [(2, 1), (1, 0), (1, 2), ((1, 2), 1)],
+                             ids=["stride-2", "padding-0", "padding-2", "one-mode-stride-2"])
+    def test_skip_plan_on_a_geometry_that_moves_extents_fails_to_load(self, tmp_path, stride, padding):
+        """Such a plan used to load, and raised only inside the forward."""
+        path = save_plan(_fixed_plans()["hocp-extras"], tmp_path / "plan")
+        manifest = json.loads(path.read_text())
+        modes = len(manifest["kernel_sizes"])
+        manifest["strides"] = list(stride) + [1] if isinstance(stride, tuple) else [stride] * modes
+        manifest["paddings"] = [padding, 0, padding]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ContainerError, match="preserved spatial extents"):
+            load_plan(path)
 
 
 def _fixed_plans() -> dict:
