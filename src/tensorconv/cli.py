@@ -138,8 +138,6 @@ def _cmd_conv(args) -> int:
         # The plan's analytic cost on this input's extents, stage by stage.
         cost_lines = costs.report(plan.layer.stages, x.shape[1:]).lines()
     else:
-        if not args.kernel:
-            raise _UsageError("conv requires --kernel (direct) or --plan (factorized)")
         w = read_finite_tensor(args.kernel)
         spec = ConvSpec.from_kernel(
             w, 1 if stride is None else stride, 0 if padding is None else padding
@@ -323,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conv", help="run a direct or factorized convolution on containers")
     p.add_argument("--input", required=True, help="activation tensor container (C x D...)")
-    p.add_argument("--kernel", default=None, help="kernel container (direct execution)")
-    p.add_argument("--plan", default=None, help="plan manifest (factorized execution)")
+    source = p.add_mutually_exclusive_group(required=True)  # a usage error (exit 3) for both or neither
+    source.add_argument("--kernel", default=None, help="kernel container (direct execution)")
+    source.add_argument("--plan", default=None, help="plan manifest (factorized execution)")
     p.add_argument("--stride", default=None)
     p.add_argument("--padding", default=None)
     p.add_argument("--out", required=True, help="output container path")

@@ -16,8 +16,8 @@ along mode 0, the per-channel ones in cache-sized channel blocks.
 
 Each layer class holds what is particular to its scheme: its stage builder
 (``stages_for``, which the cost model also calls on shape-only factors) and
-its factors' roles in a plan manifest (``factors``, inverted by
-``from_factors``). :class:`_Layer` coerces the factors its roles name to
+its factors' roles in a plan manifest (``_roles``, which ``factors`` and
+``from_factors`` follow). :class:`_Layer` coerces the factors its roles name to
 float64 arrays, and its kernel ``dense_kernel()``, its shape checks and its
 ``rank`` (the width of the last contraction) are read off the stages, so
 every forward is checkable against
@@ -422,19 +422,20 @@ class _Layer:
     def stages(self) -> tuple:
         return self.stages_for(*(f for _, f in self.factors), self.spec)
 
+    @classmethod
+    def _roles(cls, spec: ConvSpec) -> tuple[str, ...]:
+        """The roles of the factors of a layer on ``spec``, in ``factors`` order."""
+        return cls._ROLES
+
     @property
     def factors(self) -> tuple[tuple[str, np.ndarray], ...]:
         """(role, factor) pairs in plan-manifest order."""
-        return tuple((role, getattr(self, role)) for role in self._ROLES)
+        return tuple((role, getattr(self, role)) for role in self._roles(self.spec))
 
     @classmethod
     def from_factors(cls, get, spec: ConvSpec):
         """The layer whose factor of each role in ``factors`` is ``get(role)``."""
-        return cls(*map(get, cls._ROLES), spec)
-
-    def with_spec(self, spec: ConvSpec):
-        """The same factors under another geometry (stride, padding)."""
-        return replace(self, spec=spec)
+        return cls(*map(get, cls._roles(spec)), spec)
 
     def __post_init__(self):
         for role in self._ROLES:
@@ -571,17 +572,17 @@ class CpConvLayer(_Layer):
         return self.stages_for(self.kruskal.factors, self.spec, self.activations, self.skip)
 
     @staticmethod
-    def _roles(n: int) -> tuple[str, ...]:
-        return ("output_channels", "input_channels") + tuple(f"spatial_mode_{i}" for i in range(n))
+    def _roles(spec: ConvSpec) -> tuple[str, ...]:
+        return ("output_channels", "input_channels") + tuple(f"spatial_mode_{i}" for i in range(spec.n_spatial))
 
     @property
     def factors(self) -> tuple[tuple[str, np.ndarray], ...]:
         """The Kruskal factors; a manifest stores ``activations`` and ``skip`` apart."""
-        return tuple(zip(self._roles(self.spec.n_spatial), self.kruskal.factors))
+        return tuple(zip(self._roles(self.spec), self.kruskal.factors))
 
     @staticmethod
     def from_factors(get, spec: ConvSpec, activations=None, skip=None) -> "CpConvLayer":
-        factors = tuple(map(get, CpConvLayer._roles(spec.n_spatial)))
+        factors = tuple(map(get, CpConvLayer._roles(spec)))
         return CpConvLayer(KruskalTensor(factors), spec, activations, skip)
 
 
@@ -621,19 +622,12 @@ class TuckerConvLayer(_Layer):
 
 
 class HoCpConvLayer(CpConvLayer):
-    """``cp`` with ``activations`` and ``skip``, as one :class:`CpConvLayer`;
-    without ``activations``, one empty slot per spatial mode."""
+    """A constructor only: ``cp`` with ``activations`` and ``skip``, as one
+    :class:`CpConvLayer`; without ``activations``, one empty slot per mode."""
 
     def __init__(self, cp: CpConvLayer, activations=None, skip=None):
         slots = (None,) * cp.spec.n_spatial if activations is None else activations
         super().__init__(cp.kruskal, cp.spec, slots, skip)
-
-    @property
-    def cp(self) -> CpConvLayer:
-        return CpConvLayer(self.kruskal, self.spec)
-
-    def with_spec(self, spec: ConvSpec) -> "HoCpConvLayer":
-        return HoCpConvLayer(self.cp.with_spec(spec), self.activations, self.skip)
 
 
 @dataclass(frozen=True, eq=False)

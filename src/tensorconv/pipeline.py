@@ -16,7 +16,7 @@ its scheme label, are one manifest entry per spatial mode: null, or
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -90,10 +90,6 @@ class FactorizedPlan:
     @property
     def spec(self) -> ConvSpec:
         return self.layer.spec
-
-    @property
-    def stages(self) -> tuple[costs.StageCost, ...]:
-        return self.cost.stages
 
 
 @dataclass(frozen=True)
@@ -358,12 +354,12 @@ def verify_equivalence(
 
 
 def with_conv_params(plan: FactorizedPlan, stride, padding) -> FactorizedPlan:
-    """Same factors, new stride/padding; cost annotations are recomputed."""
-    spec = plan.spec
-    new_spec = ConvSpec(
-        spec.in_channels, spec.out_channels, spec.kernel_sizes, stride, padding
-    )
-    return _plan_for(plan.scheme, plan.layer.with_spec(new_spec), plan.reference_input_extents)
+    """The layer's factors and a CP layer's activations and skip, rebuilt on a new stride and
+    padding by its class's ``from_factors`` as :func:`load_plan` builds it; cost is recomputed."""
+    layer, spec = plan.layer, replace(plan.spec, strides=stride, paddings=padding)
+    extras = {k: getattr(layer, k) for k in ("activations", "skip") if getattr(layer, k, None) is not None}
+    rebuilt = type(layer).from_factors(dict(layer.factors).__getitem__, spec, **extras)
+    return _plan_for(plan.scheme, rebuilt, plan.reference_input_extents)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +411,7 @@ def save_plan(plan: FactorizedPlan, out_dir) -> Path:
         "kernel_sizes": list(spec.kernel_sizes),
         "strides": list(spec.strides),
         "paddings": list(spec.paddings),
-        "ranks": list(getattr(plan.layer, "ranks", None) or [plan.layer.rank]),
+        "ranks": _ranks(plan.layer),
         "factors": factor_entries,
         "reference_input_extents": list(plan.reference_input_extents),
         "cost": {
@@ -439,16 +435,25 @@ def save_plan(plan: FactorizedPlan, out_dir) -> Path:
     return path
 
 
+def _ranks(layer: _Layer) -> list[int]:
+    return list(getattr(layer, "ranks", None) or [layer.rank])  # Tucker's are (R_out, R_in)
+
+
 def load_plan(manifest_path) -> FactorizedPlan:
     """Restore an executable plan from a manifest written by :func:`save_plan`.
 
-    Every key it writes is required but ``ranks`` and ``cost``, which are
-    derived again from the factors, and ``activations`` and ``skip``, read
-    exactly when present, which only a CP layer takes. The manifest and
-    the files it names are untrusted input: whatever keeps them from making
-    a plan (a missing key, a value of the wrong type or range, a version
-    other than the integer 1, a file name with a directory part, a factor
-    or skip that does not fit the spec, an unreadable file) raises
+    Every key it writes is required but ``activations`` and ``skip``, read
+    exactly when present, which only a CP layer takes; other keys are
+    ignored. Before any file is opened, each part must be named as
+    ``save_plan`` names it: ``factors`` lists each role the layer class
+    takes once, in ``layer.factors`` order, as ``{role}.tensor``, and a
+    skip is ``skip.tensor``. ``ranks`` must be the loaded layer's; ``cost``
+    is derived again and not compared, as filling an hocp plan's empty
+    activation slots by hand adds lines to it. The manifest and the files
+    it names are untrusted input: whatever keeps them from making a plan
+    (a missing key, a value of the wrong type or range, a version other
+    than the integer 1, a part under another name, a factor or skip that
+    does not fit the spec, an unreadable file) raises
     :class:`ContainerError` naming the manifest.
     """
     path = Path(manifest_path)
@@ -475,12 +480,6 @@ def _plan_from_manifest(manifest: dict, path: Path) -> FactorizedPlan:
     if scheme not in SCHEMES:
         raise ContainerError(f"{path}: unknown scheme {scheme!r}")
 
-    def read(name) -> np.ndarray:
-        # A plain file name, so a manifest names no file outside its directory.
-        if name in ("", ".", "..") or Path(name).name != name:
-            raise ContainerError(f"{path}: {name!r} is not a file name in the plan's directory")
-        return read_finite_tensor(path.parent / name)
-
     spec = ConvSpec(
         manifest["in_channels"],
         manifest["out_channels"],
@@ -488,22 +487,27 @@ def _plan_from_manifest(manifest: dict, path: Path) -> FactorizedPlan:
         tuple(manifest["strides"]),
         tuple(manifest["paddings"]),
     )
-    factors = {
-        entry["role"]: read(entry["file"])
-        for entry in manifest["factors"]
-    }
+    cls = _LAYER_TYPES[scheme]
+    # Each part under the name save_plan gives it, so no other file is opened.
+    named = [(entry["role"], entry["file"]) for entry in manifest["factors"]]
+    expected = [(role, f"{role}.tensor") for role in cls._roles(spec)]
+    if "skip" in manifest:
+        named.append(("skip", manifest["skip"]))
+        expected.append(("skip", "skip.tensor"))
+    if named != expected:
+        raise ContainerError(f"{path}: the manifest names its parts {named}, not {expected} as save_plan does")
 
-    def need(role: str) -> np.ndarray:
-        if role not in factors:
-            raise ContainerError(f"{path}: manifest is missing factor role {role!r}")
-        return factors[role]
+    def read(part: str) -> np.ndarray:
+        return read_finite_tensor(path.parent / f"{part}.tensor")
 
     extras = {}  # a CP layer's; every other class's ``from_factors`` refuses them
     if "activations" in manifest:
         extras["activations"] = tuple(map(_decode_activation, manifest["activations"]))
     if "skip" in manifest:
-        extras["skip"] = read(manifest["skip"])
-    layer = _LAYER_TYPES[scheme].from_factors(need, spec, **extras)
+        extras["skip"] = read("skip")
+    layer = cls.from_factors(read, spec, **extras)
+    if list(map(_integer, manifest["ranks"])) != _ranks(layer):
+        raise ContainerError(f"{path}: ranks {manifest['ranks']!r} are not the factors' {_ranks(layer)}")
 
     extents = tuple(map(_integer, manifest["reference_input_extents"]))
     if any(d < 1 for d in extents):

@@ -266,6 +266,19 @@ class TestConv:
         write_tensor(xp, np.zeros((2, 4)))
         assert run_cli("conv", "--input", xp, "--out", tmp_path / "y.tensor") == 3
 
+    def test_plan_and_kernel_together_exit_3(self, synthetic_kernel, tmp_path, capsys):
+        """It used to exit 0: the plan ran at --padding 1, and --kernel was ignored."""
+        kernel, _ = synthetic_kernel
+        assert run_cli("decompose", "--input", kernel, "--scheme", "cp", "--rank", "2",
+                       "--out", tmp_path / "plan", "--max-iters", "5") == 0
+        xp = tmp_path / "x.tensor"
+        write_tensor(xp, np.zeros((4, 9, 8)))
+        capsys.readouterr()
+        assert run_cli("conv", "--input", xp, "--plan", tmp_path / "plan" / "plan.json", "--kernel", kernel,
+                       "--padding", "1", "--out", tmp_path / "y.tensor") == 3
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "y.tensor").exists()
+
     def test_stride_padding_flags(self, synthetic_kernel, tmp_path):
         kernel, w = synthetic_kernel
         rng = np.random.default_rng(55)

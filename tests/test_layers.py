@@ -3,7 +3,6 @@ import functools
 import math
 import tracemalloc
 import types
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -363,20 +362,6 @@ class TestHoCpIsCpLayer:
         assert files[0] == files[1]
         assert ("skip.tensor" in files[0]) == skip
 
-    def test_with_spec_keeps_the_extras(self):
-        rng = np.random.default_rng(29)
-        cp = make_cp_layer(rng, 3, 3, (3, 3), 4, padding=1)
-        ho = HoCpConvLayer(cp, (ReLU(), PReLU(0.1)), rng.standard_normal((3, 3)))
-        kept = ho.with_spec(replace(cp.spec))
-        assert type(kept) is HoCpConvLayer and kept.skip is ho.skip
-        spec = replace(cp.spec, paddings=(1, 2))
-        with pytest.raises(DimensionError, match="preserved spatial extents"):
-            ho.with_spec(spec)  # a skip keeps only a geometry that keeps the extents
-        moved = HoCpConvLayer(cp, ho.activations).with_spec(spec)
-        assert type(moved) is HoCpConvLayer and moved.spec == spec
-        assert moved.activations == ho.activations and moved.skip is None
-        assert moved.kruskal is cp.kruskal and type(moved.cp) is CpConvLayer
-
 
 class TestSkipGeometry:
     """A skip is refused when the layer is built unless every mode has stride
@@ -403,6 +388,22 @@ class TestSkipGeometry:
         x = rng.standard_normal((3,) + tuple(range(6, 6 + len(kernels))))
         out = forward(CpConvLayer(cp.kruskal, cp.spec, None, skip), x)
         assert rel_error(out, forward(cp, x) + n_mode_product(x, skip, 0)) < 1e-14
+
+    def test_hand_built_chain_is_refused_when_run(self):
+        """No layer reaches ``Skip._check``, but a stage chain built by hand
+        does: without it the skip would broadcast the (2, 1, 1) output of a
+        5x5 padding-0 depthwise into a (2, 5, 5) result."""
+        rng = np.random.default_rng(33)
+        chain = types.SimpleNamespace(spec=ConvSpec(3, 2, (5, 5)), stages=(
+            layers.Contract("contract_in", rng.standard_normal((4, 3))),
+            layers.Depthwise("depthwise", rng.standard_normal((5, 5, 4)), (1, 1), (0, 0)),
+            layers.Contract("contract_out", rng.standard_normal((2, 4))),
+            layers.Skip("skip", rng.standard_normal((2, 3))),
+        ))
+        x = rng.standard_normal((3, 5, 5))
+        for run in (forward, forward_naive):
+            with pytest.raises(DimensionError, match=r"preserved spatial extents, got \(5, 5\) in and \(1, 1\) out"):
+                run(chain, x)
 
 
 class TestLayersCompareByIdentity:
@@ -535,8 +536,6 @@ class TestMobileNetV2:
 def per_scheme_kernel(layer):
     """Each scheme's kernel by its own closed form, as each class wrote it
     before the stage fold: the reference the fold is checked against."""
-    if isinstance(layer, HoCpConvLayer):
-        layer = layer.cp
     if isinstance(layer, CpConvLayer):
         return kruskal_to_dense(layer.kruskal)
     if isinstance(layer, TuckerConvLayer):
@@ -596,8 +595,6 @@ def loop_nest_depthwise(stage, z, counter):
 
 def per_class_rank(layer) -> int:
     """A layer's rank as each class stored it before ``rank`` was read off the stages."""
-    if isinstance(layer, HoCpConvLayer):
-        layer = layer.cp
     if isinstance(layer, CpConvLayer):
         return layer.kruskal.rank
     if isinstance(layer, TuckerConvLayer):
@@ -672,7 +669,7 @@ class TestDenseKernelFold:
         ho = five_schemes(rng, 4, 4, (3, 3), 6)["hocp"]
         assert ho.activations[0] is not None and ho.activations[1] is not None
         assert ho.skip is not None
-        assert ho.dense_kernel().tobytes() == ho.cp.dense_kernel().tobytes()
+        assert ho.dense_kernel().tobytes() == CpConvLayer(ho.kruskal, ho.spec).dense_kernel().tobytes()
 
     def test_depthwise_onto_a_moved_mode_rejected(self):
         rng = np.random.default_rng(41)

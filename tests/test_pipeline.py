@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -256,13 +257,13 @@ class TestCompress:
     def test_plan_stage_labels_match_scheme(self):
         rng = np.random.default_rng(110)
         w = rng.standard_normal((2, 3, 2, 2))
-        labels = [s.label for s in compress(w, "cp", 2, seed=0, max_iters=20).plan.stages]
+        labels = [s.label for s in compress(w, "cp", 2, seed=0, max_iters=20).plan.cost.stages]
         assert labels == ["contract_in", "conv_mode_0", "conv_mode_1", "contract_out"]
-        labels = [s.label for s in compress(w, "tucker", (2, 2), seed=0).plan.stages]
+        labels = [s.label for s in compress(w, "tucker", (2, 2), seed=0).plan.cost.stages]
         assert labels == ["contract_in", "core_conv", "contract_out"]
         labels = [
             s.label
-            for s in compress(w, "mobilenet-v2", 3, seed=0, max_iters=20).plan.stages
+            for s in compress(w, "mobilenet-v2", 3, seed=0, max_iters=20).plan.cost.stages
         ]
         assert labels == ["contract_in", "depthwise", "contract_out"]
 
@@ -460,7 +461,7 @@ class TestPlanSerialization:
         else:
             next(e for e in manifest["factors"] if e["file"] == moved)["file"] = named
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ContainerError, match=re.escape(f"{path}: {named!r} is not a file name")):
+        with pytest.raises(ContainerError, match=re.escape(f"{path}: the manifest names its parts") + ".*" + re.escape(repr(named))):
             load_plan(path)
 
     @pytest.mark.parametrize("version", [2, "1", True, None, 1.0, "missing"],
@@ -586,6 +587,97 @@ class TestPlanCarriesItsLayer:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ContainerError, match="preserved spatial extents"):
             load_plan(path)
+
+
+class TestPartsAreNamedAsSaved:
+    """``load_plan`` reads each part only under the name ``save_plan`` gives
+    it, and checks ``ranks`` against the loaded layer. Every case below but
+    ``missing-role`` used to load; the factor-less ones are refused before
+    any file is opened."""
+
+    @staticmethod
+    def edit(path, case):
+        manifest = json.loads(path.read_text())
+        factors = manifest["factors"]
+        if case == "duplicated-role":  # mode 2 used to take mode 0's factor
+            factors.append({"role": "spatial_mode_2", "file": "spatial_mode_0.tensor"})
+        elif case == "unknown-role":
+            factors.append({"role": "bias", "file": "spatial_mode_0.tensor"})
+        elif case == "missing-role":
+            del factors[-1]
+        elif case == "reordered-roles":
+            factors[0], factors[1] = factors[1], factors[0]
+        elif case == "file-of-another-role":
+            factors[4]["file"] = "spatial_mode_0.tensor"
+        elif case == "renamed-factor-file":
+            (path.parent / "input_copy.tensor").write_bytes((path.parent / "input_channels.tensor").read_bytes())
+            factors[1]["file"] = "input_copy.tensor"
+        elif case == "renamed-skip-file":
+            (path.parent / "skip_copy.tensor").write_bytes((path.parent / "skip.tensor").read_bytes())
+            manifest["skip"] = "skip_copy.tensor"
+        elif case == "unknown-key":
+            manifest["comment"] = "written by hand"
+        elif case == "edited-cost":
+            manifest["cost"]["flops"] = 1
+        elif case == "extra-entry-field":
+            factors[0]["note"] = "ignored"
+        elif case == "ranks-99":
+            manifest["ranks"] = [99]
+        elif case == "ranks-reversed":  # Tucker's (R_out, R_in) as (R_in, R_out)
+            manifest["ranks"] = manifest["ranks"][::-1]
+        elif case == "ranks-float":
+            manifest["ranks"] = [float(r) for r in manifest["ranks"]]
+        else:
+            assert case == "no-ranks"
+            del manifest["ranks"]
+        path.write_text(json.dumps(manifest))
+
+    @staticmethod
+    def exit_codes(path):
+        x, kernel = path.parent / "x.tensor", path.parent / "kernel.tensor"
+        write_tensor(x, np.zeros((3, 5, 4, 6)))
+        write_tensor(kernel, np.zeros((4, 3, 3, 1, 3)))
+        return (cli_main(["conv", "--input", str(x), "--plan", str(path), "--out", str(path.parent / "y.tensor")]),
+                cli_main(["verify", "--plan", str(path), "--kernel", str(kernel), "--tolerance", "1"]))
+
+    @pytest.mark.parametrize("name,case", [
+        ("cp", "duplicated-role"), ("cp", "unknown-role"), ("cp", "missing-role"), ("cp", "reordered-roles"),
+        ("cp", "file-of-another-role"), ("cp", "renamed-factor-file"), ("hocp-extras", "renamed-skip-file"),
+    ])
+    def test_parts_named_otherwise_fail_before_any_file_is_opened(self, tmp_path, monkeypatch, name, case):
+        path = save_plan(_fixed_plans()[name], tmp_path / "plan")
+        self.edit(path, case)
+        monkeypatch.setattr(pipeline, "read_finite_tensor", mock.Mock(side_effect=AssertionError("a file was opened")))
+        with pytest.raises(ContainerError, match=re.escape(f"{path}: the manifest names its parts")):
+            load_plan(path)
+        assert self.exit_codes(path) == (2, 2)
+        assert not pipeline.read_finite_tensor.called
+
+    @pytest.mark.parametrize("name,case", [
+        ("cp", "ranks-99"), ("hocp-extras", "ranks-99"), ("mobilenet-v1", "ranks-99"),
+        ("tucker", "ranks-reversed"), ("mobilenet-v2", "ranks-float"), ("cp", "no-ranks"),
+    ])
+    def test_ranks_must_be_the_layers(self, tmp_path, name, case):
+        path = save_plan(_fixed_plans()[name], tmp_path / "plan")
+        self.edit(path, case)
+        with pytest.raises(ContainerError, match=re.escape(str(path))):
+            load_plan(path)
+        assert self.exit_codes(path) == (2, 2)
+
+    @pytest.mark.parametrize("case", ["unknown-key", "edited-cost", "extra-entry-field"])
+    @pytest.mark.parametrize("name", ["cp", "tucker", "hocp-extras"])
+    def test_other_keys_are_ignored_and_only_the_parts_are_opened(self, tmp_path, name, case):
+        plan = _fixed_plans()[name]
+        path = save_plan(plan, tmp_path / "plan")
+        self.edit(path, case)
+        with mock.patch.object(pipeline, "read_finite_tensor", side_effect=pipeline.read_finite_tensor) as read:
+            loaded = load_plan(path)
+        parts = [role for role, _ in plan.layer.factors] + ["skip"] * (name == "hocp-extras")
+        assert sorted(c.args[0].name for c in read.call_args_list) == sorted(f"{p}.tensor" for p in parts)
+        assert all(c.args[0].parent == path.parent for c in read.call_args_list)
+        assert loaded.cost == plan.cost
+        x = np.random.default_rng(309).standard_normal((3, 5, 4, 6))
+        assert forward(loaded.layer, x).tobytes() == forward(plan.layer, x).tobytes()
 
 
 def _fixed_plans() -> dict:
@@ -721,3 +813,22 @@ class TestWithConvParams:
         assert out.shape == (2, 6, 6)
         direct = conv_nd_direct(x, plan_same.layer.dense_kernel(), plan_same.spec)
         assert rel_error(out, direct) < 1e-10
+
+    def test_keeps_the_extras(self):
+        """The layer is rebuilt by its class's ``from_factors``, as ``load_plan``
+        builds it: the same factors, activations and skip, in a CpConvLayer."""
+        rng = np.random.default_rng(29)
+        spec = ConvSpec(3, 3, (3, 3), 1, 1)
+        cp = CpConvLayer(random_kruskal(rng, (3, 3, 3, 3), 4), spec)
+        ho = HoCpConvLayer(cp, (ReLU(), PReLU(0.1)), rng.standard_normal((3, 3)))
+        plan = FactorizedPlan("hocp", ho, costs.report(ho.stages, (5, 5)), (5, 5))
+        kept = with_conv_params(plan, 1, 1).layer
+        assert type(kept) is CpConvLayer and kept.spec == spec
+        assert kept.activations == ho.activations and kept.skip is ho.skip
+        with pytest.raises(DimensionError, match="preserved spatial extents"):
+            with_conv_params(plan, 1, (1, 2))  # a skip keeps only a geometry that keeps the extents
+        acts_only = FactorizedPlan("hocp", HoCpConvLayer(cp, ho.activations), plan.cost, (5, 5))
+        moved = with_conv_params(acts_only, 1, (1, 2)).layer
+        assert type(moved) is CpConvLayer and moved.spec == ConvSpec(3, 3, (3, 3), 1, (1, 2))
+        assert moved.activations == ho.activations and moved.skip is None
+        assert all(a is b for a, b in zip(moved.kruskal.factors, cp.kruskal.factors))
