@@ -95,8 +95,6 @@ def _cmd_decompose(args) -> int:
         kernel,
         args.scheme,
         ranks,
-        probe_count=args.probes,
-        probe_extent=args.probe_extent,
         seed=args.seed,
         tol=args.tol,
         max_iters=args.max_iters,
@@ -199,7 +197,7 @@ def _cmd_cost(args) -> int:
         except (TypeError, ValueError) as exc:
             raise ContainerError(f"cost spec layer {i} is malformed: {exc}") from exc
         if rank is None:
-            rank = args.rank if args.rank is not None else args.rank_multiplier * spec.in_channels
+            rank = args.rank_multiplier * spec.in_channels
         if rank < 1:
             raise RankError(f"cost spec layer {i}: rank must be >= 1, got {rank}")
 
@@ -253,8 +251,6 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 
 def _cmd_sweep(args) -> int:
-    if not args.fig6 and args.pairs is None:
-        raise _UsageError("sweep requires --fig6 (default configuration) or --pairs")
     multipliers = _parse_int_list(args.multipliers, "--multipliers")
     if not multipliers or any(m < 1 for m in multipliers):
         raise _UsageError(f"--multipliers must be positive integers, got {args.multipliers!r}")
@@ -280,8 +276,6 @@ def _cmd_verify(args) -> int:
         plan,
         kernel,
         tolerance=args.tolerance,
-        probe_count=args.probes,
-        probe_extent=args.probe_extent,
         seed=args.seed,
     )
     print(f"max_rel_deviation={_fmt(report.max_rel_deviation)}")
@@ -313,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8, help="sweep tolerance (all but mobilenet-v1)")
     p.add_argument("--max-iters", type=int, default=500, help="sweep cap (all but mobilenet-v1)")
     p.add_argument("--restarts", type=int, default=3, help="ALS restarts (cp, hocp, mobilenet-v2)")
-    p.add_argument("--probes", type=int, default=8)
-    p.add_argument("--probe-extent", type=int, default=16)
     p.add_argument("--stride", default=None)
     p.add_argument("--padding", default=None)
     p.set_defaults(func=_cmd_decompose)
@@ -329,21 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output container path")
     p.set_defaults(func=_cmd_conv)
 
-    p = sub.add_parser("cost", help="analytic parameter/FLOP report for an architecture spec")
+    # No abbreviations: a bare --rank would be read as --rank-multiplier.
+    p = sub.add_parser("cost", help="analytic parameter/FLOP report for an architecture spec",
+                       allow_abbrev=False)
     p.add_argument("--spec", required=True, help="JSON file: layer object or {'layers': [...]}")
-    p.add_argument("--rank", type=int, default=None, help="rank applied to every layer")
     p.add_argument(
         "--rank-multiplier", type=int, default=6,
-        help="rank = multiplier * in_channels when no explicit rank is given",
+        help="rank = multiplier * in_channels for a layer that gives no rank",
     )
     p.add_argument("--input-extents", default=None, help="e.g. 32,32,16 to add FLOP lines")
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("sweep", help="regular vs HO-CP GFLOP sweep, CSV output")
-    p.add_argument("--fig6", action="store_true",
-                   help="default sweep: input 32x32x16, cubic size-3 kernel")
     p.add_argument("--multipliers", default="3,6")
-    p.add_argument("--pairs", default=None, help="C:T pairs, e.g. 16:32,64:64 (overrides default)")
+    p.add_argument("--pairs", default=None, help="C:T pairs, e.g. 16:32,64:64 (default: the Fig. 6 pairs)")
     p.add_argument("--input-extents", default="32,32,16")
     p.add_argument("--kernel", default="3,3,3")
     p.add_argument("--out", required=True, help="CSV output path")
@@ -353,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True, help="plan manifest path")
     p.add_argument("--kernel", required=True, help="kernel tensor container")
     p.add_argument("--tolerance", type=float, default=1e-8)
-    p.add_argument("--probes", type=int, default=8)
-    p.add_argument("--probe-extent", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stride", default=None)
     p.add_argument("--padding", default=None)

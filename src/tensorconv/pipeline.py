@@ -16,6 +16,7 @@ its scheme label, are one manifest entry per spatial mode: null, or
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -67,6 +68,12 @@ SCHEMES = tuple(_LAYER_TYPES)
 
 # Activation class of each kind a manifest names.
 _ACTIVATION_TYPES = {"relu": ReLU, "prelu": PReLU, "batchnorm": FrozenBatchNorm}
+
+# The verification protocol of compress and verify_equivalence: this many
+# seeded probes, each at least this long on every mode (and the kernel's
+# extent where that is longer).
+_PROBE_COUNT = 8
+_PROBE_EXTENT = 16
 
 MANIFEST_NAME = "plan.json"
 _MANIFEST_FORMAT = "tensorconv-plan"
@@ -149,26 +156,24 @@ def _rel(num: float, den: float) -> float:
     return num / den
 
 
-def _probe_extents(spec: ConvSpec, probe_extent: int) -> tuple[int, ...]:
-    return tuple(max(probe_extent, k) for k in spec.kernel_sizes)
+def _probe_extents(spec: ConvSpec) -> tuple[int, ...]:
+    return tuple(max(_PROBE_EXTENT, k) for k in spec.kernel_sizes)
 
 
-def _probes(probe_count, probe_extent) -> tuple[int, int]:
-    """Both probe arguments as ints: ``TypeError`` for a float, a str or a
-    bool, ``ValueError`` below 1."""
-    values = tuple(map(_integer, (probe_count, probe_extent)))
-    for name, value in zip(("probe_count", "probe_extent"), values):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    return values
+def _tolerance(tolerance) -> float:
+    """``tolerance`` as a float: ``TypeError`` for a bool or a non-number,
+    ``ValueError`` for NaN or below 0; ``inf`` stays allowed."""
+    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+        raise TypeError(f"tolerance must be a real number, got {tolerance!r}")
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    return float(tolerance)
 
 
-def _worst_probe(
-    plan: FactorizedPlan, kernel: np.ndarray, extents, probe_count: int, seed: int
-) -> tuple[float, int]:
+def _worst_probe(plan: FactorizedPlan, kernel: np.ndarray, seed: int) -> tuple[float, int]:
     """Worst relative forward deviation of the plan from the direct convolution
-    over seeded probes, and its first probe index. A NaN deviation counts as
-    the worst.
+    over the ``_PROBE_COUNT`` seeded probes, and its first probe index. A NaN
+    deviation counts as the worst.
 
     One probe is held at a time: each is drawn into the same buffer, and its
     direct convolution is written over the previous probe's
@@ -177,11 +182,12 @@ def _worst_probe(
     in again: with glibc's default thresholds that slowed the ``compress``
     benchmark's ``verify`` by 4-8% (2 vCPUs)."""
     spec = plan.spec
-    x = np.empty((spec.in_channels,) + tuple(extents))
+    extents = _probe_extents(spec)
+    x = np.empty((spec.in_channels,) + extents)
     kernel = _check_conv_operands(x, kernel, spec)[1]
     direct = np.empty((spec.out_channels,) + spec.output_extents(extents))
     devs = []
-    for s in np.random.SeedSequence(seed).spawn(probe_count):
+    for s in np.random.SeedSequence(seed).spawn(_PROBE_COUNT):
         np.random.default_rng(s).standard_normal(out=x)
         _direct_into(x, kernel, spec, direct)
         deviation = execute_plan(plan, x)
@@ -244,8 +250,6 @@ def compress(
     kernel: np.ndarray,
     scheme: str,
     ranks,
-    probe_count: int = 8,
-    probe_extent: int = 16,
     seed: int = 0,
     tol: float = 1e-8,
     max_iters: int = 500,
@@ -259,23 +263,19 @@ def compress(
     probe activations are all derived from it. ``kernel_rel_error`` is the
     Frobenius error of the dense kernel the plan implements;
     ``output_rel_error`` is the worst relative forward deviation against the
-    direct convolution over ``probe_count`` seeded standard-normal probes.
+    direct convolution over the probes :func:`verify_equivalence` draws.
     ``tol``, ``max_iters`` and ``restarts`` drive ALS and HOOI; ``mobilenet-v1``
     is closed form (:func:`~tensorconv.decomp.depthwise_separable`) and uses
-    ``seed`` for the probes only. A kernel holding NaN or infinite values,
-    ``restarts``, ``probe_count``, ``probe_extent`` or ``max_iters`` < 1, or
-    a NaN or negative ``tol``, raises ``ValueError`` before any
-    decomposition, for every scheme; a float, str or bool for any of the
-    four counts raises ``TypeError``.
+    ``seed`` for the probes only. ``restarts`` or ``max_iters`` < 1, or a NaN
+    or negative ``tol``, raises ``ValueError`` before any decomposition, for
+    every scheme, and so does a kernel holding NaN or infinite values, which
+    every fit checks first; a float, str or bool for either count raises
+    ``TypeError``.
     """
     kernel = as_tensor(kernel)
-    # min and max propagate NaN and expose +-inf without a full-size mask.
-    if not (np.isfinite(kernel.min()) and np.isfinite(kernel.max())):
-        raise ValueError("kernel holds NaN or infinite values")
     spec = ConvSpec.from_kernel(kernel, stride, padding)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    probe_count, probe_extent = _probes(probe_count, probe_extent)
     if _integer(restarts) < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     max_iters = _sweep_controls(max_iters, tol)
@@ -303,9 +303,9 @@ def compress(
         float(np.linalg.norm((kernel - layer.dense_kernel()).ravel())), norm_kernel
     )
 
-    extents = _probe_extents(spec, probe_extent)
+    extents = _probe_extents(spec)
     plan = _plan_for(scheme, layer, extents)
-    worst, _ = _worst_probe(plan, kernel, extents, probe_count, seed)
+    worst, _ = _worst_probe(plan, kernel, seed)
 
     return CompressionResult(
         plan=plan,
@@ -328,28 +328,28 @@ def verify_equivalence(
     plan: FactorizedPlan,
     kernel: np.ndarray,
     tolerance: float,
-    probe_count: int = 8,
-    probe_extent: int = 16,
     seed: int = 0,
 ) -> EquivalenceReport:
-    """Run the plan and the direct convolution on identical probes.
+    """Run the plan and the direct convolution on identical probes: 8
+    (``_PROBE_COUNT``) seeded standard-normal inputs, ``max(16, K_i)``
+    (``_PROBE_EXTENT``) long on mode i.
 
     Fails when the worst-case relative deviation exceeds ``tolerance`` or is
     NaN; the report carries the deviation, the offending probe index and the
-    probe seed so the failure is reproducible. ``probe_count`` and
-    ``probe_extent`` are integers >= 1 (``TypeError``, ``ValueError``).
+    probe seed so the failure is reproducible. A NaN or negative
+    ``tolerance`` raises ``ValueError``, and a bool or a non-number
+    ``TypeError``, before any probe runs.
     """
     kernel = as_tensor(kernel)
-    probe_count, probe_extent = _probes(probe_count, probe_extent)
-    extents = _probe_extents(plan.spec, probe_extent)
-    worst, worst_idx = _worst_probe(plan, kernel, extents, probe_count, seed)
+    tolerance = _tolerance(tolerance)
+    worst, worst_idx = _worst_probe(plan, kernel, seed)
     return EquivalenceReport(
         passed=bool(worst <= tolerance),
         max_rel_deviation=worst,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         worst_probe_index=worst_idx,
         probe_seed=seed,
-        n_probes=probe_count,
+        n_probes=_PROBE_COUNT,
     )
 
 

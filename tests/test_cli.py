@@ -316,8 +316,8 @@ class TestCost:
 
     def test_single_layer_with_flops(self, tmp_path, capsys):
         spec = tmp_path / "layer.json"
-        spec.write_text(json.dumps({"in_channels": 1, "out_channels": 1, "kernel_sizes": [1]}))
-        assert run_cli("cost", "--spec", spec, "--rank", "1", "--input-extents", "1") == 0
+        spec.write_text(json.dumps({"in_channels": 1, "out_channels": 1, "kernel_sizes": [1], "rank": 1}))
+        assert run_cli("cost", "--spec", spec, "--input-extents", "1") == 0
         values = dict(
             line.split("=", 1)
             for line in capsys.readouterr().out.strip().splitlines()
@@ -368,10 +368,10 @@ class TestCost:
 class TestSweep:
     def test_default_rows_beat_regular(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        assert run_cli("sweep", "--fig6", "--out", out) == 0
+        assert run_cli("sweep", "--out", out) == 0
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) > 0
+        assert [(int(r["in_channels"]), int(r["out_channels"])) for r in rows] == list(costs.DEFAULT_SWEEP_PAIRS)
         for row in rows:
             assert float(row["gflops_hocp_x3"]) < float(row["gflops_regular"])
             assert float(row["gflops_hocp_x6"]) < float(row["gflops_regular"])
@@ -382,9 +382,6 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("in_channels,")
-
-    def test_requires_fig6_or_pairs(self, tmp_path):
-        assert run_cli("sweep", "--out", tmp_path / "s.csv") == 3
 
     def test_bad_pairs_exit_3(self, tmp_path):
         assert run_cli("sweep", "--pairs", "4x8", "--out", tmp_path / "s.csv") == 3
@@ -432,16 +429,17 @@ class TestVerify:
         assert "pass=true" not in captured.out
         assert str(factor_path) in captured.err
 
-    @pytest.mark.parametrize("extent", ["0", "-1"])
-    def test_probe_extent_below_one_exits_3(self, synthetic_kernel, tmp_path, extent):
-        """Such extents used to run, clamped to the kernel size."""
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "-inf"])
+    def test_bad_tolerance_exits_3(self, synthetic_kernel, tmp_path, capsys, tolerance):
+        """NaN and -1 used to exit 1 with pass=false, as a failed verification."""
         kernel, _ = synthetic_kernel
         assert run_cli("decompose", "--input", kernel, "--scheme", "cp", "--rank", "2",
-                       "--out", tmp_path / "plan", "--max-iters", "5", "--probe-extent", extent) == 3
-        assert run_cli("decompose", "--input", kernel, "--scheme", "cp", "--rank", "2",
                        "--out", tmp_path / "plan", "--max-iters", "5") == 0
+        capsys.readouterr()
         assert run_cli("verify", "--plan", tmp_path / "plan" / "plan.json", "--kernel", kernel,
-                       "--tolerance", "1", "--probe-extent", extent) == 3
+                       "--tolerance", tolerance) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tolerance" in captured.err
 
 
 class TestPlanManifest:
@@ -579,6 +577,22 @@ class TestUsageErrors:
         assert "usage: tensorconv decompose" in err
         assert "tensorconv decompose: error: " in err
         assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--input", "k", "--scheme", "cp", "--rank", "2", "--out", "p", "--probes", "8"],
+        ["decompose", "--input", "k", "--scheme", "cp", "--rank", "2", "--out", "p", "--probe-extent", "16"],
+        ["verify", "--plan", "p", "--kernel", "k", "--probes", "8"],
+        ["verify", "--plan", "p", "--kernel", "k", "--probe-extent", "16"],
+        ["cost", "--spec", "s", "--rank", "4"],
+        ["sweep", "--fig6", "--out", "s.csv"],
+    ], ids=["decompose-probes", "decompose-probe-extent", "verify-probes", "verify-probe-extent",
+            "cost-rank", "sweep-fig6"])
+    def test_removed_flags_exit_3(self, argv, capsys):
+        """The probe protocol is fixed, a cost rank comes from the layer or
+        --rank-multiplier, and sweep writes the Fig. 6 rows without --pairs.
+        cost --rank is refused, not read as an abbreviated --rank-multiplier."""
+        assert run_cli(*argv) == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_out_of_process(self, tmp_path):
         proc = subprocess.run(

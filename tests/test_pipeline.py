@@ -190,7 +190,7 @@ class TestCompress:
     def test_non_finite_kernel_raises(self, scheme, ranks, bad):
         w = np.random.default_rng(113).standard_normal((3, 4, 3, 3))
         w[1, 2, 0, 1] = bad
-        with pytest.raises(ValueError, match="kernel holds NaN or infinite values"):
+        with pytest.raises(ValueError, match="holds NaN or infinite values"):
             compress(w, scheme, ranks)
 
     def test_hocp_plan_runs_like_cp(self):
@@ -319,34 +319,65 @@ class TestVerifyEquivalence:
             assert np.isnan(report.max_rel_deviation)
             assert report.worst_probe_index == 0
 
-    def test_one_probe_at_a_time(self):
+    def test_one_probe_at_a_time(self, monkeypatch):
         # The plan's output of one probe is freed before the next probe runs.
         plan, kernel = self._exact_plan_and_kernel()
+        monkeypatch.setattr(pipeline, "_PROBE_EXTENT", 64)
         peaks = []
         for count in (1, 4):
+            monkeypatch.setattr(pipeline, "_PROBE_COUNT", count)
             tracemalloc.start()
             try:
-                verify_equivalence(plan, kernel, tolerance=1e-10, probe_count=count, probe_extent=64)
+                verify_equivalence(plan, kernel, tolerance=1e-10)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 64 * 1024  # one (4, 64, 64) probe is 128 KiB
 
-    @pytest.mark.parametrize("name,value,error", [
-        ("probe_extent", 2.7, TypeError), ("probe_extent", "16", TypeError), ("probe_extent", True, TypeError),
-        ("probe_extent", 0, ValueError), ("probe_extent", -3, ValueError),
-        ("probe_count", True, TypeError), ("probe_count", "3", TypeError), ("probe_count", 0, ValueError),
+    def test_probe_protocol(self):
+        """Both entry points run 8 probes from ``SeedSequence(seed)``, each
+        ``max(16, K_i)`` long on mode i: here (17, 16) for a (17, 3) kernel."""
+        seed = 7
+        w = np.random.default_rng(206).standard_normal((3, 2, 17, 3))
+        res = compress(w, "cp", 2, seed=seed, max_iters=5)
+        assert res.plan.reference_input_extents == (17, 16)
+
+        def by_hand(plan):
+            devs = []
+            for s in np.random.SeedSequence(seed).spawn(8):
+                x = np.random.default_rng(s).standard_normal((2, 17, 16))
+                direct = conv_nd_direct(x, w, plan.spec)
+                devs.append(np.linalg.norm((execute_plan(plan, x) - direct).ravel())
+                            / np.linalg.norm(direct.ravel()))
+            return max(devs), devs.index(max(devs))
+
+        assert res.output_rel_error == by_hand(res.plan)[0]
+        shifted = KruskalTensor(tuple(f + 0.1 for f in res.plan.layer.kruskal.factors))
+        bad = FactorizedPlan("cp", CpConvLayer(shifted, res.plan.spec), res.plan.cost, (17, 16))
+        for plan in (res.plan, bad):
+            report = verify_equivalence(plan, w, tolerance=1.0, seed=seed)
+            assert report.n_probes == 8
+            assert (report.max_rel_deviation, report.worst_probe_index) == by_hand(plan)
+
+    @pytest.mark.parametrize("tolerance,error", [
+        (float("nan"), ValueError), (-1.0, ValueError), (-1, ValueError), (float("-inf"), ValueError),
+        (True, TypeError), (np.bool_(False), TypeError), ("1e-3", TypeError), (None, TypeError),
     ])
-    def test_probe_arguments_fail_closed(self, name, value, error):
-        """Probe extents 2.7, "16" and True ran, as did 0 and -3, clamped to
-        the kernel; probe_count True ran "over True probes" and "3" raised
-        from a comparison."""
+    def test_bad_tolerance_raises_before_any_probe(self, monkeypatch, tolerance, error):
+        """NaN and -1 failed the plan as if it deviated, True passed as 1.0,
+        and "1e-3" and None raised from the comparison after all 8 probes."""
         plan, kernel = self._exact_plan_and_kernel()
-        match = "integer" if error is TypeError else f"{name} must be >= 1"
-        with pytest.raises(error, match=match):
-            verify_equivalence(plan, kernel, tolerance=1.0, **{name: value})
-        with pytest.raises(error, match=match):
-            compress(kernel, "cp", 2, max_iters=3, **{name: value})
+        probes = []
+        monkeypatch.setattr(pipeline, "_worst_probe", lambda *args: probes.append(args))
+        with pytest.raises(error, match="tolerance"):
+            verify_equivalence(plan, kernel, tolerance=tolerance)
+        assert probes == []
+
+    @pytest.mark.parametrize("tolerance", [0, 0.0, np.float32(1e-8), np.int64(1)])
+    def test_numeric_tolerance_is_a_float(self, tolerance):
+        plan, kernel = self._exact_plan_and_kernel()
+        report = verify_equivalence(plan, kernel, tolerance=tolerance)
+        assert type(report.tolerance) is float and report.tolerance == float(tolerance)
 
     def test_kernel_shape_must_match_plan(self):
         plan, _ = self._exact_plan_and_kernel()
