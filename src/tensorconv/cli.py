@@ -86,9 +86,7 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_decompose(args) -> int:
-    ranks = _parse_int_list(args.rank, "--rank")
-    if not ranks:
-        raise RankError("--rank must supply at least one integer")
+    ranks = None if args.rank is None else _parse_int_list(args.rank, "--rank")
     stride, padding = _parse_stride_padding(args)
     kernel = read_finite_tensor(args.input)
     result = compress(
@@ -158,14 +156,9 @@ def _load_cost_layers(path) -> list[dict]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ContainerError(f"{path}: cannot read cost spec: {exc}") from exc
-    if isinstance(doc, dict) and "layers" in doc:
-        layers = doc["layers"]
-    elif isinstance(doc, dict):
-        layers = [doc]
-    elif isinstance(doc, list):
-        layers = doc
-    else:
-        raise ContainerError(f"{path}: cost spec must be an object or a list")
+    if not isinstance(doc, dict):
+        raise ContainerError(f"{path}: cost spec must be a layer object or {{'layers': [...]}}")
+    layers = doc["layers"] if "layers" in doc else [doc]
     if not isinstance(layers, list) or any(not isinstance(l, dict) for l in layers):
         raise ContainerError(f"{path}: 'layers' must be a list of objects")
     return layers
@@ -301,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose a kernel container into a factorized plan")
     p.add_argument("--input", required=True, help="kernel tensor container (T x C x K...)")
     p.add_argument("--scheme", required=True, choices=SCHEMES)
-    p.add_argument("--rank", required=True, help="rank R, or R0,R1 channel ranks for tucker")
+    p.add_argument("--rank", default=None,
+                   help="rank R, or R_out,R_in for tucker; mobilenet-v1's is C, its default")
     p.add_argument("--out", required=True, help="output directory for factors + plan.json")
     p.add_argument("--seed", type=int, default=0, help="seeds probes and ALS (cp, hocp, mobilenet-v2)")
     p.add_argument("--tol", type=float, default=1e-8, help="sweep tolerance (all but mobilenet-v1)")

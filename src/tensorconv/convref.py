@@ -24,6 +24,7 @@ explicit per-mode stride and zero padding.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -40,6 +41,16 @@ def _integer(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     return operator.index(value)
+
+
+def _tolerance(value, name: str) -> float:
+    """``value`` as a float: ``TypeError`` for a bool, a str, ``None`` or any
+    other non-number, ``ValueError`` for NaN or below 0; ``inf`` stays allowed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return float(value)
 
 
 def _per_mode(value, n: int, name: str) -> tuple[int, ...]:

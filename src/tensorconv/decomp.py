@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convref import _integer
+from .convref import _integer, _tolerance
 from .dense import as_matrix, as_tensor, khatri_rao, n_mode_product, unfold
 from .errors import DimensionError, RankError
 
@@ -224,13 +224,13 @@ def _require_finite(t: np.ndarray) -> None:
 def _sweep_controls(max_iters, tol) -> int:
     """``max_iters`` as an int after checking both sweep controls:
     ``TypeError`` for a float, str or bool count, ``ValueError`` for a count
-    below 1 or a NaN or negative ``tol``. No sweep would leave the random
-    start with an infinite error, and a NaN ``tol`` would never stop."""
+    below 1; ``tol`` by :func:`~tensorconv.convref._tolerance`, and used as
+    given. No sweep would leave the random start with an infinite error,
+    and a NaN ``tol`` would never stop."""
     max_iters = _integer(max_iters)
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    _tolerance(tol, "tol")
     return max_iters
 
 
@@ -307,7 +307,7 @@ def cp_als(
     the rank exceeds a mode extent). Ranks larger than the extents are allowed
     (overcomplete CP). A tensor holding NaN or infinite values, ``max_iters``
     below 1 or a NaN or negative ``tol`` raises ``ValueError``, a float or
-    bool ``max_iters`` ``TypeError``.
+    bool ``max_iters`` or a non-number ``tol`` (bool, str, ``None``) ``TypeError``.
     """
     return _cp_als_lockstep(t, rank, [seed], max_iters, tol, init)[0]
 
@@ -404,8 +404,8 @@ def tucker_hooi(
     A mode whose rank equals its extent keeps its HOSVD factor, an
     orthonormal basis of the whole mode, and sweeps leave it out. A tensor
     holding NaN or infinite values, ``max_iters`` below 1 or a NaN or
-    negative ``tol`` raises ``ValueError``, a float rank or ``max_iters``
-    ``TypeError``.
+    negative ``tol`` raises ``ValueError``, a float rank or ``max_iters``, or
+    a non-number ``tol`` (bool, str, ``None``), ``TypeError``.
     """
     t = as_tensor(t)
     req = tuple(map(_integer, ranks))

@@ -16,7 +16,6 @@ its scheme label, are one manifest entry per spatial mode: null, or
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import costs
 from .container import read_finite_tensor, write_tensor
-from .convref import ConvSpec, _check_conv_operands, _direct_into, _integer
+from .convref import ConvSpec, _check_conv_operands, _direct_into, _integer, _tolerance
 from .decomp import _cp_als_lockstep, _sweep_controls, depthwise_separable, tucker_hooi
 from .dense import as_tensor
 from .errors import ContainerError, RankError
@@ -160,14 +159,12 @@ def _probe_extents(spec: ConvSpec) -> tuple[int, ...]:
     return tuple(max(_PROBE_EXTENT, k) for k in spec.kernel_sizes)
 
 
-def _tolerance(tolerance) -> float:
-    """``tolerance`` as a float: ``TypeError`` for a bool or a non-number,
-    ``ValueError`` for NaN or below 0; ``inf`` stays allowed."""
-    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
-        raise TypeError(f"tolerance must be a real number, got {tolerance!r}")
-    if not tolerance >= 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    return float(tolerance)
+def _seed(seed) -> int:
+    """``seed`` as an int: ``TypeError`` for a non-integer, ``ValueError`` below 0."""
+    seed = _integer(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _worst_probe(plan: FactorizedPlan, kernel: np.ndarray, seed: int) -> tuple[float, int]:
@@ -205,9 +202,12 @@ def _plan_for(scheme: str, layer: _Layer, extents) -> FactorizedPlan:
 
 
 def _normalize_ranks(scheme: str, ranks, kernel_shape) -> tuple[int, ...]:
+    """The rank rule of :func:`compress`: ``tucker``'s channel ranks (R_out, R_in), or one rank R,
+    each an integer >= 1; ``mobilenet-v1`` has one depthwise filter per input channel, so its rank is
+    C, and ``None`` means C. Any other ranks raise :class:`RankError`."""
     c_in = kernel_shape[1]
-    if ranks is None:
-        ranks = (c_in,) if scheme == "mobilenet-v1" else None
+    if ranks is None and scheme == "mobilenet-v1":
+        ranks = c_in
     if ranks is None:
         raise RankError(f"scheme {scheme!r} requires an explicit rank")
     try:
@@ -216,25 +216,14 @@ def _normalize_ranks(scheme: str, ranks, kernel_shape) -> tuple[int, ...]:
         raise RankError(f"ranks must be integers, got {ranks!r}") from exc
     if any(r < 1 for r in ranks):
         raise RankError(f"ranks must all be >= 1, got {ranks}")
-
-    if scheme in ("cp", "hocp", "mobilenet-v2"):
-        if len(ranks) != 1:
-            raise RankError(f"scheme {scheme!r} takes a single rank, got {ranks}")
-    elif scheme == "mobilenet-v1":
-        if len(ranks) != 1 or ranks[0] != c_in:
-            raise RankError(
-                f"mobilenet-v1 requires rank == input channels ({c_in}), got "
-                f"{ranks}; pass rank {c_in}, or use mobilenet-v2 for unconstrained ranks"
-            )
-    elif scheme == "tucker":
-        spatial = tuple(kernel_shape[2:])
-        if len(ranks) == 2:
-            ranks = ranks + spatial  # channel ranks only: keep spatial full
-        elif len(ranks) != len(kernel_shape):
-            raise RankError(
-                f"tucker takes 2 channel ranks or {len(kernel_shape)} per-mode "
-                f"ranks, got {len(ranks)}"
-            )
+    if len(ranks) != (2 if scheme == "tucker" else 1):
+        form = "the channel ranks (R_out, R_in)" if scheme == "tucker" else "a single rank"
+        raise RankError(f"scheme {scheme!r} takes {form}, got {ranks}")
+    if scheme == "mobilenet-v1" and ranks != (c_in,):
+        raise RankError(
+            f"mobilenet-v1 requires rank == input channels ({c_in}), got "
+            f"{ranks}; pass rank {c_in} or none, or use mobilenet-v2 for unconstrained ranks"
+        )
     return ranks
 
 
@@ -266,11 +255,14 @@ def compress(
     direct convolution over the probes :func:`verify_equivalence` draws.
     ``tol``, ``max_iters`` and ``restarts`` drive ALS and HOOI; ``mobilenet-v1``
     is closed form (:func:`~tensorconv.decomp.depthwise_separable`) and uses
-    ``seed`` for the probes only. ``restarts`` or ``max_iters`` < 1, or a NaN
-    or negative ``tol``, raises ``ValueError`` before any decomposition, for
-    every scheme, and so does a kernel holding NaN or infinite values, which
-    every fit checks first; a float, str or bool for either count raises
-    ``TypeError``.
+    ``seed`` for the probes only. ``ranks`` is one rank R, or ``tucker``'s
+    channel ranks (R_out, R_in); ``mobilenet-v1``'s is C, also when ``None``.
+    Each argument is checked before any fit or probe, for every scheme: bad
+    ranks raise :class:`RankError`; ``restarts`` or ``max_iters`` < 1, a
+    negative ``seed`` or a NaN or negative ``tol`` ``ValueError``; a float,
+    str or bool count or ``seed``, a ``None`` ``seed`` or a bool, str or
+    ``None`` ``tol`` ``TypeError``. A kernel holding NaN or infinite values
+    raises ``ValueError`` before any decomposition, as every fit checks it first.
     """
     kernel = as_tensor(kernel)
     spec = ConvSpec.from_kernel(kernel, stride, padding)
@@ -279,6 +271,7 @@ def compress(
     if _integer(restarts) < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     max_iters = _sweep_controls(max_iters, tol)
+    seed = _seed(seed)
     ranks = _normalize_ranks(scheme, ranks, kernel.shape)
 
     res = None  # the ALS or HOOI run; mobilenet-v1 is closed form
@@ -287,7 +280,7 @@ def compress(
         pointwise, spatial = depthwise_separable(kernel)
         layer: _Layer = MobileNetV1Block(spatial, pointwise, spec)
     elif scheme == "tucker":
-        res = tucker_hooi(kernel, ranks, max_iters=max_iters, tol=tol)
+        res = tucker_hooi(kernel, ranks + kernel.shape[2:], max_iters=max_iters, tol=tol)
         layer = TuckerConvLayer.from_tucker(res.tucker, spec)
         warnings = tuple(res.warnings)
     else:
@@ -336,12 +329,13 @@ def verify_equivalence(
 
     Fails when the worst-case relative deviation exceeds ``tolerance`` or is
     NaN; the report carries the deviation, the offending probe index and the
-    probe seed so the failure is reproducible. A NaN or negative
-    ``tolerance`` raises ``ValueError``, and a bool or a non-number
-    ``TypeError``, before any probe runs.
+    probe seed so the failure is reproducible. ``tolerance`` and ``seed``
+    take the rules of :func:`compress`'s ``tol`` and ``seed``, checked
+    before any probe runs.
     """
     kernel = as_tensor(kernel)
-    tolerance = _tolerance(tolerance)
+    tolerance = _tolerance(tolerance, "tolerance")
+    seed = _seed(seed)
     worst, worst_idx = _worst_probe(plan, kernel, seed)
     return EquivalenceReport(
         passed=bool(worst <= tolerance),

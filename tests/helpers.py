@@ -47,7 +47,8 @@ def spec_for_kernel(w, stride=1, padding=0) -> ConvSpec:
 
 # Sweep controls that cp_als, tucker_hooi and compress reject before any
 # decomposition, as (keyword, value, exception). With no sweep ALS returned
-# its random start at an infinite error; a NaN tol never stopped a sweep.
+# its random start at an infinite error; a NaN tol never stopped a sweep; a
+# bool tol ran as 1.0, and a str or None one raised from a comparison.
 BAD_SWEEP_CONTROLS = [
     ("max_iters", 0, ValueError),
     ("max_iters", -1, ValueError),
@@ -55,4 +56,7 @@ BAD_SWEEP_CONTROLS = [
     ("max_iters", True, TypeError),
     ("tol", float("nan"), ValueError),
     ("tol", -1.0, ValueError),
+    ("tol", True, TypeError),
+    ("tol", "1e-3", TypeError),
+    ("tol", None, TypeError),
 ]

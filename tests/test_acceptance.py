@@ -237,7 +237,7 @@ def test_criterion_6_cli_round_trip(tmp_path, capsys):
     plan_dir = tmp_path / "plan"
     code_decompose = cli_main([
         "decompose", "--input", str(kernel_path), "--scheme", "tucker",
-        "--rank", "3,4,3,3", "--out", str(plan_dir),
+        "--rank", "3,4", "--out", str(plan_dir),
     ])
     manifest = plan_dir / "plan.json"
 

@@ -54,7 +54,7 @@ class TestDecompose:
         write_tensor(kernel, rng.standard_normal((3, 4, 2, 2)))
         code = run_cli(
             "decompose", "--input", kernel, "--scheme", "tucker",
-            "--rank", "3,4,2,2", "--out", tmp_path / "plan",
+            "--rank", "3,4", "--out", tmp_path / "plan",
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -174,6 +174,30 @@ class TestDecompose:
             "--rank", "3", "--out", tmp_path / "plan",
         )
         assert code == 3
+
+    def test_mobilenet_v1_rank_defaults_to_in_channels(self, synthetic_kernel, tmp_path, capsys):
+        kernel, _ = synthetic_kernel
+        outputs = []
+        for name, rank in (("plan_default", ()), ("plan_c", ("--rank", "4"))):
+            assert run_cli("decompose", "--input", kernel, "--scheme", "mobilenet-v1", *rank,
+                           "--out", tmp_path / name) == 0
+            outputs.append(capsys.readouterr().out.replace(str(tmp_path / name), "PLAN"))
+        assert outputs[0] == outputs[1]
+        for part in ("plan.json", "pointwise.tensor", "spatial.tensor"):
+            assert (tmp_path / "plan_default" / part).read_bytes() == (tmp_path / "plan_c" / part).read_bytes()
+
+    @pytest.mark.parametrize("scheme,rank", [
+        ("cp", None), ("hocp", None), ("tucker", None), ("mobilenet-v2", None),
+        ("tucker", "2,2,3,3"), ("tucker", "2"), ("cp", "2,2"), ("cp", ""),
+    ])
+    def test_ranks_outside_the_rule_exit_3(self, synthetic_kernel, tmp_path, capsys, scheme, rank):
+        """Only mobilenet-v1 has a rank without --rank, and tucker takes R_out,R_in."""
+        kernel, _ = synthetic_kernel
+        rank_args = () if rank is None else ("--rank", rank)
+        assert run_cli("decompose", "--input", kernel, "--scheme", scheme, *rank_args,
+                       "--out", tmp_path / "plan") == 3
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "plan").exists()
 
     def test_mobilenet_v1_planted_kernel(self, tmp_path, capsys):
         # A depthwise-separable kernel: v1's closed-form fit is exact, with
@@ -359,6 +383,13 @@ class TestCost:
         spec.write_bytes(content)
         assert run_cli("cost", "--spec", spec) == 2
 
+    def test_bare_list_exits_2(self, tmp_path, capsys):
+        """A spec is a layer object or {"layers": [...]}, not a bare list."""
+        spec = tmp_path / "list.json"
+        spec.write_text(json.dumps([self.LAYER]))
+        assert run_cli("cost", "--spec", spec) == 2
+        assert capsys.readouterr().out == ""
+
     def test_rank_below_one_exits_3(self, tmp_path):
         spec = tmp_path / "layer.json"
         spec.write_text(json.dumps(dict(self.LAYER, rank=0)))
@@ -385,6 +416,20 @@ class TestSweep:
 
     def test_bad_pairs_exit_3(self, tmp_path):
         assert run_cli("sweep", "--pairs", "4x8", "--out", tmp_path / "s.csv") == 3
+
+    def test_pairs_rows(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--pairs", "16:32,64:64", "--out", out) == 0
+        with open(out, newline="") as fh:
+            got = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+        assert got == [
+            [r.in_channels, r.out_channels, r.flops_regular / 1e9, *(f / 1e9 for f in r.flops_hocp)]
+            for r in costs.figure6_sweep(((16, 32), (64, 64)))
+        ]
+
+    def test_multiplier_zero_exits_3(self, tmp_path):
+        assert run_cli("sweep", "--multipliers", "0", "--out", tmp_path / "s.csv") == 3
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestVerify:

@@ -1415,6 +1415,21 @@ class TestActivations:
             # The maximum form would differ for such a slope.
             assert np.maximum(z, slope * z).tobytes() != expected.tobytes()
 
+    @pytest.mark.parametrize("slope", [1.5, -0.5, 0.0])
+    @pytest.mark.parametrize("slot", [0, 1], ids=["mid-chain", "last-per-channel"])
+    def test_other_slopes_in_streamed_forward(self, slope, slot):
+        """The streamed forward runs a PReLU with ``out``: these slopes write
+        the np.where result into the chain's buffers."""
+        rng = np.random.default_rng(152)
+        cp = make_cp_layer(rng, 4, 3, (3, 3), 5, 1, 1)
+        acts = [None, None]
+        acts[slot] = PReLU(slope)
+        layer = CpConvLayer(cp.kruskal, cp.spec, tuple(acts))
+        x = rng.standard_normal((3, 9, 8))
+        out = forward(layer, x)
+        assert out.tobytes() == untiled_fold(layer, x).tobytes()
+        assert rel_error(out, forward_naive(layer, x)) <= 1e-10
+
     @pytest.mark.parametrize("per_channel", [(), ("mean", "var"), ("mean", "var", "scale", "shift")])
     @pytest.mark.parametrize("length_one", [False, True])
     def test_batch_norm_affine_matches_formula(self, per_channel, length_one):

@@ -135,7 +135,7 @@ class TestCompress:
     def test_tucker_full_ranks_exact(self):
         rng = np.random.default_rng(104)
         w = rng.standard_normal((3, 4, 2, 2))
-        res = compress(w, "tucker", w.shape, seed=0)
+        res = compress(w, "tucker", w.shape[:2], seed=0)
         assert res.kernel_rel_error < 1e-12
         assert res.output_rel_error < 1e-12
 
@@ -226,19 +226,67 @@ class TestCompress:
         with pytest.raises(error):
             compress(w, "cp", 2, max_iters=3, restarts=restarts)
 
+    SCHEMES = [("cp", 2), ("hocp", 2), ("tucker", (2, 2)), ("mobilenet-v1", None), ("mobilenet-v2", 2)]
+
+    @staticmethod
+    def record_fits_and_probes(monkeypatch) -> list:
+        """Replace every fit and ``_worst_probe`` by a recorder of its calls."""
+        calls = []
+        for name in ("_cp_als_lockstep", "tucker_hooi", "depthwise_separable", "_worst_probe"):
+            monkeypatch.setattr(pipeline, name, lambda *args, **kwargs: calls.append(args))
+        return calls
+
     @pytest.mark.parametrize("name,value,error", BAD_SWEEP_CONTROLS)
-    @pytest.mark.parametrize("scheme,ranks", [
-        ("cp", 2), ("hocp", 2), ("tucker", (2, 2)), ("mobilenet-v1", None), ("mobilenet-v2", 2),
-    ])
+    @pytest.mark.parametrize("scheme,ranks", SCHEMES)
     def test_sweep_controls_fail_closed(self, monkeypatch, scheme, ranks, name, value, error):
-        """Every scheme rejects them, mobilenet-v1 too, though it never sweeps."""
-        fits = []
-        for fit in ("_cp_als_lockstep", "tucker_hooi", "depthwise_separable"):
-            monkeypatch.setattr(pipeline, fit, lambda *args, **kwargs: fits.append(args))
+        """Every scheme rejects them, mobilenet-v1 too, though it never sweeps.
+        A bool tol ran as 1.0, and a str one raised from a comparison."""
+        calls = self.record_fits_and_probes(monkeypatch)
         w = np.random.default_rng(112).standard_normal((3, 4, 2, 2))
         with pytest.raises(error):
             compress(w, scheme, ranks, **{"max_iters": 3, name: value})
-        assert fits == []  # raised before any decomposition
+        assert calls == []  # raised before any decomposition or probe
+
+    @pytest.mark.parametrize("seed,error", [
+        (True, TypeError), (1.5, TypeError), (None, TypeError), (-1, ValueError),
+    ])
+    @pytest.mark.parametrize("scheme,ranks", SCHEMES)
+    def test_bad_seed_raises_before_any_fit_or_probe(self, monkeypatch, scheme, ranks, seed, error):
+        """True ran as seed 1; for tucker and mobilenet-v1, -1 and 1.5 were
+        refused only by the probes, after the fit."""
+        calls = self.record_fits_and_probes(monkeypatch)
+        w = np.random.default_rng(112).standard_normal((3, 4, 2, 2))
+        with pytest.raises(error):
+            compress(w, scheme, ranks, seed=seed, max_iters=3)
+        assert calls == []
+
+    @pytest.mark.parametrize("ranks", [(2, 2, 3, 3), (2, 2, 2, 2), (2,), (2, 2, 2)])
+    def test_tucker_takes_only_channel_ranks(self, monkeypatch, ranks):
+        """The per-mode form (R_out, R_in, K_0, ...) gave the layer a full-size
+        core all the same, and a truncated spatial rank only a worse fit."""
+        calls = self.record_fits_and_probes(monkeypatch)
+        w = np.random.default_rng(114).standard_normal((4, 3, 3, 3))
+        with pytest.raises(RankError, match=r"\(R_out, R_in\)"):
+            compress(w, "tucker", ranks)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)])
+    def test_numpy_integer_seed_is_the_int(self, seed):
+        w = np.random.default_rng(115).standard_normal((3, 4, 2, 2))
+        res, expected = compress(w, "cp", 2, seed=seed, max_iters=5), compress(w, "cp", 2, seed=3, max_iters=5)
+        assert res.restart_errors == expected.restart_errors
+        assert res.output_rel_error == expected.output_rel_error
+
+    def test_mobilenet_v1_rank_defaults_to_in_channels(self):
+        w = np.random.default_rng(116).standard_normal((3, 4, 3, 3))
+        res, expected = compress(w, "mobilenet-v1", None), compress(w, "mobilenet-v1", 4)
+        for (role, a), (_, b) in zip(res.plan.layer.factors, expected.plan.layer.factors):
+            assert a.tobytes() == b.tobytes(), role
+        assert res.output_rel_error == expected.output_rel_error
+        for scheme, ranks in self.SCHEMES:
+            if ranks is not None:
+                with pytest.raises(RankError, match="requires an explicit rank"):
+                    compress(w, scheme, None)
 
     @pytest.mark.parametrize("scheme", ["mobilenet-v1", "mobilenet-v2"])
     def test_mobilenet_on_3d_kernel(self, tmp_path, scheme):
@@ -371,6 +419,18 @@ class TestVerifyEquivalence:
         monkeypatch.setattr(pipeline, "_worst_probe", lambda *args: probes.append(args))
         with pytest.raises(error, match="tolerance"):
             verify_equivalence(plan, kernel, tolerance=tolerance)
+        assert probes == []
+
+    @pytest.mark.parametrize("seed,error", [
+        (True, TypeError), (1.5, TypeError), (None, TypeError), (-1, ValueError),
+    ])
+    def test_bad_seed_raises_before_any_probe(self, monkeypatch, seed, error):
+        """True was reported as probe_seed=True."""
+        plan, kernel = self._exact_plan_and_kernel()
+        probes = []
+        monkeypatch.setattr(pipeline, "_worst_probe", lambda *args: probes.append(args))
+        with pytest.raises(error):
+            verify_equivalence(plan, kernel, tolerance=1.0, seed=seed)
         assert probes == []
 
     @pytest.mark.parametrize("tolerance", [0, 0.0, np.float32(1e-8), np.int64(1)])
