@@ -23,7 +23,6 @@ from .decomp import (
     KruskalTensor,
     TuckerResult,
     TuckerTensor,
-    absorb_spatial,
     cp_als,
     depthwise_separable,
     kruskal_to_dense,

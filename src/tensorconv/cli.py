@@ -171,7 +171,9 @@ def _cmd_cost(args) -> int:
         if args.input_extents
         else None
     )
-    print(f"# {costs.FLOP_CONVENTION}")
+    # Every layer is read and costed before any line is printed, so a bad
+    # layer leaves nothing on stdout.
+    lines = [f"# {costs.FLOP_CONVENTION}"]
     totals = {"params_regular": 0, "params_hocp": 0, "skip_params": 0,
               "flops_regular": 0, "flops_hocp": 0}
     for i, entry in enumerate(layers):
@@ -183,7 +185,7 @@ def _cmd_cost(args) -> int:
                 entry.get("stride", 1),
                 entry.get("padding", 0),
             )
-            rank = _integer(entry["rank"]) if "rank" in entry else None
+            rank = _integer(entry["rank"], "rank") if "rank" in entry else None
         except KeyError as exc:
             raise ContainerError(f"cost spec layer {i} is missing {exc}") from exc
         # DimensionError is a ValueError.
@@ -191,35 +193,35 @@ def _cmd_cost(args) -> int:
             raise ContainerError(f"cost spec layer {i} is malformed: {exc}") from exc
         if rank is None:
             rank = args.rank_multiplier * spec.in_channels
-        if rank < 1:
-            raise RankError(f"cost spec layer {i}: rank must be >= 1, got {rank}")
 
         p_reg = costs.params_regular(spec)
-        p_hocp = costs.params_hocp(spec, rank)
+        try:
+            p_hocp = costs.params_hocp(spec, rank)
+        except RankError as exc:  # costs keeps the rank rule; the message names the layer
+            raise RankError(f"cost spec layer {i}: {exc}") from exc
         p_skip = spec.in_channels * spec.out_channels
-        print(f"layer{i}.params_regular={p_reg}")
-        print(f"layer{i}.params_hocp={p_hocp}")
-        print(f"layer{i}.rank={rank}")
+        lines += [f"layer{i}.params_regular={p_reg}", f"layer{i}.params_hocp={p_hocp}", f"layer{i}.rank={rank}"]
         totals["params_regular"] += p_reg
         totals["params_hocp"] += p_hocp
         totals["skip_params"] += p_skip
         if extents:
             f_reg = costs.flops_regular(spec, extents)
             f_hocp = costs.flops_hocp(spec, rank, extents)
-            print(f"layer{i}.flops_regular={f_reg}")
-            print(f"layer{i}.flops_hocp={f_hocp}")
+            lines += [f"layer{i}.flops_regular={f_reg}", f"layer{i}.flops_hocp={f_hocp}"]
             totals["flops_regular"] += f_reg
             totals["flops_hocp"] += f_hocp
 
-    print(f"params_regular={totals['params_regular']}")
-    print(f"params_hocp={totals['params_hocp']}")
-    print(f"params_saved={totals['params_regular'] - totals['params_hocp']}")
-    # Skip factors are accounted separately: totals with and without are both printed.
-    print(f"skip_params={totals['skip_params']}")
-    print(f"params_hocp_with_skip={totals['params_hocp'] + totals['skip_params']}")
+    lines += [
+        f"params_regular={totals['params_regular']}",
+        f"params_hocp={totals['params_hocp']}",
+        f"params_saved={totals['params_regular'] - totals['params_hocp']}",
+        # Skip factors are accounted separately: totals with and without are both printed.
+        f"skip_params={totals['skip_params']}",
+        f"params_hocp_with_skip={totals['params_hocp'] + totals['skip_params']}",
+    ]
     if extents:
-        print(f"flops_regular={totals['flops_regular']}")
-        print(f"flops_hocp={totals['flops_hocp']}")
+        lines += [f"flops_regular={totals['flops_regular']}", f"flops_hocp={totals['flops_hocp']}"]
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -245,7 +247,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 def _cmd_sweep(args) -> int:
     multipliers = _parse_int_list(args.multipliers, "--multipliers")
-    if not multipliers or any(m < 1 for m in multipliers):
+    if not multipliers:
         raise _UsageError(f"--multipliers must be positive integers, got {args.multipliers!r}")
     pairs = costs.DEFAULT_SWEEP_PAIRS if args.pairs is None else _parse_pairs(args.pairs)
     extents = _parse_int_list(args.input_extents, "--input-extents")

@@ -36,11 +36,15 @@ from .errors import DimensionError
 __all__ = ["ConvSpec", "OpCounter", "conv_nd_direct", "conv_nd_naive", "conv_1x1"]
 
 
-def _integer(value) -> int:
-    """``value`` as an int: a Python or numpy integer, no bool or float (``TypeError``)."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+def _integer(value, name: str) -> int:
+    """``value`` as an int: a Python or numpy integer, no bool or float
+    (``TypeError`` naming the argument ``name``)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _tolerance(value, name: str) -> float:
@@ -56,8 +60,8 @@ def _tolerance(value, name: str) -> float:
 def _per_mode(value, n: int, name: str) -> tuple[int, ...]:
     """Broadcast a scalar to ``n`` modes, or validate a length-``n`` sequence."""
     if np.isscalar(value):
-        return (_integer(value),) * n
-    out = tuple(map(_integer, value))
+        return (_integer(value, name),) * n
+    out = tuple(_integer(v, name) for v in value)
     if len(out) != n:
         raise DimensionError(f"{name} must have one entry per spatial mode ({n}), got {len(out)}")
     return out
@@ -79,9 +83,9 @@ class ConvSpec:
     paddings: tuple[int, ...] = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "in_channels", _integer(self.in_channels))
-        object.__setattr__(self, "out_channels", _integer(self.out_channels))
-        ks = tuple(map(_integer, self.kernel_sizes))
+        object.__setattr__(self, "in_channels", _integer(self.in_channels, "in_channels"))
+        object.__setattr__(self, "out_channels", _integer(self.out_channels, "out_channels"))
+        ks = tuple(_integer(k, "kernel_sizes") for k in self.kernel_sizes)
         if len(ks) < 1:
             raise DimensionError("ConvSpec needs at least one spatial mode")
         if self.in_channels < 1 or self.out_channels < 1 or any(k < 1 for k in ks):
@@ -114,7 +118,7 @@ class ConvSpec:
     def output_extents(self, input_extents) -> tuple[int, ...]:
         """Per-mode output extents: floor((D + 2p - K)/s) + 1. Each extent
         must be an integer (``TypeError`` for a float or a bool)."""
-        ins = tuple(map(_integer, input_extents))
+        ins = tuple(_integer(d, "input_extents") for d in input_extents)
         if len(ins) != self.n_spatial:
             raise DimensionError(
                 f"expected {self.n_spatial} spatial extents, got {len(ins)}"

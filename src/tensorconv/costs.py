@@ -91,10 +91,12 @@ class CostReport:
         return out
 
 
-def _check_rank(rank: int) -> int:
-    rank = _integer(rank)
-    if rank < 0:
-        raise RankError(f"rank must be >= 0, got {rank}")
+def _check_rank(rank: int, name: str = "rank") -> int:
+    """``rank`` as an int >= 1, as every fit takes it: a rank-0 stage would
+    have an empty mode, which no layer holds."""
+    rank = _integer(rank, name)
+    if rank < 1:
+        raise RankError(f"{name} must be >= 1, got {rank}")
     return rank
 
 
@@ -125,7 +127,7 @@ def report(stages: Iterable, input_extents: Sequence[int]) -> CostReport:
 
     A stage's parameters are the entries of its operand (``stage.params``).
     """
-    extents = tuple(map(_integer, input_extents))
+    extents = tuple(_integer(d, "input_extents") for d in input_extents)
     lines = []
     for stage in stages:
         extents = stage.out_extents(extents)
@@ -249,8 +251,10 @@ def figure6_sweep(
 
     For each (C, T) pair the HO-CP rank is ``multiplier * C``, one column per
     multiplier. Channel counts, kernel sizes, multipliers and extents are
-    integers: a float or a bool raises ``TypeError``.
+    integers: a float or a bool raises ``TypeError``, and a multiplier below
+    1 :class:`RankError`, before any row is costed.
     """
+    multipliers = [_check_rank(m, "multipliers") for m in multipliers]
     rows = []
     for c, t in channel_pairs:
         spec = ConvSpec(c, t, tuple(kernel_sizes))
@@ -260,7 +264,7 @@ def figure6_sweep(
                 spec.out_channels,
                 flops_regular(spec, input_extents),
                 tuple(
-                    flops_hocp(spec, _integer(m) * spec.in_channels, input_extents)
+                    flops_hocp(spec, m * spec.in_channels, input_extents)
                     for m in multipliers
                 ),
             )

@@ -21,10 +21,10 @@ MTTKRP of an ALS sweep contracts X with the factor of its largest other mode
 in one GEMM, then folds in the remaining factors one at a time over the
 shared rank index; :func:`kruskal_to_dense` is one GEMM of the largest mode's
 factor with the Khatri-Rao product of the others. HOSVD factors come from
-thin SVDs (left singular vectors only). HOOI neither
-solves again nor projects onto a mode kept at full rank, whose HOSVD factor
-is already an orthonormal basis of the whole mode (typically the spatial
-modes of a conv kernel); its sweeps touch the truncated modes only.
+thin SVDs (left singular vectors only). A mode kept at full rank (typically
+a spatial mode of a conv kernel) takes the identity as its factor: HOOI
+neither computes a basis of it nor projects onto it, so its sweeps and the
+core touch the truncated modes only.
 
 Normal equations in the ALS sweep are solved by ``np.linalg.solve`` once a
 Cholesky factorization has shown the R x R Hadamard Gram positive definite
@@ -58,7 +58,6 @@ __all__ = [
     "tucker_to_dense",
     "cp_als",
     "tucker_hooi",
-    "absorb_spatial",
     "depthwise_separable",
     "PINV_RCOND",
 ]
@@ -227,7 +226,7 @@ def _sweep_controls(max_iters, tol) -> int:
     below 1; ``tol`` by :func:`~tensorconv.convref._tolerance`, and used as
     given. No sweep would leave the random start with an infinite error,
     and a NaN ``tol`` would never stop."""
-    max_iters = _integer(max_iters)
+    max_iters = _integer(max_iters, "max_iters")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     _tolerance(tol, "tol")
@@ -307,7 +306,8 @@ def cp_als(
     the rank exceeds a mode extent). Ranks larger than the extents are allowed
     (overcomplete CP). A tensor holding NaN or infinite values, ``max_iters``
     below 1 or a NaN or negative ``tol`` raises ``ValueError``, a float or
-    bool ``max_iters`` or a non-number ``tol`` (bool, str, ``None``) ``TypeError``.
+    bool ``rank`` or ``max_iters`` or a non-number ``tol`` (bool, str,
+    ``None``) ``TypeError``.
     """
     return _cp_als_lockstep(t, rank, [seed], max_iters, tol, init)[0]
 
@@ -325,6 +325,7 @@ def _cp_als_lockstep(t, rank, seeds, max_iters, tol, init) -> list[CpResult]:
     t = as_tensor(t)
     if t.ndim < 2:
         raise DimensionError(f"cp_als needs a tensor of order >= 2, got {t.ndim}")
+    rank = _integer(rank, "rank")
     if rank < 1:
         raise RankError(f"CP rank must be >= 1, got {rank}")
     if init not in ("random", "hosvd"):
@@ -401,14 +402,14 @@ def tucker_hooi(
 
     Factor columns are orthonormal throughout. Requested ranks larger than a
     mode extent are capped at the extent, with a note in ``result.warnings``.
-    A mode whose rank equals its extent keeps its HOSVD factor, an
-    orthonormal basis of the whole mode, and sweeps leave it out. A tensor
+    A mode whose rank equals its extent takes the identity as its factor,
+    and neither the sweeps nor the core project onto it. A tensor
     holding NaN or infinite values, ``max_iters`` below 1 or a NaN or
     negative ``tol`` raises ``ValueError``, a float rank or ``max_iters``, or
     a non-number ``tol`` (bool, str, ``None``), ``TypeError``.
     """
     t = as_tensor(t)
-    req = tuple(map(_integer, ranks))
+    req = tuple(_integer(r, "ranks") for r in ranks)
     if len(req) != t.ndim:
         raise RankError(
             f"expected {t.ndim} Tucker ranks for an order-{t.ndim} tensor, got {len(req)}"
@@ -427,11 +428,11 @@ def tucker_hooi(
         eff.append(r)
 
     norm_t = float(np.linalg.norm(t.ravel()))
-    factors = [_hosvd_factor(t, mode, r) for mode, r in enumerate(eff)]
-    # A full-rank factor is square and orthogonal, a change of basis that
+    # Any orthogonal factor of a full-rank mode is a change of basis that
     # alters neither the other modes' left singular vectors nor the fit, so
-    # sweeps project onto the truncated modes only.
+    # it is the identity, and only the truncated modes are solved or projected.
     solved = [n for n in range(t.ndim) if eff[n] < t.shape[n]]
+    factors = [_hosvd_factor(t, n, r) if n in solved else np.eye(r) for n, r in enumerate(eff)]
 
     def project(modes):
         out = t
@@ -458,23 +459,9 @@ def tucker_hooi(
             break
         prev_err = err
 
-    tucker = TuckerTensor(project(range(t.ndim)), tuple(factors))
+    # With every mode at full rank the core is t, copied so as not to share the caller's array.
+    tucker = TuckerTensor(project(solved) if solved else t.copy(), tuple(factors))
     return TuckerResult(tucker, history[-1], len(history), converged, history, warnings)
-
-
-def absorb_spatial(t: TuckerTensor) -> TuckerTensor:
-    """Contract the spatial factors, every mode after the two channel modes,
-    into the core, replacing them by identities.
-
-    The dense reconstruction is unchanged; the returned core is the
-    absorbed kernel used by bottleneck-style execution.
-    """
-    core = t.core
-    factors = list(t.factors)
-    for m in range(2, t.core.ndim):
-        core = n_mode_product(core, factors[m], m)
-        factors[m] = np.eye(factors[m].shape[0])
-    return TuckerTensor(core, tuple(factors))
 
 
 def depthwise_separable(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

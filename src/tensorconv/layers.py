@@ -34,14 +34,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convref import ConvSpec, OpCounter, _check_input, conv_1x1, conv_nd_direct, conv_nd_naive
-from .decomp import KruskalTensor, TuckerTensor, absorb_spatial
+from .decomp import KruskalTensor
 from .dense import (
     as_tensor,
     band_diagonals,
     banded_mode_conv,
     depthwise_conv,
 )
-from .errors import DimensionError, RankError
+from .errors import DimensionError
 
 __all__ = [
     "Activation",
@@ -588,11 +588,12 @@ class CpConvLayer(_Layer):
 
 @dataclass(frozen=True, eq=False)
 class TuckerConvLayer(_Layer):
-    """Bottleneck convolution: 1x1 reduce, small dense conv with the absorbed
-    core, 1x1 expand.
+    """Bottleneck convolution (Tucker-2): 1x1 reduce, small dense conv with
+    the core, 1x1 expand.
 
     ``down`` is (R_in x C), ``core`` is (R_out x R_in x K_0 x ...), ``up`` is
-    (T x R_out).
+    (T x R_out): a Tucker fit's input-channel factor transposed, its core
+    with the spatial modes at full rank, and its output-channel factor.
     """
 
     down: np.ndarray
@@ -605,12 +606,6 @@ class TuckerConvLayer(_Layer):
     @property
     def ranks(self) -> tuple[int, int]:
         return (self.core.shape[0], self.core.shape[1])
-
-    @classmethod
-    def from_tucker(cls, t: TuckerTensor, spec: ConvSpec) -> "TuckerConvLayer":
-        """Build from a Tucker-decomposed kernel by absorbing the spatial factors."""
-        absorbed = absorb_spatial(t)
-        return cls(absorbed.factors[1].T, absorbed.core, absorbed.factors[0], spec)
 
     @staticmethod
     def stages_for(down: np.ndarray, core: np.ndarray, up: np.ndarray, spec: ConvSpec) -> tuple:
@@ -633,7 +628,8 @@ class HoCpConvLayer(CpConvLayer):
 @dataclass(frozen=True, eq=False)
 class MobileNetV1Block(_Layer):
     """Depthwise conv with one N-D spatial kernel per channel, then a
-    pointwise conv. Channel count equals the depthwise multiplicity (R == C).
+    pointwise conv. Channel count equals the depthwise multiplicity (R == C):
+    the stage chain refuses any other.
     """
 
     spatial: np.ndarray  # (K_0, ..., K_{N-1}, R)
@@ -641,14 +637,6 @@ class MobileNetV1Block(_Layer):
     spec: ConvSpec
 
     _ROLES = ("spatial", "pointwise")
-
-    def _check_stages(self) -> None:
-        if self.spatial.shape[-1] != self.spec.in_channels:
-            raise RankError(
-                f"depthwise block needs rank == input channels, got rank "
-                f"{self.spatial.shape[-1]} with {self.spec.in_channels} channels"
-            )
-        super()._check_stages()
 
     @staticmethod
     def stages_for(spatial: np.ndarray, pointwise: np.ndarray, spec: ConvSpec) -> tuple:

@@ -161,7 +161,7 @@ def _probe_extents(spec: ConvSpec) -> tuple[int, ...]:
 
 def _seed(seed) -> int:
     """``seed`` as an int: ``TypeError`` for a non-integer, ``ValueError`` below 0."""
-    seed = _integer(seed)
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
@@ -211,7 +211,7 @@ def _normalize_ranks(scheme: str, ranks, kernel_shape) -> tuple[int, ...]:
     if ranks is None:
         raise RankError(f"scheme {scheme!r} requires an explicit rank")
     try:
-        ranks = tuple(map(_integer, (ranks,) if np.isscalar(ranks) else ranks))
+        ranks = tuple(_integer(r, "ranks") for r in ((ranks,) if np.isscalar(ranks) else ranks))
     except TypeError as exc:
         raise RankError(f"ranks must be integers, got {ranks!r}") from exc
     if any(r < 1 for r in ranks):
@@ -268,7 +268,7 @@ def compress(
     spec = ConvSpec.from_kernel(kernel, stride, padding)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if _integer(restarts) < 1:
+    if _integer(restarts, "restarts") < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     max_iters = _sweep_controls(max_iters, tol)
     seed = _seed(seed)
@@ -281,7 +281,8 @@ def compress(
         layer: _Layer = MobileNetV1Block(spatial, pointwise, spec)
     elif scheme == "tucker":
         res = tucker_hooi(kernel, ranks + kernel.shape[2:], max_iters=max_iters, tol=tol)
-        layer = TuckerConvLayer.from_tucker(res.tucker, spec)
+        u_out, u_in = res.tucker.factors[:2]  # the spatial factors are identities
+        layer = TuckerConvLayer(u_in.T, res.tucker.core, u_out, spec)
         warnings = tuple(res.warnings)
     else:
         runs, winning_restart = _best_cp(kernel, ranks[0], max_iters, tol, seed, restarts)
@@ -468,7 +469,7 @@ def load_plan(manifest_path) -> FactorizedPlan:
 
 def _plan_from_manifest(manifest: dict, path: Path) -> FactorizedPlan:
     version = manifest["version"]
-    if _integer(version) != 1:
+    if _integer(version, "version") != 1:
         raise ContainerError(f"{path}: unsupported plan manifest version {version!r}")
     scheme = manifest.get("scheme")
     if scheme not in SCHEMES:
@@ -500,10 +501,10 @@ def _plan_from_manifest(manifest: dict, path: Path) -> FactorizedPlan:
     if "skip" in manifest:
         extras["skip"] = read("skip")
     layer = cls.from_factors(read, spec, **extras)
-    if list(map(_integer, manifest["ranks"])) != _ranks(layer):
+    if [_integer(r, "ranks") for r in manifest["ranks"]] != _ranks(layer):
         raise ContainerError(f"{path}: ranks {manifest['ranks']!r} are not the factors' {_ranks(layer)}")
 
-    extents = tuple(map(_integer, manifest["reference_input_extents"]))
+    extents = tuple(_integer(d, "reference_input_extents") for d in manifest["reference_input_extents"])
     if any(d < 1 for d in extents):
         raise ValueError(f"reference_input_extents must all be >= 1, got {extents}")
     return _plan_for(scheme, layer, extents)

@@ -390,10 +390,23 @@ class TestCost:
         assert run_cli("cost", "--spec", spec) == 2
         assert capsys.readouterr().out == ""
 
-    def test_rank_below_one_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("layers,extents", [
+        ([LAYER, {"in_channels": 2, "out_channels": 3}], ()),
+        ([dict(LAYER, kernel_sizes=[3, 3])], ("--input-extents", "8,8,8")),
+    ], ids=["later-layer-lacks-kernel-sizes", "extents-of-another-order"])
+    def test_bad_layer_prints_nothing(self, tmp_path, capsys, layers, extents):
+        """Every layer is costed before any line is printed."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"layers": layers}))
+        assert run_cli("cost", "--spec", spec, *extents) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_rank_below_one_exits_3(self, tmp_path, capsys):
         spec = tmp_path / "layer.json"
         spec.write_text(json.dumps(dict(self.LAYER, rank=0)))
         assert run_cli("cost", "--spec", spec) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "error: cost spec layer 0: rank must be >= 1, got 0" in err
 
 
 class TestSweep:
@@ -429,6 +442,11 @@ class TestSweep:
 
     def test_multiplier_zero_exits_3(self, tmp_path):
         assert run_cli("sweep", "--multipliers", "0", "--out", tmp_path / "s.csv") == 3
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_multiplier_zero_without_pairs_exits_3(self, tmp_path):
+        """Multipliers are checked before any row is costed, so also with no rows."""
+        assert run_cli("sweep", "--pairs", "", "--multipliers", "2,0", "--out", tmp_path / "s.csv") == 3
         assert not (tmp_path / "s.csv").exists()
 
 

@@ -15,9 +15,12 @@ from tensorconv import (
     conv_1x1,
     conv_nd_direct,
     conv_nd_naive,
+    compress,
+    cp_als,
     n_mode_product,
+    tucker_hooi,
 )
-from tensorconv.costs import flops_regular
+from tensorconv.costs import figure6_sweep, flops_regular
 from tensorconv.dense import depthwise_conv
 
 from helpers import rel_error
@@ -49,6 +52,27 @@ class TestConvSpec:
         assert spec.kernel_sizes == (3, 3)
         with pytest.raises(DimensionError):
             ConvSpec.from_kernel(np.zeros((4, 2)))
+
+
+_T = np.random.default_rng(11).standard_normal((3, 4, 3))
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: compress(_T[..., None], "cp", 2, seed=1.5), "seed"),
+    (lambda: compress(_T[..., None], "cp", 2, restarts=2.7), "restarts"),
+    (lambda: compress(_T[..., None], "cp", 2, max_iters=2.5), "max_iters"),
+    (lambda: cp_als(_T, 2.5), "rank"),
+    (lambda: cp_als(_T, True), "rank"),
+    (lambda: tucker_hooi(_T, (2.0, 2, 2)), "ranks"),
+    (lambda: ConvSpec(4.0, 6, (3, 3)), "in_channels"),
+    (lambda: figure6_sweep(multipliers=(1.5,)), "multipliers"),
+], ids=["compress-seed", "compress-restarts", "compress-max-iters", "cp-rank", "cp-bool-rank",
+        "tucker-ranks", "spec-in-channels", "sweep-multipliers"])
+def test_a_non_integer_is_refused_by_name(call, name):
+    """Each said only "'float' object cannot be interpreted as an integer",
+    and a bool CP rank failed inside numpy."""
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+        call()
 
 
 class TestConvNdDirect:

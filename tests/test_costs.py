@@ -44,7 +44,8 @@ class TestParams:
 
     def test_hocp_examples(self):
         assert params_hocp(ConvSpec(3, 64, (3, 3, 3)), 18) == 1368
-        assert params_hocp(ConvSpec(3, 64, (3, 3, 3)), 0) == 0
+        with pytest.raises(RankError, match="rank must be >= 1, got 0"):
+            params_hocp(ConvSpec(3, 64, (3, 3, 3)), 0)
 
     def test_negative_rank_rejected(self):
         with pytest.raises(RankError):
@@ -206,13 +207,18 @@ class TestCostReport:
         assert v2.params == 48 * 8 + 9 * 48 + 16 * 48
 
     def test_rank_zero_and_3d_geometry(self):
-        # Reports need no buildable layer: rank 0 costs nothing, and the
-        # MobileNet formulas apply to any number of spatial modes.
+        # A rank-0 stage has an empty mode, which no layer holds, so reports
+        # refuse rank 0 as the fits do; the MobileNet formulas apply to any
+        # number of spatial modes.
         spec = ConvSpec(8, 16, (3, 3, 3))
         extents = (9, 9, 9)
-        assert report_hocp(spec, 0, extents, include_skip=True).params == 8 * 16
-        assert report_tucker(spec, (0, 0), extents).flops == 0
-        assert report_mobilenet_v2(spec, 0, extents).flops == 0
+        for cost in (
+            lambda: report_hocp(spec, 0, extents, include_skip=True),
+            lambda: report_tucker(spec, (0, 2), extents),
+            lambda: report_mobilenet_v2(spec, 0, extents),
+        ):
+            with pytest.raises(RankError, match="rank must be >= 1, got 0"):
+                cost()
         assert report_mobilenet_v1(spec, extents).params == 27 * 8 + 16 * 8
         assert report_mobilenet_v2(spec, 5, extents).params == 5 * 8 + 27 * 5 + 16 * 5
 
@@ -225,9 +231,9 @@ class TestCostReport:
         assert report_hocp(spec, 3, (5, 4, 6)).flops == 5112
         for cost in (
             lambda: report_hocp(spec, 3, extents),
-            lambda: report_hocp(spec, 0, extents),
+            lambda: report_hocp(spec, 1, extents),
             lambda: report_tucker(spec, (2, 2), extents),
-            lambda: report_tucker(spec, (0, 0), extents),
+            lambda: report_tucker(spec, (1, 1), extents),
             lambda: report_mobilenet_v1(spec, extents),
             lambda: report_mobilenet_v2(spec, 3, extents),
         ):

@@ -9,12 +9,10 @@ from tensorconv import (
     KruskalTensor,
     RankError,
     TuckerTensor,
-    absorb_spatial,
     compress,
     cp_als,
     depthwise_separable,
     kruskal_to_dense,
-    n_mode_product,
     tucker_hooi,
     tucker_to_dense,
 )
@@ -454,11 +452,38 @@ class TestTuckerHooi:
         assert np.linalg.norm(u.T @ u - np.eye(4)) < 1e-12
 
     def test_full_rank_modes_keep_hosvd_factor(self):
+        # A mode at full rank takes the identity, not an HOSVD basis of it.
         rng = np.random.default_rng(24)
         target = rng.standard_normal((5, 4, 3, 3))
         res = tucker_hooi(target, (2, 2, 3, 3), max_iters=4, tol=0.0)
         for mode in (2, 3):
-            assert np.array_equal(res.tucker.factors[mode], decomp._hosvd_factor(target, mode, 3))
+            assert np.array_equal(res.tucker.factors[mode], np.eye(3))
+        assert res.tucker.core.shape == (2, 2, 3, 3)
+        assert rel_error(tucker_to_dense(res.tucker), target) == pytest.approx(res.rel_error, rel=1e-12)
+
+    def test_hosvd_factor_only_on_truncated_modes(self, monkeypatch):
+        """Modes 2 and 4 are at full rank, mode 3 is capped to it: only modes
+        0 and 1 get an SVD, once at initialization and once per sweep."""
+        t = np.random.default_rng(25).standard_normal((6, 5, 3, 2, 3))
+        modes = []
+        hosvd = decomp._hosvd_factor
+
+        def spy(m, mode, rank):
+            modes.append(mode)
+            return hosvd(m, mode, rank)
+
+        monkeypatch.setattr(decomp, "_hosvd_factor", spy)
+        res = tucker_hooi(t, (3, 2, 3, 5, 3), max_iters=3, tol=0.0)
+        assert modes == [0, 1] * 4
+        assert res.n_iters == 3 and res.warnings == ["rank 5 at mode 3 capped at extent 2"]
+
+    def test_all_modes_at_full_rank_give_the_tensor(self, monkeypatch):
+        t = np.random.default_rng(26).standard_normal((4, 3, 3, 2))
+        monkeypatch.setattr(decomp, "_hosvd_factor", None)  # no SVD at all
+        res = tucker_hooi(t, t.shape)
+        assert res.tucker.core.tobytes() == t.tobytes() and res.tucker.core is not t
+        assert all(np.array_equal(f, np.eye(e)) for f, e in zip(res.tucker.factors, t.shape))
+        assert (res.rel_error, res.n_iters, res.converged) == (0.0, 2, True)
 
 
     def test_sweep_error_reuses_the_last_partial_projection(self, monkeypatch):
@@ -475,7 +500,7 @@ class TestTuckerHooi:
 
         monkeypatch.setattr(decomp, "n_mode_product", spy)
         res = tucker_hooi(t, (4, 3, 3, 3), max_iters=3, tol=0.0)
-        assert len(calls) == 3 * (2 + 3) + 4  # three sweeps, then the core
+        assert len(calls) == 3 * (2 + 3) + 2  # three sweeps, then the core on the truncated modes
         core = t
         for mode in (0, 1):
             core = product(core, res.tucker.factors[mode].T, mode)
@@ -484,46 +509,6 @@ class TestTuckerHooi:
             approx = product(approx, res.tucker.factors[mode], mode)
         norm_t = float(np.linalg.norm(t.ravel()))
         assert res.error_history[-1] == decomp._rel_error(t, approx, norm_t)
-
-
-class TestAbsorbSpatial:
-    def test_reconstruction_invariant(self):
-        rng = np.random.default_rng(15)
-        t = random_tucker(rng, (4, 5, 3, 3), (2, 3, 2, 2))
-        merged = absorb_spatial(t)
-        assert rel_error(tucker_to_dense(merged), tucker_to_dense(t)) < 1e-12
-
-    def test_identity_spatial_factors_leave_core(self):
-        rng = np.random.default_rng(16)
-        core = rng.standard_normal((2, 2, 3, 3))
-        t = TuckerTensor(
-            core,
-            (
-                orthonormal_factor(rng, 4, 2),
-                orthonormal_factor(rng, 4, 2),
-                np.eye(3),
-                np.eye(3),
-            ),
-        )
-        merged = absorb_spatial(t)
-        assert np.array_equal(merged.core, core)
-
-    def test_matches_n_mode_product_oracle(self):
-        rng = np.random.default_rng(17)
-        t = random_tucker(rng, (3, 3, 2, 2), (2, 2, 2, 2))
-        merged = absorb_spatial(t)
-        expected = n_mode_product(
-            n_mode_product(t.core, t.factors[2], 2), t.factors[3], 3
-        )
-        np.testing.assert_allclose(merged.core, expected, rtol=1e-14)
-        assert np.array_equal(merged.factors[2], np.eye(2))
-        assert np.array_equal(merged.factors[3], np.eye(2))
-
-    def test_default_is_every_spatial_mode(self):
-        rng = np.random.default_rng(21)
-        t = random_tucker(rng, (4, 5, 3, 2, 3), (2, 3, 2, 2, 3))
-        merged = absorb_spatial(t)
-        assert merged.core.shape == (2, 3, 3, 2, 3)
 
 
 class TestDepthwiseSeparable:

@@ -22,10 +22,8 @@ from tensorconv import (
     MobileNetV2Block,
     OpCounter,
     PReLU,
-    RankError,
     ReLU,
     TuckerConvLayer,
-    TuckerTensor,
     build_mobilenet_v2,
     conv_1x1,
     conv_nd_direct,
@@ -139,7 +137,8 @@ class TestTuckerConvForward:
         w = rng.standard_normal((3, 4, 2, 2))
         spec = ConvSpec(4, 3, (2, 2))
         res = tucker_hooi(w, w.shape)
-        layer = TuckerConvLayer.from_tucker(res.tucker, spec)
+        u_out, u_in = res.tucker.factors[:2]
+        layer = TuckerConvLayer(u_in.T, res.tucker.core, u_out, spec)
         x = rng.standard_normal((4, 5, 5))
         assert rel_error(forward(layer, x), conv_nd_direct(x, w, spec)) < 1e-6
 
@@ -464,13 +463,13 @@ class TestMobileNetV1:
 
     def test_rank_mismatch_rejected(self):
         rng = np.random.default_rng(25)
-        with pytest.raises(RankError, match="rank == input channels"):
+        with pytest.raises(DimensionError, match=r"stage depthwise of shape \(3, 3, 4\) does not take 3 channels"):
             MobileNetV1Block(
                 rng.uniform(-1, 1, (3, 3, 4)), rng.uniform(-1, 1, (2, 3)), ConvSpec(3, 2, (3, 3))
             )
 
     def test_direct_block_construction_validates(self):
-        with pytest.raises(RankError):
+        with pytest.raises(DimensionError, match="stage depthwise"):
             MobileNetV1Block(np.zeros((3, 3, 4)), np.zeros((2, 5)), ConvSpec(5, 2, (3, 3)))
 
 
@@ -699,8 +698,6 @@ class TestDenseKernelFold:
             np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((2, 2)), ConvSpec(3, 2, (2,))),
         "tucker core order": lambda: TuckerConvLayer(
             np.zeros((2, 3)), np.zeros((2, 2, 2, 2)), np.zeros((2, 2)), ConvSpec(3, 2, (2,))),
-        "tucker from_tucker order": lambda: TuckerConvLayer.from_tucker(
-            TuckerTensor(np.zeros((2, 2, 2, 2)), (np.eye(2),) * 4), ConvSpec(2, 2, (2,))),
         "hocp skip": lambda: HoCpConvLayer(
             CpConvLayer(zeros_kruskal((2, 3, 3), 2), ConvSpec(3, 2, (3,), 1, 1)),
             skip=np.zeros((3, 3))),
@@ -726,10 +723,9 @@ class TestDenseKernelFold:
 
     @pytest.mark.parametrize("case", MISMATCHES)
     def test_mismatch_raises_its_class(self, case):
-        expected = RankError if case == "v1 rank" else DimensionError
-        with pytest.raises(expected) as info:
+        with pytest.raises(DimensionError) as info:
             self.MISMATCHES[case]()
-        assert type(info.value) is expected
+        assert type(info.value) is DimensionError
 
 
 def untiled_fold(layer, x):

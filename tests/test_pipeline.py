@@ -139,6 +139,16 @@ class TestCompress:
         assert res.kernel_rel_error < 1e-12
         assert res.output_rel_error < 1e-12
 
+    def test_tucker_full_rank_plan_is_the_kernel(self):
+        """Full channel ranks leave nothing to fit: ``down`` and ``up`` are
+        identities and the core is the kernel, bit for bit."""
+        w = np.random.default_rng(110).standard_normal((5, 4, 3, 2, 3))
+        res = compress(w, "tucker", (5, 4), seed=0)
+        layer = res.plan.layer
+        assert np.array_equal(layer.down, np.eye(4)) and np.array_equal(layer.up, np.eye(5))
+        assert layer.core.tobytes() == w.tobytes() and layer.core is not w
+        assert res.kernel_rel_error == 0.0
+
     def test_tucker_two_rank_shorthand_keeps_spatial_full(self):
         rng = np.random.default_rng(105)
         w = rng.standard_normal((4, 3, 3, 3))
@@ -752,6 +762,14 @@ class TestPartsAreNamedAsSaved:
         path = save_plan(_fixed_plans()[name], tmp_path / "plan")
         self.edit(path, case)
         with pytest.raises(ContainerError, match=re.escape(str(path))):
+            load_plan(path)
+        assert self.exit_codes(path) == (2, 2)
+
+    def test_v1_part_of_another_rank_exits_2(self, tmp_path):
+        """A v1 depthwise part whose taps have R != C channels breaks the stage chain."""
+        path = save_plan(_fixed_plans()["mobilenet-v1"], tmp_path / "plan")
+        write_tensor(path.parent / "spatial.tensor", np.ones((3, 1, 3, 4)))
+        with pytest.raises(ContainerError, match=r"stage depthwise of shape \(3, 1, 3, 4\) does not take 3 channels"):
             load_plan(path)
         assert self.exit_codes(path) == (2, 2)
 
