@@ -3,6 +3,11 @@
 One JSON header line, ``{"dtype": "f64"|"f32", "shape": [...], "order":
 "row-major"}``, terminated by a newline, then the raw little-endian element
 bytes. Round-trips are bitwise exact for f64.
+
+Every file the program writes (a container, a plan's ``plan.json``, the
+``sweep`` CSV) is opened by :func:`_open_new`: an existing file at the path
+is replaced by a new one, not written through, so a hard link to it, or the
+target of a symlink at the path, keeps the old bytes.
 """
 
 from __future__ import annotations
@@ -20,15 +25,42 @@ __all__ = ["read_tensor", "read_finite_tensor", "write_tensor"]
 _DTYPES = {"f64": np.dtype("<f8"), "f32": np.dtype("<f4")}
 
 
+def _open_new(path, mode: str = "wb", **kwargs):
+    """Remove whatever file is at ``path``, then open a new file there.
+
+    On ext4 (its default ``auto_da_alloc``), closing a file that was
+    truncated to zero starts its writeback, and a rewrite soon after must
+    free the blocks that writeback allocated; a new file costs neither.
+    Renaming a temporary file over the old one forces the same writeback.
+    A hard link to the old file, or the target of a symlink at ``path``,
+    keeps the old bytes.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, mode, **kwargs)
+
+
 def write_tensor(path, array: np.ndarray, dtype: str = "f64") -> None:
-    """Write ``array`` to ``path`` in container format (f32 writes are lossy)."""
+    """Write ``array`` to ``path`` in container format (f32 writes are lossy).
+
+    A shape that :func:`read_tensor` refuses (no axes, or an extent of 0)
+    raises :class:`ContainerError`, as does an unknown ``dtype``; both are
+    checked before anything at ``path`` is touched. An existing file at
+    ``path`` is replaced, not written through (see :func:`_open_new`).
+    """
     if dtype not in _DTYPES:
         raise ContainerError(f"unsupported dtype {dtype!r}; expected 'f64' or 'f32'")
-    arr = np.ascontiguousarray(array, dtype=_DTYPES[dtype])
+    arr = np.asarray(array, dtype=_DTYPES[dtype], order="C")
+    if arr.ndim == 0 or 0 in arr.shape:
+        raise ContainerError(
+            f"{path}: invalid shape {list(arr.shape)}; a container has one or more axes, each of extent >= 1"
+        )
     header = json.dumps(
         {"dtype": dtype, "shape": list(arr.shape), "order": "row-major"}
     )
-    with open(path, "wb") as fh:
+    with _open_new(path) as fh:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
         fh.write(memoryview(arr))

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import costs
-from .container import read_finite_tensor, write_tensor
+from .container import _open_new, read_finite_tensor, write_tensor
 from .convref import ConvSpec, _check_conv_operands, _direct_into, _integer, _tolerance
 from .decomp import _cp_als_lockstep, _sweep_controls, depthwise_separable, tucker_hooi
 from .dense import as_tensor
@@ -385,11 +385,20 @@ def _decode_activation(obj) -> Optional[Activation]:
 
 def save_plan(plan: FactorizedPlan, out_dir) -> Path:
     """Write factor containers plus ``plan.json`` into ``out_dir``; returns the manifest path.
-    A scheme that does not name the layer's class raises ``ValueError`` first."""
+
+    A scheme that does not name the layer's class raises ``ValueError`` first.
+    Each file is replaced, not written through, and any other file in
+    ``out_dir`` is left as it is. An existing ``plan.json`` is removed before
+    the first part is written and the new one is written last, so a save
+    that stops midway leaves no manifest, never one naming a mix of old and
+    new parts.
+    """
     if not isinstance(plan.layer, _LAYER_TYPES.get(plan.scheme, ())):
         raise ValueError(f"scheme {plan.scheme!r} does not name a {type(plan.layer).__name__}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    path = out / MANIFEST_NAME
+    path.unlink(missing_ok=True)
     factor_entries = []
     for role, factor in plan.layer.factors:
         fname = f"{role}.tensor"
@@ -425,8 +434,8 @@ def save_plan(plan: FactorizedPlan, out_dir) -> Path:
         write_tensor(out / "skip.tensor", plan.layer.skip)
         manifest["skip"] = "skip.tensor"
 
-    path = out / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    with _open_new(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     return path
 
 

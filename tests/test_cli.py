@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -199,6 +200,21 @@ class TestDecompose:
         assert "error: " in capsys.readouterr().err
         assert not (tmp_path / "plan").exists()
 
+    def test_into_a_plan_directory_of_another_scheme(self, synthetic_kernel, tmp_path):
+        """mobilenet-v2 and tucker both name parts down.tensor and up.tensor,
+        of other shapes; the second decompose writes what a fresh one writes."""
+        kernel, _ = synthetic_kernel
+        tucker = ["decompose", "--input", kernel, "--scheme", "tucker", "--rank", "2,3"]
+        assert run_cli("decompose", "--input", kernel, "--scheme", "mobilenet-v2", "--rank", "2",
+                       "--out", tmp_path / "plan") == 0
+        assert run_cli(*tucker, "--out", tmp_path / "plan") == 0
+        assert run_cli(*tucker, "--out", tmp_path / "fresh") == 0
+        fresh = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+        assert fresh == ["core.tensor", "down.tensor", "plan.json", "up.tensor"]
+        for name in fresh:
+            assert (tmp_path / "plan" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+        assert load_plan(tmp_path / "plan" / "plan.json").scheme == "tucker"
+
     def test_mobilenet_v1_planted_kernel(self, tmp_path, capsys):
         # A depthwise-separable kernel: v1's closed-form fit is exact, with
         # no iteration and no restart to report.
@@ -256,6 +272,20 @@ class TestConv:
         a, b = read_tensor(y_plan), read_tensor(y_direct)
         assert a.shape == b.shape
         assert rel_error(a, b) < 1e-10
+
+    def test_symlink_at_out_is_replaced_and_its_target_kept(self, synthetic_kernel, tmp_path):
+        kernel, _ = synthetic_kernel
+        x = tmp_path / "x.tensor"
+        write_tensor(x, np.random.default_rng(57).standard_normal((4, 6, 5)))
+        target, link = tmp_path / "target.tensor", tmp_path / "y.tensor"
+        write_tensor(target, np.ones((2, 2)))
+        before = target.read_bytes()
+        link.symlink_to(target)
+        assert run_cli("conv", "--input", x, "--kernel", kernel, "--out", link) == 0
+        assert run_cli("conv", "--input", x, "--kernel", kernel, "--out", tmp_path / "fresh.tensor") == 0
+        assert not link.is_symlink()
+        assert link.read_bytes() == (tmp_path / "fresh.tensor").read_bytes()
+        assert target.read_bytes() == before
 
     def test_plan_prints_its_cost_on_the_input(self, synthetic_kernel, tmp_path, capsys):
         kernel, _ = synthetic_kernel
@@ -439,6 +469,14 @@ class TestSweep:
             [r.in_channels, r.out_channels, r.flops_regular / 1e9, *(f / 1e9 for f in r.flops_hocp)]
             for r in costs.figure6_sweep(((16, 32), (64, 64)))
         ]
+
+    def test_rewrite_gives_the_same_file_anew(self, tmp_path):
+        out, kept = tmp_path / "sweep.csv", tmp_path / "kept.csv"
+        assert run_cli("sweep", "--out", out) == 0
+        os.link(out, kept)
+        assert run_cli("sweep", "--out", out) == 0
+        assert out.read_bytes() == kept.read_bytes()
+        assert out.stat().st_ino != kept.stat().st_ino
 
     def test_multiplier_zero_exits_3(self, tmp_path):
         assert run_cli("sweep", "--multipliers", "0", "--out", tmp_path / "s.csv") == 3

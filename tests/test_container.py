@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -86,9 +87,22 @@ class TestMalformed:
         with pytest.raises(ContainerError, match="payload"):
             read_tensor(path)
 
-    def test_write_rejects_unknown_dtype(self, tmp_path):
+    @pytest.mark.parametrize("array,dtype", [
+        (np.zeros(2), "f16"), (np.zeros((0, 3)), "f64"), (np.zeros((2, 0)), "f32"), (np.float64(1.0), "f64"),
+    ], ids=["dtype-f16", "extent-0", "extent-0-f32", "no-axes"])
+    def test_refused_write_leaves_the_old_file(self, tmp_path, array, dtype):
+        """A shape read_tensor refuses ([0, 3] used to be written) or an
+        unknown dtype raises before the file at the path is touched."""
+        path = tmp_path / "t.tensor"
+        write_tensor(path, np.arange(6.0).reshape(2, 3))
+        before, inode = path.read_bytes(), path.stat().st_ino
         with pytest.raises(ContainerError):
-            write_tensor(tmp_path / "t.tensor", np.zeros(2), dtype="f16")
+            write_tensor(path, array, dtype=dtype)
+        assert path.read_bytes() == before
+        assert path.stat().st_ino == inode
+        with pytest.raises(ContainerError):
+            write_tensor(tmp_path / "new.tensor", array, dtype=dtype)
+        assert not (tmp_path / "new.tensor").exists()
 
     def test_shape_product_overflow(self, tmp_path, capsys):
         # 2**32 * 2**32 wraps to 0 in int64, which an empty payload would match.
@@ -115,6 +129,25 @@ class TestMalformed:
                          "--out", str(tmp_path / "plan")])
         assert code == 2
         assert str(path) in capsys.readouterr().err
+
+
+class TestRewrite:
+    """An existing file is replaced by a new one, not written through."""
+
+    def test_rewrite_is_a_fresh_write_under_a_new_inode(self, tmp_path):
+        rng = np.random.default_rng(2)
+        old, new = rng.standard_normal((4, 5, 3)), rng.standard_normal((2, 3))
+        path, kept = tmp_path / "t.tensor", tmp_path / "kept.tensor"
+        write_tensor(path, old)
+        old_bytes = path.read_bytes()
+        os.link(path, kept)
+        write_tensor(path, new)
+        write_tensor(tmp_path / "fresh.tensor", new)
+        assert path.read_bytes() == (tmp_path / "fresh.tensor").read_bytes()
+        assert path.stat().st_ino != kept.stat().st_ino
+        # The hard link still holds the old file, which is whole and readable.
+        assert kept.read_bytes() == old_bytes
+        assert read_tensor(kept).tobytes() == old.tobytes()
 
 
 # Arbitrary JSON values, for header and manifest fields.

@@ -514,6 +514,24 @@ class TestPlanSerialization:
         loaded = load_plan(save_plan(plan, tmp_path))
         assert loaded.layer.activations == (PReLU(0.125),)
 
+    def test_interrupted_resave_leaves_no_manifest(self, tmp_path):
+        """The old plan.json used to stay, naming a mix of new and old parts."""
+        plan = _fixed_plans()["cp"]
+        path = save_plan(plan, tmp_path / "plan")
+        calls = []
+
+        def second_write_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            return write_tensor(*args, **kwargs)
+
+        with mock.patch.object(pipeline, "write_tensor", second_write_fails):
+            with pytest.raises(OSError, match="no space"):
+                save_plan(plan, tmp_path / "plan")
+        with pytest.raises(ContainerError, match="cannot read plan manifest"):
+            load_plan(path)
+
     def test_load_rejects_non_manifest(self, tmp_path):
         from tensorconv import ContainerError
 
