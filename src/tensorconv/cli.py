@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import costs
-from .container import _open_new, read_finite_tensor, write_tensor
+from .container import _remove_file, read_finite_tensor, write_tensor
 from .convref import ConvSpec, _integer, conv_nd_direct
 from .errors import ContainerError, DimensionError, RankError
 from .pipeline import (
@@ -253,7 +253,8 @@ def _cmd_sweep(args) -> int:
     extents = _parse_int_list(args.input_extents, "--input-extents")
     kernel = _parse_int_list(args.kernel, "--kernel")
     rows = costs.figure6_sweep(pairs, extents, kernel, multipliers)
-    with _open_new(args.out, "w", newline="", encoding="utf-8") as fh:
+    _remove_file(args.out)
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         costs.write_sweep_csv(rows, multipliers, fh)
     print(f"rows={len(rows)}")
     print(f"output_file={args.out}")

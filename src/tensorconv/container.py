@@ -5,9 +5,10 @@ One JSON header line, ``{"dtype": "f64"|"f32", "shape": [...], "order":
 bytes. Round-trips are bitwise exact for f64.
 
 Every file the program writes (a container, a plan's ``plan.json``, the
-``sweep`` CSV) is opened by :func:`_open_new`: an existing file at the path
-is replaced by a new one, not written through, so a hard link to it, or the
-target of a symlink at the path, keeps the old bytes.
+``sweep`` CSV) is opened after :func:`_remove_file`, so an existing regular
+file at the path is replaced by a new one, not written through: a hard
+link to it keeps the old bytes. Anything else at the path (a symlink, a
+FIFO, a device) is left in place and written through.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 
 import numpy as np
 
@@ -25,21 +27,22 @@ __all__ = ["read_tensor", "read_finite_tensor", "write_tensor"]
 _DTYPES = {"f64": np.dtype("<f8"), "f32": np.dtype("<f4")}
 
 
-def _open_new(path, mode: str = "wb", **kwargs):
-    """Remove whatever file is at ``path``, then open a new file there.
+def _remove_file(path) -> None:
+    """Remove ``path`` if it is a regular file; every writer calls this first.
 
     On ext4 (its default ``auto_da_alloc``), closing a file that was
     truncated to zero starts its writeback, and a rewrite soon after must
     free the blocks that writeback allocated; a new file costs neither.
     Renaming a temporary file over the old one forces the same writeback.
-    A hard link to the old file, or the target of a symlink at ``path``,
-    keeps the old bytes.
+    A hard link to the old file keeps the old bytes. A symlink, a FIFO or a
+    device at ``path`` is not removed, so opening the path afterwards
+    writes through it.
     """
     try:
-        os.unlink(path)
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
     except FileNotFoundError:
         pass
-    return open(path, mode, **kwargs)
 
 
 def write_tensor(path, array: np.ndarray, dtype: str = "f64") -> None:
@@ -47,8 +50,9 @@ def write_tensor(path, array: np.ndarray, dtype: str = "f64") -> None:
 
     A shape that :func:`read_tensor` refuses (no axes, or an extent of 0)
     raises :class:`ContainerError`, as does an unknown ``dtype``; both are
-    checked before anything at ``path`` is touched. An existing file at
-    ``path`` is replaced, not written through (see :func:`_open_new`).
+    checked before anything at ``path`` is touched. An existing regular file
+    at ``path`` is replaced, not written through; a symlink, a FIFO or a
+    device there is written through (see :func:`_remove_file`).
     """
     if dtype not in _DTYPES:
         raise ContainerError(f"unsupported dtype {dtype!r}; expected 'f64' or 'f32'")
@@ -60,7 +64,8 @@ def write_tensor(path, array: np.ndarray, dtype: str = "f64") -> None:
     header = json.dumps(
         {"dtype": dtype, "shape": list(arr.shape), "order": "row-major"}
     )
-    with _open_new(path) as fh:
+    _remove_file(path)
+    with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
         fh.write(memoryview(arr))

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import costs
-from .container import _open_new, read_finite_tensor, write_tensor
+from .container import _remove_file, read_finite_tensor, write_tensor
 from .convref import ConvSpec, _check_conv_operands, _direct_into, _integer, _tolerance
 from .decomp import _cp_als_lockstep, _sweep_controls, depthwise_separable, tucker_hooi
 from .dense import as_tensor
@@ -387,18 +387,19 @@ def save_plan(plan: FactorizedPlan, out_dir) -> Path:
     """Write factor containers plus ``plan.json`` into ``out_dir``; returns the manifest path.
 
     A scheme that does not name the layer's class raises ``ValueError`` first.
-    Each file is replaced, not written through, and any other file in
-    ``out_dir`` is left as it is. An existing ``plan.json`` is removed before
-    the first part is written and the new one is written last, so a save
-    that stops midway leaves no manifest, never one naming a mix of old and
-    new parts.
+    Each part, and ``plan.json``, that is a regular file is replaced, not
+    written through (a symlink there is written through), and any other file
+    in ``out_dir`` is left as it is. An existing ``plan.json`` that is a
+    regular file is removed before the first part is written and the new one
+    is written last, so a save that stops midway leaves no manifest, never
+    one naming a mix of old and new parts.
     """
     if not isinstance(plan.layer, _LAYER_TYPES.get(plan.scheme, ())):
         raise ValueError(f"scheme {plan.scheme!r} does not name a {type(plan.layer).__name__}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / MANIFEST_NAME
-    path.unlink(missing_ok=True)
+    _remove_file(path)
     factor_entries = []
     for role, factor in plan.layer.factors:
         fname = f"{role}.tensor"
@@ -434,8 +435,8 @@ def save_plan(plan: FactorizedPlan, out_dir) -> Path:
         write_tensor(out / "skip.tensor", plan.layer.skip)
         manifest["skip"] = "skip.tensor"
 
-    with _open_new(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2) + "\n")
+    # A regular plan.json was removed before the first part was written.
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
 
 

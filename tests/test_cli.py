@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -273,19 +275,43 @@ class TestConv:
         assert a.shape == b.shape
         assert rel_error(a, b) < 1e-10
 
-    def test_symlink_at_out_is_replaced_and_its_target_kept(self, synthetic_kernel, tmp_path):
+    def test_symlink_at_out_is_written_through(self, synthetic_kernel, tmp_path):
+        """Only a regular file at --out is replaced; a symlink stays, and its
+        target gets the bytes a fresh --out gets."""
         kernel, _ = synthetic_kernel
         x = tmp_path / "x.tensor"
         write_tensor(x, np.random.default_rng(57).standard_normal((4, 6, 5)))
         target, link = tmp_path / "target.tensor", tmp_path / "y.tensor"
         write_tensor(target, np.ones((2, 2)))
-        before = target.read_bytes()
         link.symlink_to(target)
         assert run_cli("conv", "--input", x, "--kernel", kernel, "--out", link) == 0
         assert run_cli("conv", "--input", x, "--kernel", kernel, "--out", tmp_path / "fresh.tensor") == 0
-        assert not link.is_symlink()
-        assert link.read_bytes() == (tmp_path / "fresh.tensor").read_bytes()
-        assert target.read_bytes() == before
+        assert link.is_symlink()
+        assert target.read_bytes() == (tmp_path / "fresh.tensor").read_bytes()
+
+    def test_fifo_at_out_is_written_through(self, synthetic_kernel, tmp_path):
+        kernel, _ = synthetic_kernel
+        x = tmp_path / "x.tensor"
+        write_tensor(x, np.random.default_rng(58).standard_normal((4, 6, 5)))
+        fifo = tmp_path / "y.fifo"
+        os.mkfifo(fifo)
+        # Opened for reading and writing, the FIFO has a writer until `held`
+        # is closed, so both opens return at once and the reader sees the
+        # end of the data only after that, whether or not conv opened it.
+        held = os.open(fifo, os.O_RDWR)
+        with open(fifo, "rb") as fh:
+            got = []
+            reader = threading.Thread(target=lambda: got.append(fh.read()), daemon=True)
+            reader.start()
+            try:
+                code = run_cli("conv", "--input", x, "--kernel", kernel, "--out", fifo)
+            finally:
+                os.close(held)
+                reader.join(timeout=30)
+        assert code == 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert run_cli("conv", "--input", x, "--kernel", kernel, "--out", tmp_path / "fresh.tensor") == 0
+        assert got == [(tmp_path / "fresh.tensor").read_bytes()]
 
     def test_plan_prints_its_cost_on_the_input(self, synthetic_kernel, tmp_path, capsys):
         kernel, _ = synthetic_kernel
