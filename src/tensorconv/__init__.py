@@ -27,7 +27,6 @@ from .decomp import (
     depthwise_separable,
     kruskal_to_dense,
     tucker_hooi,
-    tucker_to_dense,
 )
 from .dense import fold, khatri_rao, n_mode_product, unfold
 from .errors import ContainerError, DimensionError, RankError

@@ -55,14 +55,19 @@ def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
         raise _UsageError(f"{name} expects comma-separated integers, got {text!r}") from exc
 
 
+def _parse_geometry(text, name: str, least: int):
+    """A ``--stride`` or ``--padding`` value: None if not given, else one integer or one per mode.
+    An empty list, or a value below ``least``, is a usage error, raised before any file is read."""
+    if text is None:
+        return None
+    values = _parse_int_list(text, name)
+    if not values or min(values) < least:
+        raise _UsageError(f"{name} expects integers >= {least}, got {text!r}")
+    return values[0] if len(values) == 1 else values
+
+
 def _parse_stride_padding(args) -> tuple:
-    stride = _parse_int_list(args.stride, "--stride") if args.stride is not None else None
-    padding = _parse_int_list(args.padding, "--padding") if args.padding is not None else None
-    if stride is not None and len(stride) == 1:
-        stride = stride[0]
-    if padding is not None and len(padding) == 1:
-        padding = padding[0]
-    return stride, padding
+    return _parse_geometry(args.stride, "--stride", 1), _parse_geometry(args.padding, "--padding", 0)
 
 
 def _load_plan(path, stride, padding):

@@ -26,6 +26,11 @@ __all__ = ["read_tensor", "read_finite_tensor", "write_tensor"]
 
 _DTYPES = {"f64": np.dtype("<f8"), "f32": np.dtype("<f4")}
 
+# The most bytes read looking for the header's newline. The longest header
+# write_tensor writes, for numpy's 64 axes, is under 2 KB; a file with no
+# newline this early is refused without reading the rest of it.
+_HEADER_LIMIT = 64 * 1024
+
 
 def _remove_file(path) -> None:
     """Remove ``path`` if it is a regular file; every writer calls this first.
@@ -79,13 +84,13 @@ def read_tensor(path) -> np.ndarray:
     read straight into a fresh read-only array, without an intermediate
     copy of the file's bytes; an f32 payload is read the same way and
     converted into a new array. Raises :class:`ContainerError` for a
-    malformed header or a payload whose length does not match the header's
-    shape.
+    malformed header, one not ended within ``_HEADER_LIMIT`` bytes, or a
+    payload whose length does not match the header's shape.
     """
     with open(path, "rb") as fh:
-        line = fh.readline()
+        line = fh.readline(_HEADER_LIMIT)
         if not line.endswith(b"\n"):
-            raise ContainerError(f"{path}: missing header line")
+            raise ContainerError(f"{path}: missing header line in the first {_HEADER_LIMIT} bytes")
         try:
             header = json.loads(line[:-1].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:

@@ -48,7 +48,6 @@ __all__ = [
     "figure6_sweep",
     "write_sweep_csv",
     "DEFAULT_SWEEP_PAIRS",
-    "example_3d_architecture",
 ]
 
 FLOP_CONVENTION = "multiply-add counted as 2 FLOPs"
@@ -284,13 +283,3 @@ def write_sweep_csv(rows: Sequence[SweepRow], multipliers: Sequence[int], fp) ->
             [row.in_channels, row.out_channels, row.flops_regular / 1e9]
             + [f / 1e9 for f in row.flops_hocp]
         )
-
-
-def example_3d_architecture() -> list[ConvSpec]:
-    """Four-block 3-D convolutional column with cubic size-3 kernels.
-
-    Channel progression 3 -> 64 -> 128 -> 256 -> 256; the standard rank choice
-    for the factorized variant is 6x the input channels of each block.
-    """
-    pairs = [(3, 64), (64, 128), (128, 256), (256, 256)]
-    return [ConvSpec(c, t, (3, 3, 3)) for c, t in pairs]

@@ -55,7 +55,6 @@ __all__ = [
     "CpResult",
     "TuckerResult",
     "kruskal_to_dense",
-    "tucker_to_dense",
     "cp_als",
     "tucker_hooi",
     "depthwise_separable",
@@ -145,14 +144,6 @@ def kruskal_to_dense(k: KruskalTensor) -> np.ndarray:
     if k.order == 1:
         return k.factors[0].sum(axis=1)
     return np.ascontiguousarray(_dense_stack(k.factors, k.rank)[0])
-
-
-def tucker_to_dense(t: TuckerTensor) -> np.ndarray:
-    """Dense tensor: core contracted with every factor, one n-mode product per mode."""
-    out = t.core
-    for mode, f in enumerate(t.factors):
-        out = n_mode_product(out, f, mode)
-    return out
 
 
 @dataclass

@@ -386,7 +386,9 @@ def _decode_activation(obj) -> Optional[Activation]:
 def save_plan(plan: FactorizedPlan, out_dir) -> Path:
     """Write factor containers plus ``plan.json`` into ``out_dir``; returns the manifest path.
 
-    A scheme that does not name the layer's class raises ``ValueError`` first.
+    The manifest holds only what :func:`load_plan` reads, not the plan's
+    cost, which is derived from the layer on load. A scheme that does not
+    name the layer's class raises ``ValueError`` first.
     Each part, and ``plan.json``, that is a regular file is replaced, not
     written through (a symlink there is written through), and any other file
     in ``out_dir`` is left as it is. An existing ``plan.json`` that is a
@@ -419,15 +421,6 @@ def save_plan(plan: FactorizedPlan, out_dir) -> Path:
         "ranks": _ranks(plan.layer),
         "factors": factor_entries,
         "reference_input_extents": list(plan.reference_input_extents),
-        "cost": {
-            "convention": plan.cost.convention,
-            "params": plan.cost.params,
-            "flops": plan.cost.flops,
-            "stages": [
-                {"label": s.label, "params": s.params, "flops": s.flops}
-                for s in plan.cost.stages
-            ],
-        },
     }
     if getattr(plan.layer, "activations", None) is not None:
         manifest["activations"] = [_encode_activation(a) for a in plan.layer.activations]
@@ -452,9 +445,9 @@ def load_plan(manifest_path) -> FactorizedPlan:
     ignored. Before any file is opened, each part must be named as
     ``save_plan`` names it: ``factors`` lists each role the layer class
     takes once, in ``layer.factors`` order, as ``{role}.tensor``, and a
-    skip is ``skip.tensor``. ``ranks`` must be the loaded layer's; ``cost``
-    is derived again and not compared, as filling an hocp plan's empty
-    activation slots by hand adds lines to it. The manifest and the files
+    skip is ``skip.tensor``. ``ranks`` must be the loaded layer's. The
+    cost is derived from the layer; the ``cost`` key of an older manifest
+    is ignored. The manifest and the files
     it names are untrusted input: whatever keeps them from making a plan
     (a missing key, a value of the wrong type or range, a version other
     than the integer 1, a part under another name, a factor or skip that

@@ -35,7 +35,6 @@ from tensorconv import (
 )
 from tensorconv.cli import main as cli_main
 from tensorconv.costs import (
-    example_3d_architecture,
     figure6_sweep,
     flops_hocp,
     flops_regular,
@@ -103,7 +102,7 @@ def test_criterion_1_oracle_equivalence_suite():
 
 
 def test_criterion_2_parameter_count_reproduction():
-    blocks = example_3d_architecture()
+    blocks = [ConvSpec(c, t, (3, 3, 3)) for c, t in ((3, 64), (64, 128), (128, 256), (256, 256))]
     regular = sum(params_regular(s) for s in blocks)
     hocp = sum(params_hocp(s, 6 * s.in_channels) for s in blocks)
     diff = regular - hocp

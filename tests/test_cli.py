@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tensorconv import layers
+from tensorconv import cli, layers
 from tensorconv import (
     ConvSpec, CpConvLayer, FrozenBatchNorm, HoCpConvLayer, PReLU, costs, kruskal_to_dense, load_plan,
     read_tensor, write_tensor,
@@ -720,6 +720,32 @@ class TestUsageErrors:
         cost --rank is refused, not read as an abbreviated --rank-multiplier."""
         assert run_cli(*argv) == 3
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--stride", "0"), ("--stride", "1,0"), ("--stride", ""), ("--padding", "-1")],
+                             ids=["stride-0", "stride-1,0", "stride-empty", "padding-negative"])
+    @pytest.mark.parametrize("command", ["decompose", "conv-kernel", "conv-plan", "verify"])
+    def test_bad_geometry_exits_3_before_any_file_is_read(
+        self, synthetic_kernel, tmp_path, capsys, monkeypatch, command, flag, value,
+    ):
+        """They used to exit 2: ConvSpec refused them after the input files were read."""
+        kernel, _ = synthetic_kernel
+        assert run_cli("decompose", "--input", kernel, "--scheme", "cp", "--rank", "2",
+                       "--out", tmp_path / "plan", "--max-iters", "5") == 0
+        plan, x, out = tmp_path / "plan" / "plan.json", tmp_path / "x.tensor", tmp_path / "out"
+        write_tensor(x, np.zeros((4, 6, 6)))
+        argv = {
+            "decompose": ["decompose", "--input", kernel, "--scheme", "cp", "--rank", "2", "--out", out],
+            "conv-kernel": ["conv", "--input", x, "--kernel", kernel, "--out", out],
+            "conv-plan": ["conv", "--input", x, "--plan", plan, "--out", out],
+            "verify": ["verify", "--plan", plan, "--kernel", kernel],
+        }[command]
+        for name in ("read_finite_tensor", "load_plan"):
+            monkeypatch.setattr(cli, name, mock.Mock(wraps=getattr(cli, name)))
+        capsys.readouterr()
+        assert run_cli(*argv, flag, value) == 3
+        assert f"error: {flag} expects integers" in capsys.readouterr().err
+        assert not out.exists()
+        assert not cli.read_finite_tensor.called and not cli.load_plan.called
 
     def test_out_of_process(self, tmp_path):
         proc = subprocess.run(

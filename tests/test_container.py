@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,26 @@ class TestMalformed:
         path.write_bytes(b'{"dtype": "f64"}')
         with pytest.raises(ContainerError, match="missing header"):
             read_tensor(path)
+
+    def test_headerless_file_is_refused_in_bounded_memory(self, tmp_path, capsys):
+        """A file with no newline used to be read whole looking for one: 136 MB
+        at the peak for 64 MiB of zero bytes."""
+        path = tmp_path / "zeros.tensor"
+        with open(path, "wb") as fh:
+            fh.truncate(64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContainerError, match="missing header"):
+                read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        kernel = tmp_path / "kernel.tensor"
+        write_tensor(kernel, np.ones((2, 1, 3)))
+        assert cli_main(["conv", "--input", str(path), "--kernel", str(kernel), "--out", str(tmp_path / "y.tensor")]) == 2
+        assert "missing header" in capsys.readouterr().err
+        assert not (tmp_path / "y.tensor").exists()
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.tensor"
@@ -263,8 +284,9 @@ class TestFuzz:
             pass
 
     def test_deep_json_header(self, tmp_path):
+        """Nested far past the recursion limit, within the header bound."""
         path = tmp_path / "deep.tensor"
-        path.write_bytes(b"[" * 100_000 + b"\n")
+        path.write_bytes(b"[" * 60_000 + b"\n")
         with pytest.raises(ContainerError, match="malformed JSON"):
             read_tensor(path)
 

@@ -8,7 +8,6 @@ from tensorconv.costs import (
     CostReport,
     DEFAULT_SWEEP_PAIRS,
     StageCost,
-    example_3d_architecture,
     figure6_sweep,
     flops_hocp,
     flops_regular,
@@ -65,7 +64,7 @@ class TestParams:
                 cost()
 
     def test_architecture_totals(self):
-        blocks = example_3d_architecture()
+        blocks = [ConvSpec(c, t, (3, 3, 3)) for c, t in ((3, 64), (64, 128), (128, 256), (256, 256))]
         regular = sum(params_regular(s) for s in blocks)
         hocp = sum(params_hocp(s, 6 * s.in_channels) for s in blocks)
         assert regular == 2_880_576

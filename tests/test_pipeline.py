@@ -485,7 +485,7 @@ class TestPlanSerialization:
         for entry in manifest["factors"]:
             assert (tmp_path / entry["file"]).exists()
         assert manifest["scheme"] == "cp"
-        assert manifest["cost"]["params"] == res.cost_after.params
+        assert "cost" not in manifest  # load_plan derives it from the layer
 
     def test_hocp_with_activations_and_skip_round_trip(self, tmp_path):
         rng = np.random.default_rng(302)
@@ -736,7 +736,8 @@ class TestPartsAreNamedAsSaved:
             manifest["skip"] = "skip_copy.tensor"
         elif case == "unknown-key":
             manifest["comment"] = "written by hand"
-        elif case == "edited-cost":
+        elif case == "edited-cost":  # an older manifest's cost block, tampered with
+            manifest = _with_cost_block(manifest, load_plan(path))
             manifest["cost"]["flops"] = 1
         elif case == "extra-entry-field":
             factors[0]["note"] = "ignored"
@@ -832,6 +833,20 @@ def _fixed_plans() -> dict:
     }
 
 
+def _with_cost_block(manifest: dict, plan: FactorizedPlan) -> dict:
+    """``manifest`` with the ``cost`` block save_plan wrote before it was
+    dropped, in its place after ``reference_input_extents``."""
+    items = list(manifest.items())
+    at = [key for key, _ in items].index("reference_input_extents") + 1
+    cost = {
+        "convention": plan.cost.convention,
+        "params": plan.cost.params,
+        "flops": plan.cost.flops,
+        "stages": [{"label": s.label, "params": s.params, "flops": s.flops} for s in plan.cost.stages],
+    }
+    return dict(items[:at] + [("cost", cost)] + items[at:])
+
+
 def _digests(directory) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in sorted(directory.iterdir())}
 
@@ -850,28 +865,38 @@ class TestPlanBytes:
         "spatial_mode_2.tensor": "99786bc1ed48f1c1",
     }
     DIGESTS = {
-        "cp": dict(CP_FACTORS, **{"plan.json": "55e836e16ef63835"}),
+        "cp": dict(CP_FACTORS, **{"plan.json": "7e7d8158e155e397"}),
         "tucker": {
             "down.tensor": "be9db0c69970a06e",
             "core.tensor": "841f6bab69c305ef",
             "up.tensor": "122956cb16d0a0d9",
-            "plan.json": "db339e7c7167aac0",
+            "plan.json": "eda6cccb09bb353b",
         },
         "mobilenet-v1": {
             "spatial.tensor": "8416519b9f9ea554",
             "pointwise.tensor": "fb14431ad4f288d5",
-            "plan.json": "ba905f14333e8c6d",
+            "plan.json": "1cf16355fe82fbcb",
         },
         "mobilenet-v2": {
             "down.tensor": "3f16e0675be6628a",
             "spatial.tensor": "61d58fdc2b702e3e",
             "up.tensor": "085f35b829384836",
-            "plan.json": "3331bf418997f27d",
+            "plan.json": "e39a57b6b017d5c5",
         },
-        "hocp": dict(CP_FACTORS, **{"plan.json": "76045bb8f3043498"}),
+        "hocp": dict(CP_FACTORS, **{"plan.json": "39ca1fd012be6f8c"}),
         "hocp-extras": dict(
-            CP_FACTORS, **{"skip.tensor": "26be4ccd69ab0996", "plan.json": "8754867d604d9a48"}
+            CP_FACTORS, **{"skip.tensor": "26be4ccd69ab0996", "plan.json": "45bd1dc05616756d"}
         ),
+    }
+    # The plan.json digests of the same plans as save_plan wrote them with a
+    # cost block, before it was dropped.
+    WITH_COST_BLOCK = {
+        "cp": "55e836e16ef63835",
+        "tucker": "db339e7c7167aac0",
+        "mobilenet-v1": "ba905f14333e8c6d",
+        "mobilenet-v2": "3331bf418997f27d",
+        "hocp": "76045bb8f3043498",
+        "hocp-extras": "8754867d604d9a48",
     }
 
     @pytest.mark.parametrize("name", list(_fixed_plans()))
@@ -882,6 +907,20 @@ class TestPlanBytes:
         save_plan(load_plan(tmp_path / "saved" / "plan.json"), tmp_path / "again")
         for path in sorted((tmp_path / "saved").iterdir()):
             assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("name", list(_fixed_plans()))
+    def test_manifest_with_a_cost_block_loads_to_the_same_plan(self, tmp_path, name):
+        """A plan directory written when manifests held a cost block, byte for
+        byte, loads to a bitwise-equal forward and the same cost."""
+        plan = _fixed_plans()[name]
+        path = save_plan(plan, tmp_path)
+        manifest = _with_cost_block(json.loads(path.read_text()), plan)
+        path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        assert _digests(tmp_path)["plan.json"] == self.WITH_COST_BLOCK[name]
+        loaded = load_plan(path)
+        assert loaded.cost == plan.cost
+        x = np.random.default_rng(310).standard_normal((3, 5, 4, 6))
+        assert forward(loaded.layer, x).tobytes() == forward(plan.layer, x).tobytes()
 
 
 class TestActivationCodec:
