@@ -45,14 +45,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, name: str, least: int | None = None) -> tuple[int, ...]:
+    """The integers of a comma-separated flag value, each at least ``least`` when that is given."""
     text = text.strip()
     if not text:
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        values = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"{name} expects comma-separated integers, got {text!r}") from exc
+    return tuple(_integer(v, name, least, _UsageError) for v in values)
 
 
 def _parse_geometry(text, name: str, least: int):
@@ -60,8 +62,8 @@ def _parse_geometry(text, name: str, least: int):
     An empty list, or a value below ``least``, is a usage error, raised before any file is read."""
     if text is None:
         return None
-    values = _parse_int_list(text, name)
-    if not values or min(values) < least:
+    values = _parse_int_list(text, name, least)
+    if not values:
         raise _UsageError(f"{name} expects integers >= {least}, got {text!r}")
     return values[0] if len(values) == 1 else values
 
@@ -170,12 +172,10 @@ def _load_cost_layers(path) -> list[dict]:
 
 
 def _cmd_cost(args) -> int:
+    # The flags are checked before the spec is read: no file decides them.
+    _integer(args.rank_multiplier, "--rank-multiplier", 1, _UsageError)
+    extents = _parse_int_list(args.input_extents, "--input-extents", 1) if args.input_extents else None
     layers = _load_cost_layers(args.spec)
-    extents = (
-        _parse_int_list(args.input_extents, "--input-extents")
-        if args.input_extents
-        else None
-    )
     # Every layer is read and costed before any line is printed, so a bad
     # layer leaves nothing on stdout.
     lines = [f"# {costs.FLOP_CONVENTION}"]
@@ -244,9 +244,10 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
         if not sep:
             raise _UsageError(f"--pairs expects C:T entries, got {token!r}")
         try:
-            pairs.append((int(c), int(t)))
+            c, t = int(c), int(t)
         except ValueError as exc:
             raise _UsageError(f"--pairs expects integers, got {token!r}") from exc
+        pairs.append((_integer(c, "--pairs", 1, _UsageError), _integer(t, "--pairs", 1, _UsageError)))
     return pairs
 
 
@@ -255,9 +256,12 @@ def _cmd_sweep(args) -> int:
     if not multipliers:
         raise _UsageError(f"--multipliers must be positive integers, got {args.multipliers!r}")
     pairs = costs.DEFAULT_SWEEP_PAIRS if args.pairs is None else _parse_pairs(args.pairs)
-    extents = _parse_int_list(args.input_extents, "--input-extents")
-    kernel = _parse_int_list(args.kernel, "--kernel")
-    rows = costs.figure6_sweep(pairs, extents, kernel, multipliers)
+    extents = _parse_int_list(args.input_extents, "--input-extents", 1)
+    kernel = _parse_int_list(args.kernel, "--kernel", 1)
+    try:
+        rows = costs.figure6_sweep(pairs, extents, kernel, multipliers)
+    except DimensionError as exc:  # sweep reads no file: every bad shape is its flags'
+        raise _UsageError(f"--input-extents {args.input_extents!r} and --kernel {args.kernel!r}: {exc}") from exc
     _remove_file(args.out)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         costs.write_sweep_csv(rows, multipliers, fh)

@@ -36,15 +36,20 @@ from .errors import DimensionError
 __all__ = ["ConvSpec", "OpCounter", "conv_nd_direct", "conv_nd_naive", "conv_1x1"]
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int: a Python or numpy integer, no bool or float
-    (``TypeError`` naming the argument ``name``)."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
+def _integer(value, name: str, least: int | None = None, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int, the one rule for every integer argument: a Python
+    or numpy integer, no bool or float (``TypeError`` naming the argument
+    ``name``), and at least ``least`` when that is given (``error``, a
+    ``ValueError`` unless the caller names its own class)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _tolerance(value, name: str) -> float:
@@ -57,11 +62,12 @@ def _tolerance(value, name: str) -> float:
     return float(value)
 
 
-def _per_mode(value, n: int, name: str) -> tuple[int, ...]:
-    """Broadcast a scalar to ``n`` modes, or validate a length-``n`` sequence."""
+def _per_mode(value, n: int, name: str, least: int) -> tuple[int, ...]:
+    """Broadcast a scalar to ``n`` modes, or validate a length-``n`` sequence,
+    each entry at least ``least`` (:class:`DimensionError`)."""
     if np.isscalar(value):
-        return (_integer(value, name),) * n
-    out = tuple(_integer(v, name) for v in value)
+        return (_integer(value, name, least, DimensionError),) * n
+    out = tuple(_integer(v, name, least, DimensionError) for v in value)
     if len(out) != n:
         raise DimensionError(f"{name} must have one entry per spatial mode ({n}), got {len(out)}")
     return out
@@ -73,7 +79,8 @@ class ConvSpec:
 
     No bias term. ``strides``/``paddings`` accept a scalar (applied to every
     spatial mode) or one value per mode. Every field takes integers only: a
-    float or a bool raises ``TypeError``.
+    float or a bool raises ``TypeError``, and a channel count, kernel size
+    or stride below 1 or a padding below 0 :class:`DimensionError`.
     """
 
     in_channels: int
@@ -83,23 +90,14 @@ class ConvSpec:
     paddings: tuple[int, ...] = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "in_channels", _integer(self.in_channels, "in_channels"))
-        object.__setattr__(self, "out_channels", _integer(self.out_channels, "out_channels"))
-        ks = tuple(_integer(k, "kernel_sizes") for k in self.kernel_sizes)
+        object.__setattr__(self, "in_channels", _integer(self.in_channels, "in_channels", 1, DimensionError))
+        object.__setattr__(self, "out_channels", _integer(self.out_channels, "out_channels", 1, DimensionError))
+        ks = tuple(_integer(k, "kernel_sizes", 1, DimensionError) for k in self.kernel_sizes)
         if len(ks) < 1:
             raise DimensionError("ConvSpec needs at least one spatial mode")
-        if self.in_channels < 1 or self.out_channels < 1 or any(k < 1 for k in ks):
-            raise DimensionError(
-                f"ConvSpec extents must all be >= 1: C={self.in_channels}, "
-                f"T={self.out_channels}, kernels={ks}"
-            )
         object.__setattr__(self, "kernel_sizes", ks)
-        object.__setattr__(self, "strides", _per_mode(self.strides, len(ks), "strides"))
-        object.__setattr__(self, "paddings", _per_mode(self.paddings, len(ks), "paddings"))
-        if any(s < 1 for s in self.strides):
-            raise DimensionError(f"strides must all be >= 1, got {self.strides}")
-        if any(p < 0 for p in self.paddings):
-            raise DimensionError(f"paddings must all be >= 0, got {self.paddings}")
+        object.__setattr__(self, "strides", _per_mode(self.strides, len(ks), "strides", 1))
+        object.__setattr__(self, "paddings", _per_mode(self.paddings, len(ks), "paddings", 0))
 
     @property
     def n_spatial(self) -> int:

@@ -13,7 +13,9 @@ layer of the given geometry and ranks would have, built from shape-only
 factors.
 
 All counts are exact integers; they are validated against the multiply-adds
-tallied by the layers' naive stage loops.
+tallied by the layers' naive stage loops. Ranks and rank multipliers take
+the fits' rule, an integer >= 1 (:class:`RankError` below): a rank-0 stage
+would have an empty mode, which no layer holds.
 """
 
 from __future__ import annotations
@@ -90,15 +92,6 @@ class CostReport:
         return out
 
 
-def _check_rank(rank: int, name: str = "rank") -> int:
-    """``rank`` as an int >= 1, as every fit takes it: a rank-0 stage would
-    have an empty mode, which no layer holds."""
-    rank = _integer(rank, name)
-    if rank < 1:
-        raise RankError(f"{name} must be >= 1, got {rank}")
-    return rank
-
-
 def params_regular(spec: ConvSpec) -> int:
     """C * T * prod(K), no bias."""
     return spec.in_channels * spec.out_channels * prod(spec.kernel_sizes)
@@ -106,7 +99,7 @@ def params_regular(spec: ConvSpec) -> int:
 
 def params_hocp(spec: ConvSpec, rank: int) -> int:
     """R * (C + T + sum(K))."""
-    rank = _check_rank(rank)
+    rank = _integer(rank, "rank", 1, RankError)
     return rank * (spec.in_channels + spec.out_channels + sum(spec.kernel_sizes))
 
 
@@ -168,7 +161,7 @@ def report_hocp(
     own line when present, since architecture-level totals may or may not
     include it.
     """
-    rank = _check_rank(rank)
+    rank = _integer(rank, "rank", 1, RankError)
     t, c = spec.out_channels, spec.in_channels
     factors = [_zeros(e, rank) for e in (t, c) + spec.kernel_sizes]
     acts = None
@@ -185,7 +178,7 @@ def flops_hocp(spec: ConvSpec, rank: int, input_extents: Sequence[int]) -> int:
 
 def report_tucker(spec: ConvSpec, ranks: tuple[int, int], input_extents: Sequence[int]) -> CostReport:
     """Bottleneck accounting: 1x1 down, dense core conv, 1x1 up."""
-    r_out, r_in = (_check_rank(r) for r in ranks)
+    r_out, r_in = (_integer(r, "rank", 1, RankError) for r in ranks)
     c, t = spec.in_channels, spec.out_channels
     stages = TuckerConvLayer.stages_for(
         _zeros(r_in, c), _zeros(r_out, r_in, *spec.kernel_sizes), _zeros(t, r_out), spec
@@ -202,7 +195,7 @@ def report_mobilenet_v1(spec: ConvSpec, input_extents: Sequence[int]) -> CostRep
 
 def report_mobilenet_v2(spec: ConvSpec, rank: int, input_extents: Sequence[int]) -> CostReport:
     """Inverted bottleneck accounting: 1x1 down, depthwise, 1x1 up."""
-    rank = _check_rank(rank)
+    rank = _integer(rank, "rank", 1, RankError)
     c, t = spec.in_channels, spec.out_channels
     stages = MobileNetV2Block.stages_for(
         _zeros(rank, c), _zeros(*spec.kernel_sizes, rank), _zeros(t, rank), spec
@@ -253,7 +246,7 @@ def figure6_sweep(
     integers: a float or a bool raises ``TypeError``, and a multiplier below
     1 :class:`RankError`, before any row is costed.
     """
-    multipliers = [_check_rank(m, "multipliers") for m in multipliers]
+    multipliers = [_integer(m, "multipliers", 1, RankError) for m in multipliers]
     rows = []
     for c, t in channel_pairs:
         spec = ConvSpec(c, t, tuple(kernel_sizes))

@@ -217,9 +217,7 @@ def _sweep_controls(max_iters, tol) -> int:
     below 1; ``tol`` by :func:`~tensorconv.convref._tolerance`, and used as
     given. No sweep would leave the random start with an infinite error,
     and a NaN ``tol`` would never stop."""
-    max_iters = _integer(max_iters, "max_iters")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    max_iters = _integer(max_iters, "max_iters", 1)
     _tolerance(tol, "tol")
     return max_iters
 
@@ -295,10 +293,11 @@ def cp_als(
     ``init`` is ``"random"`` (uniform in [-1, 1], seeded) or ``"hosvd"``
     (leading left singular vectors per mode, padded with random columns when
     the rank exceeds a mode extent). Ranks larger than the extents are allowed
-    (overcomplete CP). A tensor holding NaN or infinite values, ``max_iters``
-    below 1 or a NaN or negative ``tol`` raises ``ValueError``, a float or
-    bool ``rank`` or ``max_iters`` or a non-number ``tol`` (bool, str,
-    ``None``) ``TypeError``.
+    (overcomplete CP). A ``rank`` below 1 raises :class:`RankError`; a
+    tensor holding NaN or infinite values, ``max_iters`` below 1 or a NaN or
+    negative ``tol`` ``ValueError``; a float or bool ``rank`` or
+    ``max_iters`` or a non-number ``tol`` (bool, str, ``None``)
+    ``TypeError``.
     """
     return _cp_als_lockstep(t, rank, [seed], max_iters, tol, init)[0]
 
@@ -316,9 +315,7 @@ def _cp_als_lockstep(t, rank, seeds, max_iters, tol, init) -> list[CpResult]:
     t = as_tensor(t)
     if t.ndim < 2:
         raise DimensionError(f"cp_als needs a tensor of order >= 2, got {t.ndim}")
-    rank = _integer(rank, "rank")
-    if rank < 1:
-        raise RankError(f"CP rank must be >= 1, got {rank}")
+    rank = _integer(rank, "rank", 1, RankError)
     if init not in ("random", "hosvd"):
         raise ValueError(f"unknown init {init!r}; expected 'random' or 'hosvd'")
     max_iters = _sweep_controls(max_iters, tol)
@@ -394,19 +391,18 @@ def tucker_hooi(
     Factor columns are orthonormal throughout. Requested ranks larger than a
     mode extent are capped at the extent, with a note in ``result.warnings``.
     A mode whose rank equals its extent takes the identity as its factor,
-    and neither the sweeps nor the core project onto it. A tensor
+    and neither the sweeps nor the core project onto it. A rank below 1,
+    or other than one per mode, raises :class:`RankError`; a tensor
     holding NaN or infinite values, ``max_iters`` below 1 or a NaN or
-    negative ``tol`` raises ``ValueError``, a float rank or ``max_iters``, or
+    negative ``tol`` ``ValueError``; a float rank or ``max_iters``, or
     a non-number ``tol`` (bool, str, ``None``), ``TypeError``.
     """
     t = as_tensor(t)
-    req = tuple(_integer(r, "ranks") for r in ranks)
+    req = tuple(_integer(r, "ranks", 1, RankError) for r in ranks)
     if len(req) != t.ndim:
         raise RankError(
             f"expected {t.ndim} Tucker ranks for an order-{t.ndim} tensor, got {len(req)}"
         )
-    if any(r < 1 for r in req):
-        raise RankError(f"Tucker ranks must all be >= 1, got {req}")
     max_iters = _sweep_controls(max_iters, tol)
     _require_finite(t)
 

@@ -737,9 +737,10 @@ def _mode_0(stage) -> tuple[int, int, int]:
 def _channel_local(stages):
     """Split ``stages`` into (leading :class:`Contract` or None, the
     :class:`Depthwise`/:class:`Activate` stages after it, trailing
-    :class:`Contract`, the stages after that); None when the list does not
-    start with such a channel-local run, or when a per-channel stage other
-    than the first moves spatial mode 0."""
+    :class:`Contract`, the :class:`Skip` stages after that); None when the
+    list does not start with such a channel-local run, when a stage other
+    than a skip follows it, or when a per-channel stage other than the first
+    moves spatial mode 0."""
     lead = stages[0] if type(stages[0]) is Contract else None
     lo = hi = int(lead is not None)
     while hi < len(stages) and isinstance(stages[hi], (Depthwise, Activate)):
@@ -748,6 +749,7 @@ def _channel_local(stages):
         lo < hi < len(stages)
         and type(stages[hi]) is Contract
         and all(_mode_0(s) == (1, 1, 0) for s in stages[lo + 1:hi])
+        and all(isinstance(s, Skip) for s in stages[hi + 1:])
     ):
         return lead, stages[lo:hi], stages[hi], stages[hi + 1:]
     return None
@@ -800,10 +802,9 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
       and the last stage writes its result straight behind them;
     * one GEMM with the trailing contraction, its K the tile's width,
       reads those results; tile 0 writes the slab's output columns in
-      place, every later tile adds into them. When the head keeps the
-      extents, a trailing skip's GEMM then reads x's columns in place and,
-      in tile 0, adds into those output columns while they are in cache;
-      only skips run per slab.
+      place, every later tile adds into them. A trailing skip's GEMM, whose
+      geometry keeps every extent, then reads x's columns in place and, in
+      tile 0, adds into those output columns while they are in cache.
 
     So each tile contracts each input plane once, and the memory above the
     output is one tile's line buffer, one slab's partial output and one
@@ -827,35 +828,33 @@ def forward(layer, x: np.ndarray) -> np.ndarray:
     compare the bits). A band sums whole rows, so a (g x window) band on
     windows cut from a mode 0 too long for bands, or one batched over fewer
     planes, can round differently in the last bits.
-    The remaining stages (Tucker's whole list, whose core conv mixes
-    positions and channels, or an activation after the trailing
-    contraction) run once on the full output.
+    Any other list (Tucker's, whose core conv mixes positions and channels)
+    runs as the plain fold over its stages.
     """
     x = _check_input(x, layer.spec)
-    z, rest = x, layer.stages
-    head = _channel_local(rest)
-    if head is not None:
-        lead, per_channel, tail, rest = head
-        # Per-channel batch-norm parameters broadcast along rows shorter than
-        # numpy's ufunc buffer (8192 elements by default) go through buffered
-        # copies, 3-4x slower per element; a slab's channel rows can be 1536
-        # long. A buffer of 16 elements avoids the copies and, every operation
-        # of the slab loop being elementwise or a GEMM, changes no bit.
-        default = np.setbufsize(16)
-        try:
-            z, rest = _stream(x, lead, per_channel, tail, rest)
-        finally:
-            np.setbufsize(default)
-    for stage in rest:
-        z = stage.apply(z, x)
-    return z
+    head = _channel_local(layer.stages)
+    if head is None:
+        z = x
+        for stage in layer.stages:
+            z = stage.apply(z, x)
+        return z
+    # Per-channel batch-norm parameters broadcast along rows shorter than
+    # numpy's ufunc buffer (8192 elements by default) go through buffered
+    # copies, 3-4x slower per element; a slab's channel rows can be 1536
+    # long. A buffer of 16 elements avoids the copies and, every operation
+    # of the slab loop being elementwise or a GEMM, changes no bit.
+    default = np.setbufsize(16)
+    try:
+        return _stream(x, *head)
+    finally:
+        np.setbufsize(default)
 
 
-def _stream(x, lead, per_channel, tail, rest):
+def _stream(x, lead, per_channel, tail, skips):
     """The tile and slab loops of :func:`forward`: the output of the
-    channel-local head (and of ``rest`` when it runs per slab) and the
-    stages still to run. Every window is written into the line buffer, and
-    each stage on it runs as the window's extents select."""
+    channel-local head and its trailing ``skips``. Every window is written
+    into the line buffer, and each stage on it runs as the window's extents
+    select."""
     rank = tail.matrix.shape[1]
     extents = [x.shape[1:]]
     for stage in per_channel:
@@ -882,8 +881,9 @@ def _stream(x, lead, per_channel, tail, rest):
     tiles = [slice(lo, min(lo + step, rank)) for lo in range(0, rank, step)]
     buf = np.empty((step, row))
     out = np.empty(tail.matrix.shape[:1] + out_extents)
+    for skip in skips:  # a layer's skips keep every extent; a chain built by hand may not
+        skip._check(out, x)
     flat_x, flat_out = x.reshape(x.shape[0], -1), out.reshape(out.shape[0], -1)
-    per_slab = all(isinstance(s, Skip) for s in rest) and out_extents == x.shape[1:]
     bindings = {}  # window extents -> the chain bound to them for every tile
     for i, tile in enumerate(tiles):
         lines, kept = buf[:tile.stop - tile.start], 0
@@ -907,10 +907,9 @@ def _stream(x, lead, per_channel, tail, rest):
                 dst += np.matmul(tail.matrix[:, tile], res)
                 continue
             np.matmul(tail.matrix[:, tile], res, out=dst)
-            if per_slab:
-                for skip in rest:  # reads x's columns in place, adds into the output's
-                    np.add(np.matmul(skip.matrix, flat_x[:, cols]), dst, out=dst)
-    return out, () if per_slab else rest
+            for skip in skips:  # reads x's columns in place, adds into the output's
+                np.add(np.matmul(skip.matrix, flat_x[:, cols]), dst, out=dst)
+    return out
 
 
 def _bind(per_channel, tiles, extents, width: int):

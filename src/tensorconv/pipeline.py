@@ -159,14 +159,6 @@ def _probe_extents(spec: ConvSpec) -> tuple[int, ...]:
     return tuple(max(_PROBE_EXTENT, k) for k in spec.kernel_sizes)
 
 
-def _seed(seed) -> int:
-    """``seed`` as an int: ``TypeError`` for a non-integer, ``ValueError`` below 0."""
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def _worst_probe(plan: FactorizedPlan, kernel: np.ndarray, seed: int) -> tuple[float, int]:
     """Worst relative forward deviation of the plan from the direct convolution
     over the ``_PROBE_COUNT`` seeded probes, and its first probe index. A NaN
@@ -211,11 +203,9 @@ def _normalize_ranks(scheme: str, ranks, kernel_shape) -> tuple[int, ...]:
     if ranks is None:
         raise RankError(f"scheme {scheme!r} requires an explicit rank")
     try:
-        ranks = tuple(_integer(r, "ranks") for r in ((ranks,) if np.isscalar(ranks) else ranks))
+        ranks = tuple(_integer(r, "ranks", 1, RankError) for r in ((ranks,) if np.isscalar(ranks) else ranks))
     except TypeError as exc:
         raise RankError(f"ranks must be integers, got {ranks!r}") from exc
-    if any(r < 1 for r in ranks):
-        raise RankError(f"ranks must all be >= 1, got {ranks}")
     if len(ranks) != (2 if scheme == "tucker" else 1):
         form = "the channel ranks (R_out, R_in)" if scheme == "tucker" else "a single rank"
         raise RankError(f"scheme {scheme!r} takes {form}, got {ranks}")
@@ -268,10 +258,9 @@ def compress(
     spec = ConvSpec.from_kernel(kernel, stride, padding)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if _integer(restarts, "restarts") < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    restarts = _integer(restarts, "restarts", 1)
     max_iters = _sweep_controls(max_iters, tol)
-    seed = _seed(seed)
+    seed = _integer(seed, "seed", 0)
     ranks = _normalize_ranks(scheme, ranks, kernel.shape)
 
     res = None  # the ALS or HOOI run; mobilenet-v1 is closed form
@@ -336,7 +325,7 @@ def verify_equivalence(
     """
     kernel = as_tensor(kernel)
     tolerance = _tolerance(tolerance, "tolerance")
-    seed = _seed(seed)
+    seed = _integer(seed, "seed", 0)
     worst, worst_idx = _worst_probe(plan, kernel, seed)
     return EquivalenceReport(
         passed=bool(worst <= tolerance),
@@ -507,7 +496,5 @@ def _plan_from_manifest(manifest: dict, path: Path) -> FactorizedPlan:
     if [_integer(r, "ranks") for r in manifest["ranks"]] != _ranks(layer):
         raise ContainerError(f"{path}: ranks {manifest['ranks']!r} are not the factors' {_ranks(layer)}")
 
-    extents = tuple(_integer(d, "reference_input_extents") for d in manifest["reference_input_extents"])
-    if any(d < 1 for d in extents):
-        raise ValueError(f"reference_input_extents must all be >= 1, got {extents}")
+    extents = tuple(_integer(d, "reference_input_extents", 1) for d in manifest["reference_input_extents"])
     return _plan_for(scheme, layer, extents)

@@ -721,11 +721,15 @@ class TestUsageErrors:
         assert run_cli(*argv) == 3
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [("--stride", "0"), ("--stride", "1,0"), ("--stride", ""), ("--padding", "-1")],
-                             ids=["stride-0", "stride-1,0", "stride-empty", "padding-negative"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--stride", "0", "--stride must be >= 1, got 0"),
+        ("--stride", "1,0", "--stride must be >= 1, got 0"),
+        ("--stride", "", "--stride expects integers >= 1, got ''"),
+        ("--padding", "-1", "--padding must be >= 0, got -1"),
+    ], ids=["stride-0", "stride-1,0", "stride-empty", "padding-negative"])
     @pytest.mark.parametrize("command", ["decompose", "conv-kernel", "conv-plan", "verify"])
     def test_bad_geometry_exits_3_before_any_file_is_read(
-        self, synthetic_kernel, tmp_path, capsys, monkeypatch, command, flag, value,
+        self, synthetic_kernel, tmp_path, capsys, monkeypatch, command, flag, value, message,
     ):
         """They used to exit 2: ConvSpec refused them after the input files were read."""
         kernel, _ = synthetic_kernel
@@ -743,9 +747,45 @@ class TestUsageErrors:
             monkeypatch.setattr(cli, name, mock.Mock(wraps=getattr(cli, name)))
         capsys.readouterr()
         assert run_cli(*argv, flag, value) == 3
-        assert f"error: {flag} expects integers" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
         assert not cli.read_finite_tensor.called and not cli.load_plan.called
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--kernel", "0"], "error: --kernel must be >= 1, got 0"),
+        (["--kernel", ""], "error: --input-extents '32,32,16' and --kernel '': "),
+        (["--pairs", "0:4"], "error: --pairs must be >= 1, got 0"),
+        (["--pairs", "4:-1"], "error: --pairs must be >= 1, got -1"),
+        (["--input-extents", ""], "error: --input-extents '' and --kernel '3,3,3': "),
+        (["--input-extents", "0,0,0"], "error: --input-extents must be >= 1, got 0"),
+        (["--kernel", "3,3"], "error: --input-extents '32,32,16' and --kernel '3,3': "),
+        (["--input-extents", "1,1,1", "--kernel", "3,3,3"], "error: --input-extents '1,1,1' and --kernel '3,3,3': "),
+    ], ids=["kernel-0", "kernel-empty", "pairs-0:4", "pairs-4:-1", "extents-empty", "extents-0,0,0",
+            "kernel-of-another-order", "extents-below-kernel"])
+    def test_bad_sweep_flag_exits_3_before_any_file_is_written(self, tmp_path, capsys, flags, named):
+        """sweep reads no file, so a bad shape is always its flags': each used to exit 2."""
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"kept,bytes\n")
+        assert run_cli("sweep", "--out", out, *flags) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and named in err
+        assert out.read_bytes() == b"kept,bytes\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--input-extents", "0"], "--input-extents must be >= 1, got 0"),
+        (["--input-extents", "-4"], "--input-extents must be >= 1, got -4"),
+        (["--rank-multiplier", "0"], "--rank-multiplier must be >= 1, got 0"),
+    ], ids=["extents-0", "extents-negative", "rank-multiplier-0"])
+    def test_bad_cost_flag_exits_3_before_the_spec_is_read(self, tmp_path, capsys, monkeypatch, flags, message):
+        """The layer gives its rank: extents 0 and -4 used to exit 2 after the
+        spec was read, and --rank-multiplier 0 exited 0."""
+        spec = tmp_path / "layer.json"
+        spec.write_text(json.dumps({"in_channels": 2, "out_channels": 3, "kernel_sizes": [3], "rank": 4}))
+        monkeypatch.setattr(cli, "_load_cost_layers", mock.Mock(wraps=cli._load_cost_layers))
+        assert run_cli("cost", "--spec", spec, *flags) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and f"error: {message}" in err
+        assert not cli._load_cost_layers.called
 
     def test_out_of_process(self, tmp_path):
         proc = subprocess.run(

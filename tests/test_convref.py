@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -9,18 +11,25 @@ from hypothesis import strategies as st
 
 from tensorconv import convref
 from tensorconv import (
+    ContainerError,
     ConvSpec,
     DimensionError,
     OpCounter,
+    RankError,
     conv_1x1,
     conv_nd_direct,
     conv_nd_naive,
     compress,
     cp_als,
+    load_plan,
     n_mode_product,
+    save_plan,
     tucker_hooi,
+    verify_equivalence,
 )
-from tensorconv.costs import figure6_sweep, flops_regular
+from tensorconv.costs import (
+    figure6_sweep, flops_regular, params_hocp, report_hocp, report_mobilenet_v2, report_tucker,
+)
 from tensorconv.dense import depthwise_conv
 
 from helpers import rel_error
@@ -73,6 +82,61 @@ def test_a_non_integer_is_refused_by_name(call, name):
     and a bool CP rank failed inside numpy."""
     with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
         call()
+
+
+_K = _T[..., None]  # a (3, 4, 3, 1) kernel
+_SPEC = ConvSpec(4, 3, (3, 3), 1, 1)
+
+
+@functools.cache
+def _plan():
+    return compress(_K, "cp", 2, max_iters=5).plan
+
+
+def _load_with_extent(value, directory):
+    """load_plan of the cp plan saved with ``value`` as its first reference extent."""
+    manifest = save_plan(_plan(), directory)
+    doc = json.loads(manifest.read_text())
+    doc["reference_input_extents"][0] = value
+    manifest.write_text(json.dumps(doc))
+    return load_plan(manifest)
+
+
+# (call of the value and a directory, the least value taken, the class raised
+# below it, the class raised for a float or a bool)
+_INTEGER_ARGUMENTS = {
+    "spec-channels": (lambda v, d: ConvSpec(v, 3, (3,)), 1, DimensionError, TypeError),
+    "spec-kernel-size": (lambda v, d: ConvSpec(4, 3, (3, v)), 1, DimensionError, TypeError),
+    "spec-stride": (lambda v, d: ConvSpec(4, 3, (3, 3), strides=(1, v)), 1, DimensionError, TypeError),
+    "spec-padding": (lambda v, d: ConvSpec(4, 3, (3, 3), paddings=v), 0, DimensionError, TypeError),
+    "cp-rank": (lambda v, d: cp_als(_T, v), 1, RankError, TypeError),
+    "cp-max-iters": (lambda v, d: cp_als(_T, 2, max_iters=v), 1, ValueError, TypeError),
+    "tucker-ranks": (lambda v, d: tucker_hooi(_T, (2, v, 2)), 1, RankError, TypeError),
+    "compress-ranks": (lambda v, d: compress(_K, "cp", v), 1, RankError, RankError),
+    "compress-tucker-ranks": (lambda v, d: compress(_K, "tucker", (2, v)), 1, RankError, RankError),
+    "compress-restarts": (lambda v, d: compress(_K, "cp", 2, restarts=v), 1, ValueError, TypeError),
+    "compress-max-iters": (lambda v, d: compress(_K, "tucker", (2, 2), max_iters=v), 1, ValueError, TypeError),
+    "compress-seed": (lambda v, d: compress(_K, "cp", 2, seed=v), 0, ValueError, TypeError),
+    "verify-seed": (lambda v, d: verify_equivalence(_plan(), _K, 1e-6, seed=v), 0, ValueError, TypeError),
+    "params-hocp": (lambda v, d: params_hocp(_SPEC, v), 1, RankError, TypeError),
+    "report-hocp": (lambda v, d: report_hocp(_SPEC, v, (8, 8)), 1, RankError, TypeError),
+    "report-tucker": (lambda v, d: report_tucker(_SPEC, (2, v), (8, 8)), 1, RankError, TypeError),
+    "report-mobilenet-v2": (lambda v, d: report_mobilenet_v2(_SPEC, v, (8, 8)), 1, RankError, TypeError),
+    "figure6-sweep": (lambda v, d: figure6_sweep([(4, 8)], (8, 8, 8), (3, 3, 3), (3, v)), 1, RankError, TypeError),
+    "load-plan-extents": (_load_with_extent, 1, ContainerError, ContainerError),
+}
+
+
+@pytest.mark.parametrize("kind", ["below", "float", "bool"])
+@pytest.mark.parametrize("case", _INTEGER_ARGUMENTS)
+def test_each_integer_argument_raises_its_class(case, kind, tmp_path):
+    """Every integer argument of the library, one below its least value, as
+    a float and as a bool, raises exactly its class (not a subclass)."""
+    call, least, below, not_integer = _INTEGER_ARGUMENTS[case]
+    value = {"below": least - 1, "float": float(least + 1), "bool": True}[kind]
+    with pytest.raises(Exception) as info:
+        call(value, tmp_path)
+    assert type(info.value) is (below if kind == "below" else not_integer)
 
 
 class TestConvNdDirect:
